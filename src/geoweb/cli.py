@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,29 +48,6 @@ class CLIError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIError(message)
-
-
-def thread_count() -> int:
-    """Worker cap from GEOWEB_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("GEOWEB_THREADS", "0").strip() or "0"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CLIError("GEOWEB_THREADS must be an integer, got %r" % raw)
-    if value < 0:
-        raise CLIError("GEOWEB_THREADS must be >= 0")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map honoring the thread cap."""
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_coords(text: str, n: int, flag: str) -> np.ndarray:
@@ -282,8 +258,7 @@ def _cmd_geodesic(args) -> int:
     return EXIT_OK
 
 
-def _invariant_row(web, task):
-    idx, point = task
+def _invariant_row(web, idx, point):
     n = web.dim
     extras = range(n + 2, web.d + 1)
     head = [idx] + [float(x) for x in point]
@@ -316,8 +291,8 @@ def _cmd_invariants(args) -> int:
         cols.extend("s%d_%d%d" % (k, i + 1, j + 1)
                     for i in range(n) for j in range(i + 1, n))
     cols.append("detail")
-    rows = _parallel_map(lambda task: _invariant_row(web, task),
-                         list(enumerate(pts)))
+    rows = [_invariant_row(web, idx, point)
+            for idx, point in enumerate(pts)]
     meta = {**_base_meta(args, web), **smeta}
     out = Report("invariants", meta, cols, rows)
     text = write_report(out, args.format, args.out)

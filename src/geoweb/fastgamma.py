@@ -1,17 +1,18 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection thousands of times, which is
-too slow through per-point jet objects.  This module re-derives the same
-quantities with plain numpy over a batch of points: order-2 coefficient
-arrays for the web functions, then explicit matrix calculus for lambda,
-the frame, the structure functions, the skew invariants and the coordinate
-Christoffels.  A cross-validation test pins it bitwise-close to the jet
-route, so the two paths double as mutual oracles.
+too slow through per-point jet objects.  This module evaluates the order-2
+coefficient arrays of the web functions for a whole batch of points with
+the Taylor kernels of `jets`, so each batch column equals the per-point
+`Jet` bit for bit wherever the two tree walks do the same operations (the
+jet route divides by a constant directly, this one multiplies by its
+reciprocal series).  It then derives lambda, the frame, the structure
+functions, the skew invariants and the coordinate Christoffels by explicit
+matrix calculus, which a cross-validation test checks against the
+jet-level connection.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,85 +21,15 @@ from .errors import DegenerateWebPoint, DomainError
 from .web import DEGENERACY_FLOOR, WebChart
 from .connection import COINCIDENCE_FLOOR
 
-# ---------------------------------------------------------------------------
-# batched truncated-series evaluation: coefficient arrays of shape (count, B)
-
-
-def _bmul(a, b, tb):
-    out = np.zeros_like(a)
-    np.add.at(out, tb.io, a[tb.ia] * b[tb.ib])
-    return out
-
-
-def _bcompose(u, series, tb):
-    out = np.zeros_like(u)
-    out[0] = series[0]
-    if len(series) == 1:
-        return out
-    ut = u.copy()
-    ut[0] = 0.0
-    power = ut.copy()
-    out += series[1] * power
-    for j in range(2, len(series)):
-        power = _bmul(power, ut, tb)
-        out += series[j] * power
-    return out
-
-
-def _brecip(u, tb, order):
-    u0 = u[0]
-    if np.any(u0 == 0.0):
-        raise DomainError("division by zero value part in batch")
-    series = np.empty((order + 1,) + u0.shape)
-    term = 1.0 / u0
-    for j in range(order + 1):
-        series[j] = term
-        term = -term / u0
-    return _bcompose(u, series, tb)
-
 
 def _bfun(name, u, tb, order):
+    """Compose the series `name` with a coefficient array (count, B)."""
     u0 = u[0]
-    series = np.empty((order + 1,) + u0.shape)
-    if name == "exp":
-        term = np.exp(u0)
-        for j in range(order + 1):
-            series[j] = term
-            term = term / (j + 1)
-    elif name == "log":
-        if np.any(u0 <= 0.0):
-            raise DomainError("log of non-positive value in batch")
-        series[0] = np.log(u0)
-        sign = 1.0
-        for j in range(1, order + 1):
-            series[j] = sign / (j * u0 ** j)
-            sign = -sign
-    elif name == "sqrt":
-        if np.any(u0 <= 0.0):
-            raise DomainError("sqrt of non-positive value in batch")
-        term = np.sqrt(u0)
-        for j in range(order + 1):
-            series[j] = term
-            term = term * (0.5 - j) / ((j + 1) * u0)
-    elif name in ("sin", "cos"):
-        s, c = np.sin(u0), np.cos(u0)
-        cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
-        fact = 1.0
-        for j in range(order + 1):
-            if j > 0:
-                fact *= j
-            series[j] = cycle[j % 4] / fact
-    elif name == "atan":
-        phi = np.arctan(u0)
-        cphi = np.cos(phi)
-        series[0] = phi
-        cpow = np.ones_like(u0)
-        for j in range(1, order + 1):
-            cpow = cpow * cphi
-            series[j] = cpow * np.sin(j * (phi + 0.5 * math.pi)) / j
-    else:
-        raise ValueError("unknown function %r" % name)
-    return _bcompose(u, series, tb)
+    if name == "recip" and np.any(u0 == 0.0):
+        raise DomainError("division by zero value part in batch")
+    if name in ("log", "sqrt") and np.any(u0 <= 0.0):
+        raise DomainError("%s of non-positive value in batch" % name)
+    return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
 
 
 def _beval(node, X, order):
@@ -129,22 +60,21 @@ def _beval(node, X, order):
         if nd.op == "-":
             return left - right
         if nd.op == "*":
-            return _bmul(left, right, tb)
+            return jets.coeff_mul(left, right, tb)
         if nd.op == "/":
-            return _bmul(left, _brecip(right, tb, order), tb)
+            return jets.coeff_mul(left, _bfun("recip", right, tb, order), tb)
         # power: constant integer exponent by repeated product, else exp/log
         if not np.any(right[1:]):
             e0 = float(right[0, 0])
             if e0 == int(e0):
                 k = int(e0)
-                base = left if k >= 0 else _brecip(left, tb, order)
                 out = np.zeros((tb.count, B))
                 out[0] = 1.0
                 for _ in range(abs(k)):
-                    out = _bmul(out, base, tb)
-                return out
-        return _bfun("exp", _bmul(right, _bfun("log", left, tb, order), tb),
-                     tb, order)
+                    out = jets.coeff_mul(out, left, tb)
+                return out if k >= 0 else _bfun("recip", out, tb, order)
+        log_left = _bfun("log", left, tb, order)
+        return _bfun("exp", jets.coeff_mul(right, log_left, tb), tb, order)
 
     return rec(node)
 

@@ -153,8 +153,6 @@ def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
         verdict = fail_word
     elif verdicts and all(v == "pass" for v in verdicts):
         verdict = pass_word
-    elif not verdicts:
-        verdict = "inconclusive"
     else:
         verdict = "inconclusive"
     return SampleReport(kind, verdict, rows, max_value, frac)

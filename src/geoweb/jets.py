@@ -6,17 +6,17 @@ base point, indexed by multi-indices in graded lexicographic order
 multi-index alpha is the scaled derivative  d^alpha f / alpha!, so arithmetic
 on jets is exact polynomial arithmetic truncated at the chosen order.
 
-The hot kernels (truncated product and series composition) live in a
-compiled extension with a pure-Python twin; GEOWEB_JET_BACKEND selects one
-(auto, compiled, python).  Both backends accumulate in the same order and
-return bit-identical coefficients.
+The Taylor kernels work on coefficient arrays of shape (count, *batch): the
+truncated product `coeff_mul`, the composition `coeff_compose` of a
+univariate series with a jet (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13), and the table `SERIES` of univariate series.  A `Jet` holds one
+coefficient vector; `fastgamma` runs the same kernels over a point batch.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from collections import namedtuple
 from functools import lru_cache
 
@@ -27,31 +27,9 @@ from .errors import DomainError, MixedContext, OrderExhausted, SingularSystem
 MAX_ORDER = 4
 
 
-def _load_backend():
-    choice = os.environ.get("GEOWEB_JET_BACKEND", "auto").strip().lower() or "auto"
-    if choice == "auto":
-        try:
-            from . import _jetcore as core
-        except ImportError:
-            from . import _jetcore_py as core
-        return core
-    if choice == "compiled":
-        from . import _jetcore as core
-        return core
-    if choice == "python":
-        from . import _jetcore_py as core
-        return core
-    raise ValueError(
-        "GEOWEB_JET_BACKEND must be 'auto', 'compiled' or 'python', got %r" % choice
-    )
-
-
-_core = _load_backend()
-
-
 def backend_name() -> str:
-    """Name of the active kernel backend ('compiled' or 'python')."""
-    return _core.BACKEND_NAME
+    """Name of the jet kernel implementation: always 'python'."""
+    return "python"
 
 
 def n_coeffs(dim: int, order: int) -> int:
@@ -120,6 +98,126 @@ def _tables(dim, order):
                          np.array(dst, dtype=np.int32),
                          np.array(fac)))
     return _Tables(len(exps), index, ia, ib, io, tuple(diff))
+
+
+# ---------------------------------------------------------------------------
+# Taylor kernels over coefficient arrays of shape (count, *batch)
+
+
+def coeff_mul(a, b, tb):
+    """Truncated product of two coefficient arrays.
+
+    ``(tb.ia, tb.ib, tb.io)`` enumerate every pair of monomials whose
+    product stays within the truncation order; entry t adds
+    ``a[ia[t]] * b[ib[t]]`` into slot ``io[t]``.  ``np.add.at`` applies
+    repeated slots in table order, so the sum is the same for any batch.
+    """
+    out = np.zeros(a.shape)
+    np.add.at(out, tb.io, a[tb.ia] * b[tb.ib])
+    return out
+
+
+def coeff_compose(u, series, tb):
+    """Evaluate sum_j series[j] * (u - u0)^j, truncated.
+
+    ``series`` holds the scaled derivatives of the outer function at the
+    value part u0 of ``u`` (floats for one jet, arrays over the batch).
+    Powers are accumulated in ascending degree so a lower-order run is an
+    exact prefix of a higher-order one.
+    """
+    out = np.zeros(u.shape)
+    out[0] = series[0]
+    if len(series) == 1:
+        return out
+    utilde = u.copy()
+    utilde[0] = 0.0
+    power = utilde.copy()
+    out += series[1] * power
+    for j in range(2, len(series)):
+        power = coeff_mul(power, utilde, tb)
+        out += series[j] * power
+    return out
+
+
+# Univariate series: SERIES[name](u0, order) -> [f(u0), f'(u0), ...,
+# f^(order)(u0) / order!].  u0 is a float or an array over the batch; the
+# entries use plain arithmetic and numpy ufuncs only and check no domain.
+
+
+def _recip_series(u0, order):
+    out = []
+    term = 1.0 / u0
+    for _ in range(order + 1):
+        out.append(term)
+        term = -term / u0
+    return out
+
+
+def _exp_series(u0, order):
+    out = []
+    term = np.exp(u0)
+    for j in range(order + 1):
+        out.append(term)
+        term = term / (j + 1)
+    return out
+
+
+def _log_series(u0, order):
+    # powers of u0 by repeated product: `**` on an array and on a float
+    # round differently
+    out = [np.log(u0)]
+    sign = 1.0
+    upow = 1.0
+    for j in range(1, order + 1):
+        upow = upow * u0
+        out.append(sign / (j * upow))
+        sign = -sign
+    return out
+
+
+def _sqrt_series(u0, order):
+    out = []
+    term = np.sqrt(u0)
+    for j in range(order + 1):
+        out.append(term)
+        term = term * ((0.5 - j) / ((j + 1) * u0))
+    return out
+
+
+def _cycle_series(cycle, order):
+    out = []
+    fact = 1.0
+    for j in range(order + 1):
+        if j > 0:
+            fact *= j
+        out.append(cycle[j % 4] / fact)
+    return out
+
+
+def _sin_series(u0, order):
+    s, c = np.sin(u0), np.cos(u0)
+    return _cycle_series((s, c, -s, -c), order)
+
+
+def _cos_series(u0, order):
+    s, c = np.sin(u0), np.cos(u0)
+    return _cycle_series((c, -s, -c, s), order)
+
+
+def _atan_series(u0, order):
+    phi = np.arctan(u0)
+    cphi = np.cos(phi)
+    out = [phi]
+    cpow = 1.0
+    for j in range(1, order + 1):
+        cpow = cpow * cphi
+        out.append(cpow * np.sin(j * (phi + 0.5 * math.pi)) / j)
+    return out
+
+
+SERIES = {"recip": _recip_series, "exp": _exp_series, "log": _log_series,
+          "sqrt": _sqrt_series, "sin": _sin_series, "cos": _cos_series,
+          "atan": _atan_series}
 
 
 class Jet:
@@ -244,8 +342,7 @@ class Jet:
             return NotImplemented
         if o is None:
             return Jet(self.dim, self.order, self.coeffs * float(other))
-        tb = _tables(self.dim, self.order)
-        c = _core.mul(self.coeffs, o.coeffs, tb.ia, tb.ib, tb.io, tb.count)
+        c = coeff_mul(self.coeffs, o.coeffs, _tables(self.dim, self.order))
         return Jet(self.dim, self.order, c)
 
     __rmul__ = __mul__
@@ -278,23 +375,16 @@ class Jet:
                                                       self.value)
 
 
-def _apply_series(u: Jet, series) -> Jet:
-    tb = _tables(u.dim, u.order)
-    c = _core.compose(u.coeffs, np.asarray(series, dtype=float),
-                      tb.ia, tb.ib, tb.io, tb.count)
+def _apply_series(u: Jet, name: str) -> Jet:
+    series = SERIES[name](u.value, u.order)
+    c = coeff_compose(u.coeffs, series, _tables(u.dim, u.order))
     return Jet(u.dim, u.order, c)
 
 
 def _reciprocal(u: Jet) -> Jet:
-    u0 = u.value
-    if u0 == 0.0:
+    if u.value == 0.0:
         raise DomainError("division by a jet with zero value part")
-    series = np.empty(u.order + 1)
-    term = 1.0 / u0
-    for j in range(u.order + 1):
-        series[j] = term
-        term = -term / u0
-    return _apply_series(u, series)
+    return _apply_series(u, "recip")
 
 
 def _int_power(u: Jet, k: int) -> Jet:
@@ -321,12 +411,7 @@ def _power(u: Jet, p) -> Jet:
 def exp(u):
     if not isinstance(u, Jet):
         return math.exp(u)
-    series = np.empty(u.order + 1)
-    term = math.exp(u.value)
-    for j in range(u.order + 1):
-        series[j] = term
-        term /= (j + 1)
-    return _apply_series(u, series)
+    return _apply_series(u, "exp")
 
 
 def log(u):
@@ -337,13 +422,7 @@ def log(u):
     u0 = u.value
     if u0 <= 0.0:
         raise DomainError("log of jet with non-positive value part %g" % u0)
-    series = np.empty(u.order + 1)
-    series[0] = math.log(u0)
-    sign = 1.0
-    for j in range(1, u.order + 1):
-        series[j] = sign / (j * u0 ** j)
-        sign = -sign
-    return _apply_series(u, series)
+    return _apply_series(u, "log")
 
 
 def sqrt(u):
@@ -354,54 +433,25 @@ def sqrt(u):
     u0 = u.value
     if u0 <= 0.0:
         raise DomainError("sqrt of jet with non-positive value part %g" % u0)
-    series = np.empty(u.order + 1)
-    term = math.sqrt(u0)
-    for j in range(u.order + 1):
-        series[j] = term
-        term *= (0.5 - j) / ((j + 1) * u0)
-    return _apply_series(u, series)
+    return _apply_series(u, "sqrt")
 
 
 def sin(u):
     if not isinstance(u, Jet):
         return math.sin(u)
-    s, c = math.sin(u.value), math.cos(u.value)
-    cycle = (s, c, -s, -c)
-    series = np.empty(u.order + 1)
-    fact = 1.0
-    for j in range(u.order + 1):
-        if j > 0:
-            fact *= j
-        series[j] = cycle[j % 4] / fact
-    return _apply_series(u, series)
+    return _apply_series(u, "sin")
 
 
 def cos(u):
     if not isinstance(u, Jet):
         return math.cos(u)
-    s, c = math.sin(u.value), math.cos(u.value)
-    cycle = (c, -s, -c, s)
-    series = np.empty(u.order + 1)
-    fact = 1.0
-    for j in range(u.order + 1):
-        if j > 0:
-            fact *= j
-        series[j] = cycle[j % 4] / fact
-    return _apply_series(u, series)
+    return _apply_series(u, "cos")
 
 
 def atan(u):
     if not isinstance(u, Jet):
         return math.atan(u)
-    phi = math.atan(u.value)
-    cphi = math.cos(phi)
-    series = np.empty(u.order + 1)
-    series[0] = phi
-    cpow = 1.0
-    for j in range(1, u.order + 1):
-        cpow *= cphi
-        series[j] = cpow * math.sin(j * (phi + 0.5 * math.pi)) / j
-    return _apply_series(u, series)
+    return _apply_series(u, "atan")
 
 
 FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt,

@@ -1,6 +1,5 @@
 """Shared fixtures: the corpus of reference webs used across the suite."""
 
-import numpy as np
 import pytest
 
 from geoweb.web import WebChart
@@ -26,6 +25,18 @@ CORPUS_SOURCES = {
     "pert5": (2, ["x1", "x2", "-(x1+x2)", "x1+2*x2", "x1+3*x2+x1^2*x2"]),
 }
 
+# Expressions exercising every series of the jet kernels, each at a point
+# inside its domain.
+SERIES_SOURCES = [
+    ("exp(x1*x2)", (0.4, -0.3)),
+    ("log(1+x1+x2^2)", (0.2, 0.5)),
+    ("sqrt(4+x1-x2)", (0.3, 0.1)),
+    ("sin(x1)*cos(x2)", (0.9, -0.7)),
+    ("atan(x1-2*x2)", (0.25, 0.2)),
+    ("(1+x1)/(2-x2)", (0.3, 0.4)),
+    ("x1^x2", (1.7, 0.6)),
+]
+
 _RADII = {"mixed3": 0.4}
 
 
@@ -37,12 +48,3 @@ def make_web(name: str) -> WebChart:
 @pytest.fixture(scope="session")
 def corpus():
     return {name: make_web(name) for name in CORPUS_SOURCES}
-
-
-def sample_points(web: WebChart, count: int, seed: int) -> np.ndarray:
-    """Uniform points in the web's domain ball, deterministic."""
-    rng = np.random.default_rng(seed)
-    direc = rng.standard_normal((count, web.dim))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    radii = web.radius * rng.random(count) ** (1.0 / web.dim)
-    return web.center + direc * radii[:, None]

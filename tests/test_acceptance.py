@@ -19,9 +19,10 @@ import pytest
 from geoweb import cli, connection, curvature, fastgamma, geodesics, \
     invariants, jets
 from geoweb.expr import eval_field, parse_expression
+from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
-from conftest import CORPUS_SOURCES, make_web, sample_points
+from conftest import CORPUS_SOURCES, make_web
 from fdtools import partial_fd
 
 
@@ -53,7 +54,7 @@ def corpus_sweep():
     out = {}
     for idx, name in enumerate(CORPUS_SOURCES):
         web = make_web(name)
-        pts = sample_points(web, 100, seed=200 + idx)
+        pts = random_points(web, 100, seed=200 + idx)
         worst_resid = asym = 0.0
         for p in pts:
             st = connection.canonical_structure(web, p, order=2)
@@ -70,7 +71,7 @@ def test_01_flat_webs_vanishing_connection_and_obstruction():
     worst_gamma = worst_obs = 0.0
     for name, order in (("parallel2", 4), ("parallel3", 3)):
         web = make_web(name)
-        pts = sample_points(web, 100, seed=1001)
+        pts = random_points(web, 100, seed=1001)
         G = fastgamma.batched_gamma_evaluator(web)(np.asarray(pts))
         worst_gamma = max(worst_gamma, float(np.max(np.abs(G))))
         for p in pts:
@@ -117,7 +118,7 @@ def test_05_projective_uniqueness_over_gauges():
     for name in ("xy4", "mixed3"):
         web = make_web(name)
         monos = monomials(web.dim)
-        for p in sample_points(web, 3, seed=56):
+        for p in random_points(web, 3, seed=56):
             coefs = rng.uniform(-0.5, 0.5, size=(web.dim, len(monos)))
             t_exprs = [poly_text(row, monos) for row in coefs]
             base = connection.canonical_structure(web, p, order=3).conn
@@ -141,7 +142,7 @@ def test_06_pointed_affine_structure():
     rescaled = WebChart.from_strings(
         2, srcs[:3] + ["2.2*(x1+2*x2+x1*x2)-0.4"], pointed=4, radius=0.5)
     worst_aff = worst_inv = 0.0
-    for p in sample_points(base, 6, seed=61):
+    for p in random_points(base, 6, seed=61):
         st = connection.pointed_affine_connection(base, p)
         worst_aff = max(worst_aff, invariants.affine_function_residual(
             st.conn, srcs[3]))
@@ -157,7 +158,7 @@ def test_07_geodesicity_criterion_with_residual_agreement():
     verdicts = {}
     for name in ("lin5", "pert5"):
         web = make_web(name)
-        pts = sample_points(web, 40, seed=71)
+        pts = random_points(web, 40, seed=71)
         rep = invariants.geodesicity_test(web, pts)
         worst = 0.0
         for p in pts[:10]:
@@ -206,7 +207,7 @@ def test_08_linearizability_obstruction():
     for name, order in (("parallel2", 4), ("parallel3", 3)):
         web = make_web(name)
         monos = monomials(web.dim)
-        for p in sample_points(web, 2, seed=89):
+        for p in random_points(web, 2, seed=89):
             st = connection.canonical_structure(web, p, order)
             for _ in range(10):
                 coefs = rng.uniform(-0.5, 0.5, size=(web.dim, len(monos)))
@@ -226,7 +227,7 @@ def test_08_linearizability_obstruction():
         for seed in seeds:
             web = pushed_linear_web(alphas, seed)
             rep = curvature.linearizability_verdict(
-                web, sample_points(web, 6, seed=90 + seed))
+                web, random_points(web, 6, seed=90 + seed))
             pushed_ok = pushed_ok and rep.verdict == "linearizable"
     ok = worst_obs <= 1e-8 and pushed_ok
     assert verdict_line(8, "obstruction gauge-invariant, projective images "

@@ -172,32 +172,18 @@ def test_invariants_marks_degenerate_rows(webdir, tmp_path):
             assert row[-1] != ""
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_reports_are_byte_identical(webdir, tmp_path, fmt):
-    args = ["linearize", str(webdir / "curved4.json"),
+@pytest.mark.parametrize("command, web, fmt", [
+    pytest.param("linearize", "curved4", "csv", id="csv"),
+    pytest.param("linearize", "curved4", "json", id="json"),
+    pytest.param("invariants", "pert5", "csv", id="invariants-csv"),
+])
+def test_reports_are_byte_identical(webdir, tmp_path, command, web, fmt):
+    args = [command, str(webdir / (web + ".json")),
             "--random", "6", "--seed", "3", "--format", fmt]
     a, b = tmp_path / ("a." + fmt), tmp_path / ("b." + fmt)
     cli.main(args + ["--out", str(a)])
     cli.main(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_thread_count_does_not_change_output(webdir, tmp_path, monkeypatch):
-    args = ["invariants", str(webdir / "pert5.json"),
-            "--random", "8", "--seed", "11"]
-    monkeypatch.setenv("GEOWEB_THREADS", "1")
-    a = tmp_path / "serial.csv"
-    cli.main(args + ["--out", str(a)])
-    monkeypatch.setenv("GEOWEB_THREADS", "4")
-    b = tmp_path / "threaded.csv"
-    cli.main(args + ["--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_invalid_thread_env_is_an_error(webdir, capsys, monkeypatch):
-    monkeypatch.setenv("GEOWEB_THREADS", "many")
-    assert cli.main(["invariants", str(webdir / "lin5.json")]) == 1
-    assert "GEOWEB_THREADS" in capsys.readouterr().err
 
 
 def test_json_format_round_trips(webdir, tmp_path):

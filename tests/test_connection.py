@@ -5,9 +5,10 @@ import pytest
 
 from geoweb import connection
 from geoweb.errors import CoincidentInvariants
+from geoweb.sampling import random_points
 from geoweb.web import basis_invariants, normalize_coframe
 
-from conftest import make_web, sample_points
+from conftest import make_web
 
 
 def structure(name, point, order=3, t=None):
@@ -53,7 +54,7 @@ def test_frame_christoffels_spot_values():
 def test_coordinate_christoffels_symmetric():
     for name in ("xy4", "curved4", "mixed3", "pert5"):
         web = make_web(name)
-        for point in sample_points(web, 5, seed=23):
+        for point in random_points(web, 5, seed=23):
             struct = connection.canonical_structure(web, point)
             g = struct.conn.gamma_values()
             assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-12, name
@@ -75,7 +76,7 @@ def test_frame_torsion_matches_structure_functions():
 def test_flat_web_connection_vanishes():
     for name in ("parallel2", "parallel3"):
         web = make_web(name)
-        for point in sample_points(web, 5, seed=5):
+        for point in random_points(web, 5, seed=5):
             g = connection.canonical_structure(web, point).conn.gamma_values()
             assert np.abs(g).max() < 1e-12
 

@@ -6,8 +6,9 @@ import pytest
 from geoweb import connection, curvature
 from geoweb.errors import OrderExhausted
 from geoweb.expr import eval_field, parse_expression
+from geoweb.sampling import random_points
 
-from conftest import make_web, sample_points
+from conftest import make_web
 from fdtools import partial_fd
 
 
@@ -22,7 +23,7 @@ def _pack(name, point, order=None):
 def test_flat_webs_have_zero_curvature():
     for name in ("parallel2", "parallel3"):
         web = make_web(name)
-        for point in sample_points(web, 4, seed=9):
+        for point in random_points(web, 4, seed=9):
             pack = _pack(name, point)
             assert np.abs(pack.riemann).max() < 1e-12
             assert pack.obstruction_norm() < 1e-12
@@ -126,14 +127,14 @@ def test_linearizability_verdicts():
                            ("curved4", "not_linearizable"),
                            ("pert5", "not_linearizable")):
         web = make_web(name)
-        pts = sample_points(web, 8, seed=41)
+        pts = random_points(web, 8, seed=41)
         rep = curvature.linearizability_verdict(web, pts)
         assert rep.verdict == expected, (name, rep.verdict)
 
 
 def test_non_geodesic_web_records_subtest():
     web = make_web("pert5")
-    rep = curvature.linearizability_verdict(web, sample_points(web, 6, seed=2))
+    rep = curvature.linearizability_verdict(web, random_points(web, 6, seed=2))
     assert rep.geodesicity is not None
     assert rep.geodesicity.verdict == "not_geodesic"
     assert any("geodesicity" in note for note in rep.notes)

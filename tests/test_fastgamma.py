@@ -1,18 +1,35 @@
 """Batched Christoffel pipeline against the jet route.
 
-The two implementations share no evaluation code beyond the expression
-trees, so agreement at round-off level checks both.
+Both routes expand the web functions with the same Taylor kernels, so a
+batch column must equal the per-point jet bit for bit.  From those
+coefficients on they share nothing: the batch derives the Christoffels by
+explicit matrix calculus, the jet route by jet-level linear algebra, so
+agreement at round-off level checks both.
 """
 
 import numpy as np
 import pytest
 
-from geoweb import fastgamma
+from geoweb import expr, fastgamma
 from geoweb.connection import gamma_evaluator
 from geoweb.errors import DegenerateWebPoint
+from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
-from conftest import CORPUS_SOURCES, make_web, sample_points
+from conftest import CORPUS_SOURCES, SERIES_SOURCES, make_web
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("source, point", SERIES_SOURCES)
+def test_batch_column_equals_point_jet(source, point, order):
+    tree = expr.parse_expression(source, 2)
+    rng = np.random.default_rng(7)
+    X = np.asarray(point) + rng.uniform(-0.1, 0.1, size=(5, 2))
+    X[0] = point
+    batch = fastgamma._beval(tree, X, order)
+    for b in range(len(X)):
+        single = expr.eval_field(tree, X[b], order).coeffs
+        assert np.array_equal(batch[:, b], single), (source, order, b)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_SOURCES))
@@ -20,7 +37,7 @@ def test_matches_jet_route(name):
     web = make_web(name)
     slow = gamma_evaluator(web)
     fast = fastgamma.batched_gamma_evaluator(web)
-    pts = sample_points(web, 6, seed=101)
+    pts = random_points(web, 6, seed=101)
     batched = fast(pts)
     for b, point in enumerate(pts):
         assert np.allclose(batched[b], slow(point), rtol=1e-12, atol=1e-12)
@@ -36,7 +53,7 @@ def test_single_point_shape():
 
 def test_batched_values_order_zero():
     web = make_web("mixed3")
-    pts = sample_points(web, 10, seed=5)
+    pts = random_points(web, 10, seed=5)
     vals = fastgamma.batched_values(web.functions[4], pts)
     expect = [web.eval_function(5, p, 0).value for p in pts]
     assert np.allclose(vals, expect, rtol=1e-15)

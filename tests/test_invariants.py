@@ -5,15 +5,16 @@ import pytest
 
 from geoweb import connection, invariants
 from geoweb.errors import ZeroForm
+from geoweb.sampling import random_points
 from geoweb.web import WebChart, pointed_chart
 
-from conftest import make_web, sample_points
+from conftest import make_web
 
 
 def test_defining_foliations_have_tiny_residuals():
     for name in ("xy4", "curved4", "mixed3"):
         web = make_web(name)
-        for point in sample_points(web, 4, seed=31):
+        for point in random_points(web, 4, seed=31):
             struct = connection.canonical_structure(web, point)
             for k in range(1, web.dim + 3):
                 _, residual, scale = invariants.foliation_residual(
@@ -85,7 +86,7 @@ def test_classify_thresholds():
 
 def test_geodesicity_verdicts():
     lin5, pert5 = make_web("lin5"), make_web("pert5")
-    pts = sample_points(lin5, 8, seed=3)
+    pts = random_points(lin5, 8, seed=3)
     ok = invariants.geodesicity_test(lin5, pts)
     assert ok.verdict == "geodesic"
     assert ok.max_value <= 1e-8
@@ -96,7 +97,7 @@ def test_geodesicity_verdicts():
 
 def test_geodesicity_vacuous_for_minimal_webs():
     web = make_web("xy4")
-    rep = invariants.geodesicity_test(web, sample_points(web, 3, seed=1))
+    rep = invariants.geodesicity_test(web, random_points(web, 3, seed=1))
     assert rep.verdict == "geodesic"
     assert rep.vacuous
     assert any("n+2" in note or "vacuous" in note for note in rep.notes)
@@ -115,7 +116,7 @@ def test_excluded_points_force_inconclusive():
 
 def test_construction_report_all_corpus(corpus):
     for name, web in corpus.items():
-        pts = sample_points(web, 5, seed=77)
+        pts = random_points(web, 5, seed=77)
         rep = invariants.construction_residual_report(web, pts)
         assert rep.verdict == "geodesic", name
         assert rep.max_value <= 1e-8, name
@@ -123,6 +124,6 @@ def test_construction_report_all_corpus(corpus):
 
 def test_rows_are_indexed_in_order():
     web = make_web("pert5")
-    pts = sample_points(web, 6, seed=13)
+    pts = random_points(web, 6, seed=13)
     rep = invariants.geodesicity_test(web, pts)
     assert [row.index for row in rep.rows] == list(range(len(pts)))
