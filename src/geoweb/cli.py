@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, connection, curvature, fastgamma, geodesics, \
     invariants, sampling, webfile
-from .errors import (DegenerateWebPoint, DomainError, ExpressionError,
-                     GeowebError, StepTooLarge, WebFileError)
+from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
+                     StepTooLarge, WebFileError)
 from .report import Report, write_report
 from .web import basis_invariants, normalize_coframe, pointed_chart
 
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except (WebFileError, ExpressionError, ValueError) as e:
         sys.stderr.write("geoweb: invalid input: %s\n" % e)
         return EXIT_ERROR
-    except (DegenerateWebPoint, StepTooLarge, DomainError) as e:
+    except (DegenerateWebPoint, StepTooLarge) as e:
         sys.stderr.write("geoweb: computation failed: %s\n" % e)
         return EXIT_ERROR
     except GeowebError as e:

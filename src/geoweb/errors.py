@@ -9,10 +9,6 @@ class MixedContext(GeowebError):
     """Jet operands disagree on dimension or truncation order."""
 
 
-class DomainError(GeowebError):
-    """Elementary function evaluated outside its domain (log/sqrt/div/pow)."""
-
-
 class OrderExhausted(GeowebError):
     """A derivative was requested from a jet that has no orders left."""
 
@@ -23,6 +19,13 @@ class SingularSystem(GeowebError):
 
 class DegenerateWebPoint(GeowebError):
     """The web is not in general position at the evaluation point."""
+
+
+class DomainError(DegenerateWebPoint):
+    """Elementary function evaluated outside its domain (log/sqrt/div/pow).
+
+    At a sample point this excludes the point like any other degeneracy.
+    """
 
 
 class CoincidentInvariants(DegenerateWebPoint):

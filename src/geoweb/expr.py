@@ -1,20 +1,28 @@
-"""Parser and jet evaluator for web-function expressions.
+"""Parser and Taylor evaluator for web-function expressions.
 
 Grammar (precedence low to high): `+ -`, `* /`, unary minus, `^`
 (right-associative), atoms.  Variables are x1..xn; functions are exp, log,
 sin, cos, sqrt, atan; literals are decimal or scientific.  Trees are
 immutable; the canonical printer is a fixed point under reparsing.
+
+`eval_coeffs` is the one evaluation walk over a tree: it gives the Taylor
+coefficients of the expression over a batch of points, and `eval_field` is
+its batch of one wrapped as a `Jet`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from . import jets
-from .errors import (ArityError, ExpressionSyntaxError, UnknownIdentifier,
-                     VariableOutOfRange)
+from .errors import (ArityError, DomainError, ExpressionSyntaxError,
+                     UnknownIdentifier, VariableOutOfRange)
 from .jets import Jet
 
 
@@ -47,6 +55,12 @@ class Call:
 
 
 Node = Union[Const, Var, Neg, BinOp, Call]
+
+# functions of the grammar: every series of `jets.SERIES` but the internal
+# reciprocal, with the `math` function that folds a constant argument
+_MATH = {name: getattr(math, name) for name in jets.SERIES if name != "recip"}
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -159,7 +173,7 @@ class _Parser:
                         "variable %s out of range for dimension %d"
                         % (value, self.dim), offset=offset)
                 return Var(idx - 1)
-            if value in jets.FUNCTIONS:
+            if value in _MATH:
                 if self.peek() != "(":
                     raise ArityError(
                         "function %r needs a parenthesized argument" % value,
@@ -233,32 +247,123 @@ def print_expression(node: Node) -> str:
     return _print(node, 0)
 
 
+def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
+    """Taylor coefficients (count, B) of the expression at the points X (B, n).
+
+    Column b is the jet of the expression at X[b], truncated at `order`,
+    in the multi-index layout of `jets.exponents`.  Each operation does
+    what the `Jet` operator of the same name does, column by column, so a
+    column equals the single-point jet bit for bit.  Constant
+    subexpressions stay Python floats until they meet an array and raise
+    DomainError where they are undefined; an out-of-domain column raises
+    DomainError for the whole batch.
+    """
+    X = np.asarray(X, dtype=float)
+    tb = jets._tables(X.shape[1], order)
+
+    def constant(value, width):
+        out = np.zeros((tb.count, width))
+        out[0] = value
+        return out
+
+    def series(name, u):
+        u0 = u[0]
+        if name == "recip" and np.any(u0 == 0.0):
+            raise DomainError("division by zero")
+        if name in ("log", "sqrt") and np.any(u0 <= 0.0):
+            raise DomainError("%s of non-positive value %g"
+                              % (name, u0[u0 <= 0.0][0]))
+        return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
+
+    def const_power(u, p):
+        # integral exponent: ascending product chain from 1, reciprocal
+        # when negative; otherwise exp(p log u)
+        if math.isfinite(p) and p == int(p):
+            out = constant(1.0, u.shape[1])
+            for _ in range(abs(int(p))):
+                out = jets.coeff_mul(out, u, tb)
+            return out if p >= 0 else series("recip", out)
+        return series("exp", p * series("log", u))
+
+    def power(u, p):
+        if not isinstance(p, np.ndarray):
+            return const_power(u, p)
+        # an exponent column without a derivative part counts as constant
+        out = np.full(u.shape, np.nan)
+        varying = np.any(p[1:] != 0.0, axis=0)
+        if np.any(varying):
+            out[:, varying] = series("exp", jets.coeff_mul(
+                p[:, varying], series("log", u[:, varying]), tb))
+        for e in np.unique(p[0, ~varying]):
+            cols = ~varying & (p[0] == e)
+            out[:, cols] = const_power(u[:, cols], float(e))
+        return out
+
+    def walk(nd):
+        if isinstance(nd, Const):
+            return nd.value
+        if isinstance(nd, Var):
+            out = constant(X[:, nd.axis], len(X))
+            if order >= 1:
+                out[1 + nd.axis] = 1.0
+            return out
+        if isinstance(nd, Neg):
+            return -walk(nd.arg)
+        if isinstance(nd, Call):
+            u = walk(nd.arg)
+            if isinstance(u, np.ndarray):
+                return series(nd.fn, u)
+            return _fold(nd, _MATH[nd.fn], u)
+        a, b = walk(nd.left), walk(nd.right)
+        a_arr, b_arr = isinstance(a, np.ndarray), isinstance(b, np.ndarray)
+        if not (a_arr or b_arr):
+            return _fold(nd, _FLOAT_OPS[nd.op], a, b)
+        # a float meets an array: as in `Jet`, + and - touch coefficient 0
+        if nd.op == "+":
+            if a_arr and b_arr:
+                return a + b
+            out, c = (a.copy(), b) if a_arr else (b.copy(), a)
+            out[0] += c
+            return out
+        if nd.op == "-":
+            if a_arr and b_arr:
+                return a - b
+            if a_arr:
+                out = a.copy()
+                out[0] -= b
+            else:
+                out = -b
+                out[0] += a
+            return out
+        if nd.op == "*":
+            return jets.coeff_mul(a, b, tb) if a_arr and b_arr else a * b
+        if nd.op == "/":
+            if not b_arr:
+                if b == 0.0:
+                    raise DomainError("division by zero")
+                return a / b
+            inv = series("recip", b)
+            return jets.coeff_mul(a, inv, tb) if a_arr else a * inv
+        return power(a if a_arr else constant(a, len(X)), b)
+
+    res = walk(node)
+    return res if isinstance(res, np.ndarray) else constant(res, len(X))
+
+
 def eval_field(node: Node, point, order: int) -> Jet:
     """Jet of the expression at `point`, truncated at `order`."""
-    dim = len(point)
-    res = _eval(node, point, dim, order)
-    if not isinstance(res, Jet):
-        res = Jet.constant(float(res), dim, order)
-    return res
+    point = np.asarray(point, dtype=float)
+    return Jet(len(point), order, eval_coeffs(node, point[None], order)[:, 0])
 
 
-def _eval(node, point, dim, order):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return Jet.variable(node.axis, float(point[node.axis]), dim, order)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, point, dim, order)
-    if isinstance(node, Call):
-        return jets.FUNCTIONS[node.fn](_eval(node.arg, point, dim, order))
-    left = _eval(node.left, point, dim, order)
-    right = _eval(node.right, point, dim, order)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return left ** right
+def _fold(node, fn, *args):
+    # evaluate a constant subexpression; a complex power, an overflow, a
+    # division by zero or a math domain error raises DomainError
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError):
+        value = None
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise DomainError("constant subexpression %s is not a finite real number"
+                          % print_expression(node))
+    return value

@@ -1,15 +1,13 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection thousands of times, which is
-too slow through per-point jet objects.  This module evaluates the order-2
-coefficient arrays of the web functions for a whole batch of points with
-the Taylor kernels of `jets`, so each batch column equals the per-point
-`Jet` bit for bit wherever the two tree walks do the same operations (the
-jet route divides by a constant directly, this one multiplies by its
-reciprocal series).  It then derives lambda, the frame, the structure
-functions, the skew invariants and the coordinate Christoffels by explicit
-matrix calculus, which a cross-validation test checks against the
-jet-level connection.
+too slow through per-point jet objects.  This module takes the order-2
+coefficient arrays of the web functions for a whole batch of points from
+`expr.eval_coeffs`, the walk that also gives each per-point `Jet`, so a
+batch column equals the per-point jet bit for bit.  It then derives
+lambda, the frame, the structure functions, the skew invariants and the
+coordinate Christoffels by explicit matrix calculus, which a
+cross-validation test checks against the jet-level connection.
 """
 
 from __future__ import annotations
@@ -17,76 +15,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, jets
-from .errors import DegenerateWebPoint, DomainError
+from .errors import DegenerateWebPoint
 from .web import DEGENERACY_FLOOR, WebChart
 from .connection import COINCIDENCE_FLOOR
 
 
-def _bfun(name, u, tb, order):
-    """Compose the series `name` with a coefficient array (count, B)."""
-    u0 = u[0]
-    if name == "recip" and np.any(u0 == 0.0):
-        raise DomainError("division by zero value part in batch")
-    if name in ("log", "sqrt") and np.any(u0 <= 0.0):
-        raise DomainError("%s of non-positive value in batch" % name)
-    return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
-
-
-def _beval(node, X, order):
-    """Coefficient array (count, B) of the expression over points X (B, n)."""
-    n = X.shape[1]
-    tb = jets._tables(n, order)
-    B = X.shape[0]
-
-    def rec(nd):
-        if isinstance(nd, expr.Const):
-            out = np.zeros((tb.count, B))
-            out[0] = nd.value
-            return out
-        if isinstance(nd, expr.Var):
-            out = np.zeros((tb.count, B))
-            out[0] = X[:, nd.axis]
-            if order >= 1:
-                out[1 + nd.axis] = 1.0
-            return out
-        if isinstance(nd, expr.Neg):
-            return -rec(nd.arg)
-        if isinstance(nd, expr.Call):
-            return _bfun(nd.fn, rec(nd.arg), tb, order)
-        left = rec(nd.left)
-        right = rec(nd.right)
-        if nd.op == "+":
-            return left + right
-        if nd.op == "-":
-            return left - right
-        if nd.op == "*":
-            return jets.coeff_mul(left, right, tb)
-        if nd.op == "/":
-            return jets.coeff_mul(left, _bfun("recip", right, tb, order), tb)
-        # power: constant integer exponent by repeated product, else exp/log
-        if not np.any(right[1:]):
-            e0 = float(right[0, 0])
-            if e0 == int(e0):
-                k = int(e0)
-                out = np.zeros((tb.count, B))
-                out[0] = 1.0
-                for _ in range(abs(k)):
-                    out = jets.coeff_mul(out, left, tb)
-                return out if k >= 0 else _bfun("recip", out, tb, order)
-        log_left = _bfun("log", left, tb, order)
-        return _bfun("exp", jets.coeff_mul(right, log_left, tb), tb, order)
-
-    return rec(node)
-
-
 def batched_values(tree, X) -> np.ndarray:
     """Function values over a batch of points (order-0 evaluation)."""
-    return _beval(tree, np.asarray(X, dtype=float), 0)[0]
+    return expr.eval_coeffs(tree, X, 0)[0]
 
 
 def _value_grad_hess(tree, X):
     n = X.shape[1]
-    co = _beval(tree, X, 2)
+    co = expr.eval_coeffs(tree, X, 2)
     val = co[0]
     grad = co[1:1 + n].T.copy()          # (B, n)
     exps = jets.exponents(n, 2)

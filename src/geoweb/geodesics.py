@@ -4,7 +4,8 @@ The geodesic equation x'' = -Gamma(x)(x', x') is integrated with classic
 fixed-step RK4.  Leaves of the defining foliations give an independent
 check: along a geodesic started tangent to a leaf of a totally geodesic
 foliation the function value must stay constant up to discretization
-error, which `leaf_drift` quantifies.
+error, which `leaf_drift` quantifies.  Both functions take one point or a
+batch of rows; a single point is a batch without the batch axis.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ class Trajectory:
     """Sampled solution of the geodesic equation."""
 
     times: np.ndarray
-    states: np.ndarray        # (steps+1, n)
-    velocities: np.ndarray    # (steps+1, n)
+    states: np.ndarray        # (steps+1, n), or (steps+1, B, n) for a batch
+    velocities: np.ndarray    # same shape as states
     step: float
     method: str = "rk4"
 
@@ -35,38 +36,40 @@ class Trajectory:
         return self.states[-1]
 
 
-def _accel(gamma, v):
-    return -np.einsum("cab,a,b->c", gamma, v, v)
-
-
 def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
     """Integrate x'' = -Gamma(x)(x', x') from (x0, v0) over [0, T].
 
-    `gamma_of_x` maps a point to the (n, n, n) Christoffel value array.
-    The step is adjusted to divide T exactly; T < h still takes one step.
+    `x0` and `v0` are one point (n,) or a batch (B, n); `gamma_of_x` maps
+    them to Christoffel values (n, n, n) or (B, n, n, n).  The step is
+    adjusted to divide T exactly; T < h still takes one step.  All rows
+    share the time grid, and a degeneracy or blow-up in any row aborts the
+    whole call.
     """
     if h <= 0 or T <= 0:
         raise ValueError("time horizon and step must be positive")
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
-    n = x.shape[0]
     steps = max(1, int(round(T / h)))
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
-    states = np.empty((steps + 1, n))
-    velocities = np.empty((steps + 1, n))
+    states = np.empty((steps + 1,) + x.shape)
+    velocities = np.empty_like(states)
     states[0] = x
     velocities[0] = v
-    vcap = _BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(v)))
+    vcap = _BLOWUP_FACTOR * (1.0 + np.linalg.norm(v, axis=-1).max())
+
+    def accel(p, u):
+        return -np.einsum("...cab,...a,...b->...c", gamma_of_x(p), u, u)
+
     for k in range(steps):
         try:
-            a1 = _accel(gamma_of_x(x), v)
+            a1 = accel(x, v)
             x2, v2 = x + 0.5 * h * v, v + 0.5 * h * a1
-            a2 = _accel(gamma_of_x(x2), v2)
+            a2 = accel(x2, v2)
             x3, v3 = x + 0.5 * h * v2, v + 0.5 * h * a2
-            a3 = _accel(gamma_of_x(x3), v3)
+            a3 = accel(x3, v3)
             x4, v4 = x + h * v3, v + h * a3
-            a4 = _accel(gamma_of_x(x4), v4)
+            a4 = accel(x4, v4)
         except DegenerateWebPoint as e:
             raise DegenerateWebPoint(
                 "geodesic left the admissible set near t=%.6g: %s"
@@ -74,61 +77,12 @@ def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
         x = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))) \
-                or np.linalg.norm(v) > vcap:
+                or np.linalg.norm(v, axis=-1).max() > vcap:
             raise StepTooLarge(
                 "geodesic integration diverged near t=%.6g; "
                 "reduce the step or the horizon" % times[k + 1])
         states[k + 1] = x
         velocities[k + 1] = v
-    return Trajectory(times, states, velocities, h)
-
-
-def integrate_geodesic_batch(gamma_batch, X0, V0, T: float,
-                             h: float) -> Trajectory:
-    """Batched RK4: `gamma_batch` maps (B, n) points to (B, n, n, n).
-
-    Returns a Trajectory whose states and velocities have shape
-    (steps+1, B, n).  All rows share the time grid; a degeneracy or
-    blow-up anywhere in the batch aborts the whole call.
-    """
-    if h <= 0 or T <= 0:
-        raise ValueError("time horizon and step must be positive")
-    X = np.array(X0, dtype=float)
-    V = np.array(V0, dtype=float)
-    steps = max(1, int(round(T / h)))
-    h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
-    states = np.empty((steps + 1,) + X.shape)
-    velocities = np.empty_like(states)
-    states[0] = X
-    velocities[0] = V
-    vcap = _BLOWUP_FACTOR * (1.0 + np.linalg.norm(V, axis=1).max())
-
-    def accel(P, U):
-        return -np.einsum("bcad,ba,bd->bc", gamma_batch(P), U, U)
-
-    for k in range(steps):
-        try:
-            A1 = accel(X, V)
-            X2, V2 = X + 0.5 * h * V, V + 0.5 * h * A1
-            A2 = accel(X2, V2)
-            X3, V3 = X + 0.5 * h * V2, V + 0.5 * h * A2
-            A3 = accel(X3, V3)
-            X4, V4 = X + h * V3, V + h * A3
-            A4 = accel(X4, V4)
-        except DegenerateWebPoint as e:
-            raise DegenerateWebPoint(
-                "geodesic left the admissible set near t=%.6g: %s"
-                % (times[k], e)) from None
-        X = X + (h / 6.0) * (V + 2.0 * V2 + 2.0 * V3 + V4)
-        V = V + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))) \
-                or np.linalg.norm(V, axis=1).max() > vcap:
-            raise StepTooLarge(
-                "geodesic integration diverged near t=%.6g; "
-                "reduce the step or the horizon" % times[k + 1])
-        states[k + 1] = X
-        velocities[k + 1] = V
     return Trajectory(times, states, velocities, h)
 
 
@@ -152,44 +106,29 @@ def tangent_vector(web: WebChart, i: int, point, direction) -> np.ndarray:
     return t / nt
 
 
-def leaf_drift(web: WebChart, i: int, traj: Trajectory) -> float:
+def leaf_drift(web: WebChart, i: int, traj: Trajectory):
     """Relative drift of f_i along the trajectory.
 
     max_t |f_i(x(t)) - f_i(x0)| divided by |grad f_i(x0)| times the
     polyline length, so the number is comparable across scalings of f_i
-    and across trajectory lengths.  Foliation index is 1-based.
+    and across trajectory lengths.  Foliation index is 1-based.  A float
+    for a single trajectory, one drift per row (B,) for a batch.
     """
     states = traj.states
-    if states.ndim != 2:
-        raise ValueError("leaf_drift expects a single-trajectory result")
-    tree = web.functions[i - 1]
-    values = fastgamma.batched_values(tree, states)
-    dev = np.abs(values - values[0]).max()
-    g = web.eval_function(i, states[0], order=1).grad
-    gnorm = float(np.linalg.norm(g))
-    seglen = float(np.linalg.norm(np.diff(states, axis=0), axis=1).sum())
-    denom = gnorm * seglen
-    if denom == 0.0:
-        raise DegenerateWebPoint(
-            "drift reference scale vanishes for foliation %d" % i)
-    return float(dev / denom)
-
-
-def leaf_drift_batch(web: WebChart, i: int, traj: Trajectory) -> np.ndarray:
-    """Per-row leaf drift for a batched trajectory (states (T, B, n))."""
-    states = traj.states
-    T, B, n = states.shape
-    tree = web.functions[i - 1]
-    values = fastgamma.batched_values(tree, states.reshape(T * B, n))
-    values = values.reshape(T, B)
+    n = states.shape[-1]
+    points = states.reshape(-1, n)
+    values = fastgamma.batched_values(web.functions[i - 1], points)
+    values = values.reshape(states.shape[:-1])
     dev = np.abs(values - values[0]).max(axis=0)
-    grads = np.empty((B, n))
-    for b in range(B):
-        grads[b] = web.eval_function(i, states[0, b], order=1).grad
-    gnorm = np.linalg.norm(grads, axis=1)
-    seglen = np.linalg.norm(np.diff(states, axis=0), axis=2).sum(axis=0)
+    # the norm of each 1-D gradient: a row-wise norm over a matrix sums in
+    # another order and can differ in the last bit
+    gnorm = np.array([np.linalg.norm(web.eval_function(i, x, order=1).grad)
+                      for x in states[0].reshape(-1, n)])
+    gnorm = gnorm.reshape(states.shape[1:-1])
+    seglen = np.linalg.norm(np.diff(states, axis=0), axis=-1).sum(axis=0)
     denom = gnorm * seglen
     if np.any(denom == 0.0):
         raise DegenerateWebPoint(
             "drift reference scale vanishes for foliation %d" % i)
-    return dev / denom
+    drift = dev / denom
+    return float(drift) if states.ndim == 2 else drift

@@ -9,8 +9,11 @@ on jets is exact polynomial arithmetic truncated at the chosen order.
 The Taylor kernels work on coefficient arrays of shape (count, *batch): the
 truncated product `coeff_mul`, the composition `coeff_compose` of a
 univariate series with a jet (Griewank & Walther, *Evaluating Derivatives*,
-ch. 13), and the table `SERIES` of univariate series.  A `Jet` holds one
-coefficient vector; `fastgamma` runs the same kernels over a point batch.
+ch. 13), and the table `SERIES` of univariate series.  `expr.eval_coeffs`
+runs them over a point batch to expand web functions, powers and
+elementary functions included; a `Jet` holds one coefficient vector and
+carries the field arithmetic (+ - * /) the connection and curvature code
+needs.
 """
 
 from __future__ import annotations
@@ -362,100 +365,17 @@ class Jet:
             return NotImplemented
         return float(other) * _reciprocal(self)
 
-    def __pow__(self, p):
-        return _power(self, p)
-
-    def __rpow__(self, base):
-        if not isinstance(base, numbers.Real):
-            return NotImplemented
-        return _power(Jet.constant(float(base), self.dim, self.order), self)
-
     def __repr__(self):
         return "Jet(dim=%d, order=%d, value=%.6g)" % (self.dim, self.order,
                                                       self.value)
 
 
-def _apply_series(u: Jet, name: str) -> Jet:
-    series = SERIES[name](u.value, u.order)
-    c = coeff_compose(u.coeffs, series, _tables(u.dim, u.order))
-    return Jet(u.dim, u.order, c)
-
-
 def _reciprocal(u: Jet) -> Jet:
     if u.value == 0.0:
         raise DomainError("division by a jet with zero value part")
-    return _apply_series(u, "recip")
-
-
-def _int_power(u: Jet, k: int) -> Jet:
-    # ascending product chain keeps truncation consistency exact
-    out = Jet.constant(1.0, u.dim, u.order)
-    for _ in range(k):
-        out = out * u
-    return out
-
-
-def _power(u: Jet, p) -> Jet:
-    if isinstance(p, Jet):
-        if np.any(p.coeffs[1:] != 0.0):
-            return exp(p * log(u))
-        p = p.value
-    if isinstance(p, numbers.Integral) or float(p) == int(p):
-        k = int(p)
-        if k >= 0:
-            return _int_power(u, k)
-        return _reciprocal(_int_power(u, -k))
-    return exp(float(p) * log(u))
-
-
-def exp(u):
-    if not isinstance(u, Jet):
-        return math.exp(u)
-    return _apply_series(u, "exp")
-
-
-def log(u):
-    if not isinstance(u, Jet):
-        if u <= 0.0:
-            raise DomainError("log of non-positive value %g" % u)
-        return math.log(u)
-    u0 = u.value
-    if u0 <= 0.0:
-        raise DomainError("log of jet with non-positive value part %g" % u0)
-    return _apply_series(u, "log")
-
-
-def sqrt(u):
-    if not isinstance(u, Jet):
-        if u <= 0.0:
-            raise DomainError("sqrt of non-positive value %g" % u)
-        return math.sqrt(u)
-    u0 = u.value
-    if u0 <= 0.0:
-        raise DomainError("sqrt of jet with non-positive value part %g" % u0)
-    return _apply_series(u, "sqrt")
-
-
-def sin(u):
-    if not isinstance(u, Jet):
-        return math.sin(u)
-    return _apply_series(u, "sin")
-
-
-def cos(u):
-    if not isinstance(u, Jet):
-        return math.cos(u)
-    return _apply_series(u, "cos")
-
-
-def atan(u):
-    if not isinstance(u, Jet):
-        return math.atan(u)
-    return _apply_series(u, "atan")
-
-
-FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt,
-             "atan": atan}
+    c = coeff_compose(u.coeffs, SERIES["recip"](u.value, u.order),
+                      _tables(u.dim, u.order))
+    return Jet(u.dim, u.order, c)
 
 
 def jet_linear_solve(A, b):

@@ -3,7 +3,8 @@
 A web file describes a chart: dimension, the list of defining expressions,
 a domain ball for sampling, optionally a pointed foliation and labels.
 Schema violations raise WebFileError naming the offending field; malformed
-expressions keep their byte offset from the expression parser.
+expressions keep their byte offset from the expression parser, and an
+undefined constant subexpression such as 1/0 is rejected at load time.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import hashlib
 import json
 from numbers import Real
 
+import numpy as np
+
 from . import expr
-from .errors import ExpressionError, WebFileError
+from .errors import DomainError, ExpressionError, WebFileError
 from .web import WebChart
 
 _TOP_KEYS = {"dimension", "functions", "pointed", "domain", "labels"}
@@ -87,10 +90,14 @@ def parse_webfile(text: str, name: str = "<webfile>") -> WebChart:
     for k, src in enumerate(funcs):
         try:
             trees.append(expr.parse_expression(src, n))
+            # a batch of no points evaluates only the constant subexpressions
+            expr.eval_coeffs(trees[-1], np.empty((0, n)), 0)
         except ExpressionError as e:
             raise WebFileError(
                 "bad expression at offset %d: %s" % (e.offset, e),
                 "functions[%d]" % k) from None
+        except DomainError as e:
+            raise WebFileError(str(e), "functions[%d]" % k) from None
     return WebChart(n, trees, [str(s) for s in funcs], pointed,
                     [float(x) for x in center], float(radius),
                     None if labels is None else list(labels))

@@ -35,6 +35,7 @@ SERIES_SOURCES = [
     ("atan(x1-2*x2)", (0.25, 0.2)),
     ("(1+x1)/(2-x2)", (0.3, 0.4)),
     ("x1^x2", (1.7, 0.6)),
+    ("x1/3+x2", (0.3, 0.2)),
 ]
 
 _RADII = {"mixed3": 0.4}

@@ -249,10 +249,10 @@ def test_09_dynamical_oracle():
             direc[(i - 1) % n] += 0.7
             V.append(speed * geodesics.tangent_vector(web, i, x0, direc))
         gamma = fastgamma.batched_gamma_evaluator(web)
-        traj = geodesics.integrate_geodesic_batch(
+        traj = geodesics.integrate_geodesic(
             gamma, np.tile(x0, (d, 1)), np.asarray(V), T, h)
         for i in range(1, d + 1):
-            drift = geodesics.leaf_drift_batch(web, i, traj)[i - 1]
+            drift = geodesics.leaf_drift(web, i, traj)[i - 1]
             if (name, i) == ("pert5", 5):
                 control = drift
             else:

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import geoweb
 from geoweb import cli
 
 
@@ -101,6 +105,49 @@ def test_short_function_list_is_invalid_input(tmp_path, capsys):
     }))
     assert cli.main(["check", str(bad)]) == 1
     assert "invalid input" in capsys.readouterr().err
+
+
+def run_geoweb(*argv):
+    """Run `python -m geoweb` in a fresh process: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(geoweb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "geoweb", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("constant", ["(-8)^(1/3)", "exp(1000)", "1/0"])
+def test_undefined_constant_is_one_line_error(tmp_path, constant):
+    bad = tmp_path / "const.json"
+    bad.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+%s*x1" % constant],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5},
+    }))
+    code, out, err = run_geoweb("check", str(bad))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert "functions[3]" in err and constant in err
+
+
+def test_domain_failure_excludes_the_point(tmp_path):
+    web = tmp_path / "log.json"
+    web.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "log(x1+0.3)+x2"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5},
+    }))
+    code, out, err = run_geoweb("linearize", str(web))
+    assert (code, err) == (3, "")
+    rows = list(csv.reader(line for line in out.splitlines()
+                           if not line.startswith("#")))
+    header, rows = rows[0], rows[1:]
+    status, detail = header.index("status"), header.index("detail")
+    degenerate = [r for r in rows if r[status] == "degenerate"]
+    assert len(degenerate) == 3
+    assert all("log" in r[detail] for r in degenerate)
 
 
 def test_connection_report_spot_values(webdir, tmp_path):

@@ -1,10 +1,10 @@
 """Batched Christoffel pipeline against the jet route.
 
-Both routes expand the web functions with the same Taylor kernels, so a
-batch column must equal the per-point jet bit for bit.  From those
-coefficients on they share nothing: the batch derives the Christoffels by
-explicit matrix calculus, the jet route by jet-level linear algebra, so
-agreement at round-off level checks both.
+Both routes expand the web functions with the one walk
+`expr.eval_coeffs`, so a batch column must equal the per-point jet bit for
+bit.  From those coefficients on they share nothing: the batch derives the
+Christoffels by explicit matrix calculus, the jet route by jet-level linear
+algebra, so agreement at round-off level checks both.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ def test_batch_column_equals_point_jet(source, point, order):
     rng = np.random.default_rng(7)
     X = np.asarray(point) + rng.uniform(-0.1, 0.1, size=(5, 2))
     X[0] = point
-    batch = fastgamma._beval(tree, X, order)
+    batch = expr.eval_coeffs(tree, X, order)
     for b in range(len(X)):
         single = expr.eval_field(tree, X[b], order).coeffs
         assert np.array_equal(batch[:, b], single), (source, order, b)
@@ -57,6 +57,16 @@ def test_batched_values_order_zero():
     vals = fastgamma.batched_values(web.functions[4], pts)
     expect = [web.eval_function(5, p, 0).value for p in pts]
     assert np.allclose(vals, expect, rtol=1e-15)
+
+
+def test_batched_values_take_each_row_exponent():
+    # an x-dependent exponent is constant within each row at order 0
+    tree = expr.parse_expression("x1^x2", 2)
+    pts = np.array([[1.5, 2.0], [1.5, 2.5], [-2.0, 3.0]])
+    vals = fastgamma.batched_values(tree, pts)
+    for b, point in enumerate(pts):
+        assert vals[b] == expr.eval_field(tree, point, 0).value, b
+    assert vals[2] == -8.0
 
 
 def test_degenerate_batch_row_reported():

@@ -36,10 +36,10 @@ def test_defining_foliations_keep_their_leaves():
     x0 = np.array([0.05, -0.1])
     V0 = np.stack([geodesics.tangent_vector(web, i, x0, [0.83, 0.41])
                    for i in (1, 2, 3, 4)])
-    traj = geodesics.integrate_geodesic_batch(
+    traj = geodesics.integrate_geodesic(
         gamma, np.tile(x0, (4, 1)), V0, T=1.0, h=1e-3)
     for i in (1, 2, 3, 4):
-        assert geodesics.leaf_drift_batch(web, i, traj)[i - 1] <= 1e-6, i
+        assert geodesics.leaf_drift(web, i, traj)[i - 1] <= 1e-6, i
 
 
 def test_drift_separates_geodesic_from_perturbed():
@@ -74,7 +74,7 @@ def test_batched_integrator_matches_single():
     gamma = fastgamma.batched_gamma_evaluator(web)
     X0 = np.array([[0.05, -0.1], [0.2, 0.1], [-0.15, 0.25]])
     V0 = np.array([[0.6, -0.45], [0.1, 0.8], [0.5, 0.5]])
-    batch = geodesics.integrate_geodesic_batch(gamma, X0, V0, T=0.5, h=1e-2)
+    batch = geodesics.integrate_geodesic(gamma, X0, V0, T=0.5, h=1e-2)
     for b in range(3):
         single = geodesics.integrate_geodesic(gamma, X0[b], V0[b],
                                               T=0.5, h=1e-2)
@@ -88,10 +88,10 @@ def test_batched_drift_matches_single():
     x0 = np.array([0.05, -0.1])
     V0 = np.stack([geodesics.tangent_vector(web, i, x0, [0.83, 0.41])
                    for i in (1, 2, 3, 4)])
-    batch = geodesics.integrate_geodesic_batch(
+    batch = geodesics.integrate_geodesic(
         gamma, np.tile(x0, (4, 1)), V0, T=1.0, h=1e-2)
     for i in (1, 2, 3, 4):
-        drifts = geodesics.leaf_drift_batch(web, i, batch)
+        drifts = geodesics.leaf_drift(web, i, batch)
         single = geodesics.integrate_geodesic(gamma, x0, V0[i - 1],
                                               T=1.0, h=1e-2)
         assert drifts[i - 1] == pytest.approx(
