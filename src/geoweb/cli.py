@@ -15,6 +15,7 @@ identical inputs, flags and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -126,7 +127,7 @@ def _base_meta(args, web):
         "tool": "geoweb",
         "version": __version__,
         "input": os.path.basename(args.webfile),
-        "sha256": webfile.input_digest(args.webfile),
+        "sha256": web.digest,
         "dimension": web.dim,
         "functions": web.d,
     }
@@ -258,25 +259,40 @@ def _cmd_geodesic(args) -> int:
     return EXIT_OK
 
 
-def _invariant_row(web, idx, point):
+def invariant_rows(web, points):
+    """Rows of the `invariants` table: index, point, status, the projective
+    classes and skew invariants of every extra foliation, detail.  The
+    sample runs as one batch (see `invariants.map_sample`)."""
     n = web.dim
     extras = range(n + 2, web.d + 1)
-    head = [idx] + [float(x) for x in point]
     pad = len(extras) * n + len(extras) * (n * (n - 1)) // 2
-    try:
-        cof = normalize_coframe(web, point, order=2)
+
+    def measure(X):
+        cof = normalize_coframe(web, X, order=2)
         invs = {k: basis_invariants(cof, web, k) for k in extras}
         body = []
         for k in extras:
-            body.extend(float(c) for c in invs[k].projective_class())
+            body.extend(np.moveaxis(invs[k].projective_class(), -1, 0))
         for k in extras:
             for i in range(n):
                 for j in range(i + 1, n):
-                    s = connection.skew_invariant(cof, invs[k], i, j)
-                    body.append(float(s.value))
-    except DegenerateWebPoint as e:
-        return head + ["degenerate"] + [""] * pad + [str(e)]
-    return head + ["ok"] + body + [""]
+                    body.append(connection.skew_invariant(
+                        cof, invs[k], i, j).value)
+        return body
+
+    rows = []
+    for idx, res in enumerate(invariants.map_sample(measure, points)):
+        head = [idx] + [float(x) for x in points[idx]]
+        if isinstance(res, DegenerateWebPoint):
+            rows.append(head + ["degenerate"] + [""] * pad + [str(res)])
+            continue
+        body = [float(c) for c in res]
+        if all(math.isfinite(c) for c in body):
+            rows.append(head + ["ok"] + body + [""])
+        else:
+            rows.append(head + ["degenerate"] + [""] * pad
+                        + ["non-finite invariant"])
+    return rows
 
 
 def _cmd_invariants(args) -> int:
@@ -291,8 +307,7 @@ def _cmd_invariants(args) -> int:
         cols.extend("s%d_%d%d" % (k, i + 1, j + 1)
                     for i in range(n) for j in range(i + 1, n))
     cols.append("detail")
-    rows = [_invariant_row(web, idx, point)
-            for idx, point in enumerate(pts)]
+    rows = invariant_rows(web, pts)
     meta = {**_base_meta(args, web), **smeta}
     out = Report("invariants", meta, cols, rows)
     text = write_report(out, args.format, args.out)

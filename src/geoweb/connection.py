@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import CoincidentInvariants
-from .jets import Jet
+from .errors import CoincidentInvariants, batch_error
+from .jets import Jet, value_array
 from .web import (BasisInvariant, NormalizedCoframe, WebChart,
                   basis_invariants, normalize_coframe, pointed_chart)
 
@@ -36,11 +36,15 @@ def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant,
     if i > j:
         return -skew_invariant(cof, inv, j, i)
     u, v = inv.a[i], inv.a[j]
-    scale = max(1.0, abs(u.value), abs(v.value))
-    if abs(u.value - v.value) <= COINCIDENCE_FLOOR * scale:
-        raise CoincidentInvariants(
-            "basis invariants a_%d and a_%d coincide (%g) at %s"
-            % (i + 1, j + 1, u.value, np.array2string(cof.point)))
+    u0, v0 = u.value, v.value
+    scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
+    close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
+    if np.any(close):
+        vals = np.reshape(u0, -1)
+        pts = np.reshape(cof.point, (-1, cof.dim))
+        raise batch_error(CoincidentInvariants, close, lambda b:
+                          "basis invariants a_%d and a_%d coincide (%g) at %s"
+                          % (i + 1, j + 1, vals[b], np.array2string(pts[b])))
     r = cof.order - 1
     ut, vt = u.truncate(r), v.truncate(r)
     dj_u, dj_v = cof.frame_derivative(j, u), cof.frame_derivative(j, v)
@@ -84,7 +88,7 @@ def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
 
 @dataclass
 class ConnectionField:
-    """Christoffel data at one point, jet-valued.
+    """Christoffel data at one point (n,) or a batch of points (B, n), jet-valued.
 
     gamma[c][a][b] are coordinate symbols (symmetric in a, b);
     frame_gamma[k][p][q] are frame symbols with q the derivative direction
@@ -102,13 +106,9 @@ class ConnectionField:
         return len(self.gamma)
 
     def gamma_values(self) -> np.ndarray:
+        """Value parts G[c, a, b]: shape (n, n, n), or (B, n, n, n)."""
         n = self.dim
-        out = np.empty((n, n, n))
-        for c in range(n):
-            for a in range(n):
-                for b in range(n):
-                    out[c, a, b] = self.gamma[c][a][b].value
-        return out
+        return value_array(self.gamma, (n, n, n))
 
 
 def canonical_christoffels(cof: NormalizedCoframe,
@@ -209,9 +209,12 @@ def projective_equivalence_check(conn_a: ConnectionField,
                                  tol: float = 1e-9):
     """Test whether two connections differ by a projective gauge shift.
 
-    Works on value parts; returns (is_equivalent, GaugeForm, residual) with
-    rho_b = (G_B - G_A)^m_mb / (n + 1).
+    Works on value parts at one point; returns (is_equivalent, GaugeForm,
+    residual) with rho_b = (G_B - G_A)^m_mb / (n + 1).
     """
+    if conn_a.point.ndim != 1 or conn_b.point.ndim != 1:
+        raise ValueError("projective_equivalence_check takes connections "
+                         "at one point, not a batch")
     n = conn_a.dim
     diff = conn_b.gamma_values() - conn_a.gamma_values()
     rho = np.array([diff[:, :, b].trace() for b in range(n)]) / (n + 1)
@@ -226,7 +229,8 @@ def projective_equivalence_check(conn_a: ConnectionField,
 
 @dataclass
 class CanonicalStructure:
-    """Everything built at one point: coframe, invariants, theta, connection."""
+    """Everything built at one point or batch: coframe, invariants, theta,
+    connection."""
     cof: NormalizedCoframe
     invariant: BasisInvariant
     theta: ThetaSystem
@@ -252,9 +256,12 @@ def _resolve_gauge(t, point, n, order):
 
 def canonical_structure(web: WebChart, point, order: int = 3,
                         t=None) -> CanonicalStructure:
-    """Canonical connection of the (n+2)-subweb f_1..f_{n+2} at a point.
+    """Canonical connection of the (n+2)-subweb f_1..f_{n+2}.
 
-    `order` is the jet order of the web functions; the connection comes out
+    `point` is one point (n,) or a batch of points (B, n); every jet of the
+    result then has coefficients (count,) or (count, B), and a batch
+    column equals the structure at its point bit for bit.  `order` is the
+    jet order of the web functions; the connection comes out
     with jets of order `order - 2`.  `t` is the symmetric gauge: None for
     t = 0, else n entries (jets, numbers, or expression text/trees).
     """

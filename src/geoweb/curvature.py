@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .connection import ConnectionField, canonical_structure
-from .errors import DegenerateWebPoint, OrderExhausted
-from .invariants import (FAIL_FACTOR, PointRow, SampleReport, aggregate_rows,
-                         classify, geodesicity_test)
-from .jets import Jet
+from .errors import OrderExhausted
+from .invariants import (FAIL_FACTOR, SampleReport, aggregate_rows, classify,
+                         geodesicity_test, sample_rows)
+from .jets import Jet, value_array
 from .web import WebChart
 
 LINEARIZABLE_PASS_FACTOR = 1e-7
@@ -55,7 +55,11 @@ def riemann(conn: ConnectionField):
 
 @dataclass
 class CurvaturePack:
-    """Curvature values at a point; weyl for n >= 3, cotton for n = 2."""
+    """Curvature values at a point; weyl for n >= 3, cotton for n = 2.
+
+    For a batch of points (B, n) every array gains a leading batch axis and
+    `obstruction_norm` and `scale` give one value per row.
+    """
     point: np.ndarray
     riemann: np.ndarray         # (n, n, n, n)
     ricci: np.ndarray           # (n, n)
@@ -63,12 +67,20 @@ class CurvaturePack:
     weyl: Optional[np.ndarray]
     cotton: Optional[np.ndarray]
 
-    def obstruction_norm(self) -> float:
-        obs = self.weyl if self.weyl is not None else self.cotton
-        return float(np.abs(obs).max())
+    def _row_max(self, arr, axes, floor=0.0):
+        # max(floor, |entries|) over the trailing `axes` axes: a float at a
+        # point, one value per row for a batch
+        m = np.maximum(floor, np.abs(arr).reshape(
+            arr.shape[:arr.ndim - axes] + (-1,)).max(-1))
+        return float(m) if self.point.ndim == 1 else m
 
-    def scale(self) -> float:
-        return max(1.0, float(np.abs(self.riemann).max()))
+    def obstruction_norm(self):
+        if self.weyl is not None:
+            return self._row_max(self.weyl, 4)
+        return self._row_max(self.cotton, 3)
+
+    def scale(self):
+        return self._row_max(self.riemann, 4, floor=1.0)
 
 
 def projective_pack(conn: ConnectionField, R=None) -> CurvaturePack:
@@ -89,25 +101,26 @@ def projective_pack(conn: ConnectionField, R=None) -> CurvaturePack:
             ric[j][l] = acc
     P = [[(n * ric[j][l] + ric[l][j]) / (n * n - 1.0) for l in range(n)]
          for j in range(n)]
-    Rv = np.array([[[[R[i][j][k][l].value for l in range(n)]
-                     for k in range(n)] for j in range(n)] for i in range(n)])
-    ricv = np.array([[ric[j][l].value for l in range(n)] for j in range(n)])
-    Pv = np.array([[P[j][l].value for l in range(n)] for j in range(n)])
+    Rv = value_array(R, (n, n, n, n))
+    ricv = value_array(ric, (n, n))
+    Pv = value_array(P, (n, n))
+    batch = conn.point.shape[:-1]
     weyl = cotton = None
     if n >= 3:
-        weyl = np.empty((n, n, n, n))
+        weyl = np.empty(Rv.shape)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
-                        w = Rv[i, j, k, l]
+                        # a copy: for a batch the entry is a view into Rv
+                        w = Rv[..., i, j, k, l].copy()
                         if i == k:
-                            w -= Pv[j, l]
+                            w -= Pv[..., j, l]
                         if i == l:
-                            w += Pv[j, k]
+                            w += Pv[..., j, k]
                         if i == j:
-                            w -= Pv[k, l] - Pv[l, k]
-                        weyl[i, j, k, l] = w
+                            w -= Pv[..., k, l] - Pv[..., l, k]
+                        weyl[..., i, j, k, l] = w
     else:
         ro = conn.order - 1   # jet order of P
         if ro < 1:
@@ -124,13 +137,13 @@ def projective_pack(conn: ConnectionField, R=None) -> CurvaturePack:
                 acc = acc - gt[m][k][j] * Pt[m][l] - gt[m][k][l] * Pt[j][m]
             return acc
 
-        cotton = np.zeros((n, n, n))
+        cotton = np.zeros(batch + (n, n, n))
         for j in range(n):
             for k in range(n):
                 for l in range(k + 1, n):
                     y = (nabla(k, j, l) - nabla(l, j, k)).value
-                    cotton[j, k, l] = y
-                    cotton[j, l, k] = -y
+                    cotton[..., j, k, l] = y
+                    cotton[..., j, l, k] = -y
     return CurvaturePack(conn.point, Rv, ricv, Pv, weyl, cotton)
 
 
@@ -147,20 +160,14 @@ def linearizability_verdict(web: WebChart, points,
     if order is None:
         order = 4 if n == 2 else 3
     geo = geodesicity_test(web, points) if web.d > n + 2 else None
-    rows = []
-    verdicts = []
-    for idx, pt in enumerate(points):
-        pt = np.asarray(pt, dtype=float)
-        try:
-            st = canonical_structure(web, pt, order)
-            pack = projective_pack(st.conn)
-            obs = pack.obstruction_norm()
-            scale = pack.scale()
-            rows.append(PointRow(idx, pt, "ok", obs, scale))
-            verdicts.append(classify(obs, scale, LINEARIZABLE_PASS_FACTOR,
-                                     FAIL_FACTOR))
-        except DegenerateWebPoint as e:
-            rows.append(PointRow(idx, pt, "degenerate", detail=str(e)))
+
+    def measure(X):
+        pack = projective_pack(canonical_structure(web, X, order).conn)
+        return pack.obstruction_norm(), pack.scale()
+
+    rows = sample_rows(measure, points, "obstruction")
+    verdicts = [classify(r.value, r.scale, LINEARIZABLE_PASS_FACTOR,
+                         FAIL_FACTOR) for r in rows if r.status == "ok"]
     rep = aggregate_rows("linearizability", rows, verdicts, "linearizable",
                          "not_linearizable")
     rep.geodesicity = geo

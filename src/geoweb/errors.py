@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all geoweb modules."""
 
+import numpy as np
+
 
 class GeowebError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,11 +16,24 @@ class OrderExhausted(GeowebError):
 
 
 class SingularSystem(GeowebError):
-    """Linear system pivot fell below the conditioning floor."""
+    """Linear system pivot fell below the conditioning floor.
+
+    Raised for a batch of systems it carries ``rows`` and ``detail`` as
+    DegenerateWebPoint does.
+    """
+
+    rows = detail = None
 
 
 class DegenerateWebPoint(GeowebError):
-    """The web is not in general position at the evaluation point."""
+    """The web is not in general position at the evaluation point.
+
+    Raised by a check over a batch of points (see `batch_error`), ``rows``
+    is the boolean (B,) array of the points that fail it and ``detail(b)``
+    the message point b raises on its own; both are None when not known.
+    """
+
+    rows = detail = None
 
 
 class DomainError(DegenerateWebPoint):
@@ -76,3 +91,17 @@ class WebFileError(GeowebError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(f"{field}: {message}" if field else message)
         self.field = field
+
+
+def batch_error(cls, rows, detail):
+    """A `cls` error from a check that fails at the points `rows` marks.
+
+    `rows` is a boolean array over the batch (a scalar for one point) and
+    `detail(b)` the message of failing point b, the message of the error
+    the check raises at that point alone; the error's own message is that
+    of the first failing point.
+    """
+    rows = np.atleast_1d(rows)
+    err = cls(detail(int(np.argmax(rows))))
+    err.rows, err.detail = rows, detail
+    return err

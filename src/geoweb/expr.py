@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jets
 from .errors import (ArityError, DomainError, ExpressionSyntaxError,
-                     UnknownIdentifier, VariableOutOfRange)
+                     UnknownIdentifier, VariableOutOfRange, batch_error)
 from .jets import Jet
 
 
@@ -83,7 +83,11 @@ def _tokenize(source):
             raise ExpressionSyntaxError(
                 "unexpected character %r" % source[pos], offset=pos)
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group()), pos))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(
+                    "literal %s overflows" % m.group(), offset=pos)
+            tokens.append(("num", value, pos))
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group(), pos))
         else:
@@ -247,6 +251,9 @@ def print_expression(node: Node) -> str:
     return _print(node, 0)
 
 
+# overflow and invalid operations show as non-finite coefficients, which
+# eval_coeffs checks, so numpy need not warn about them
+@np.errstate(over="ignore", invalid="ignore")
 def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     """Taylor coefficients (count, B) of the expression at the points X (B, n).
 
@@ -255,8 +262,9 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     what the `Jet` operator of the same name does, column by column, so a
     column equals the single-point jet bit for bit.  Constant
     subexpressions stay Python floats until they meet an array and raise
-    DomainError where they are undefined; an out-of-domain column raises
-    DomainError for the whole batch.
+    DomainError where they are undefined; an out-of-domain column, or one
+    with a coefficient that overflows to inf or nan, raises DomainError for
+    the whole batch (see `errors.batch_error`).
     """
     X = np.asarray(X, dtype=float)
     tb = jets._tables(X.shape[1], order)
@@ -269,10 +277,11 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     def series(name, u):
         u0 = u[0]
         if name == "recip" and np.any(u0 == 0.0):
-            raise DomainError("division by zero")
+            raise batch_error(DomainError, u0 == 0.0,
+                              lambda b: "division by zero")
         if name in ("log", "sqrt") and np.any(u0 <= 0.0):
-            raise DomainError("%s of non-positive value %g"
-                              % (name, u0[u0 <= 0.0][0]))
+            raise batch_error(DomainError, u0 <= 0.0, lambda b:
+                              "%s of non-positive value %g" % (name, u0[b]))
         return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
 
     def const_power(u, p):
@@ -288,7 +297,9 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     def power(u, p):
         if not isinstance(p, np.ndarray):
             return const_power(u, p)
-        # an exponent column without a derivative part counts as constant
+        # an exponent column without a derivative part counts as constant;
+        # a DomainError from a subset of the columns marks the subset's rows,
+        # which are the batch's rows only when the subset is all of it
         out = np.full(u.shape, np.nan)
         varying = np.any(p[1:] != 0.0, axis=0)
         if np.any(varying):
@@ -340,19 +351,31 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
         if nd.op == "/":
             if not b_arr:
                 if b == 0.0:
-                    raise DomainError("division by zero")
+                    raise batch_error(DomainError, np.ones(len(X), bool),
+                                      lambda _: "division by zero")
                 return a / b
             inv = series("recip", b)
             return jets.coeff_mul(a, inv, tb) if a_arr else a * inv
         return power(a if a_arr else constant(a, len(X)), b)
 
     res = walk(node)
-    return res if isinstance(res, np.ndarray) else constant(res, len(X))
+    if not isinstance(res, np.ndarray):
+        return constant(res, len(X))
+    # a finite sum of squares has no inf or nan term
+    if not math.isfinite(np.vdot(res, res)) and not np.isfinite(res).all():
+        bad = ~np.isfinite(res)
+        raise batch_error(DomainError, bad.any(axis=0), lambda b:
+                          "non-finite %s of %s"
+                          % ("value" if bad[0, b] else "derivative",
+                             print_expression(node)))
+    return res
 
 
 def eval_field(node: Node, point, order: int) -> Jet:
-    """Jet of the expression at `point`, truncated at `order`."""
+    """Jet of the expression at a point (n,) or a batch of points (B, n)."""
     point = np.asarray(point, dtype=float)
+    if point.ndim == 2:
+        return Jet(point.shape[1], order, eval_coeffs(node, point, order))
     return Jet(len(point), order, eval_coeffs(node, point[None], order)[:, 0])
 
 

@@ -10,6 +10,7 @@ web is geodesic exactly when they all agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -23,6 +24,9 @@ from .web import WebChart, basis_invariants, normalize_coframe
 PASS_FACTOR = 1e-8
 FAIL_FACTOR = 1e-3
 MAX_EXCLUDED_FRACTION = 0.2
+# points per batched call: a batch holds every jet of the pipeline for all
+# its points at once, under 20 MB at n = 4, order 3 for this many
+MAX_BATCH = 512
 
 
 @dataclass
@@ -158,44 +162,112 @@ def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
     return SampleReport(kind, verdict, rows, max_value, frac)
 
 
+def map_sample(measure, points):
+    """Apply `measure` to a point sample in as few batched calls as it allows.
+
+    `measure(X)` takes one point (n,) or a batch (B, n) and returns a tuple
+    of results, each with a leading batch axis for a batch.  Returns one
+    entry per point, in order: the tuple of that point's results, or the
+    DegenerateWebPoint it raises on its own.  The sample runs in batches of
+    at most MAX_BATCH points.  When a batch raises, the points the error's
+    `rows` mark get the error its `detail` gives for them, the text of
+    their single-point runs, and the rest runs again as one batch; a batch
+    whose failing points are not known is split in halves, down to single
+    points (n,).  So a sample of up to MAX_BATCH points costs one batched
+    call plus one for each check that excluded some of its points.
+    Overflow and invalid-value warnings are silenced: a point whose results
+    are not finite is left for the caller to exclude.
+    """
+    points = np.asarray(points, dtype=float)
+    out = [None] * len(points)
+
+    def run(idx):
+        if len(idx) == 1:
+            try:
+                out[idx[0]] = measure(points[idx[0]])
+            except DegenerateWebPoint as e:
+                out[idx[0]] = e
+            return
+        try:
+            res = measure(points[idx])
+        except DegenerateWebPoint as e:
+            bad = e.rows
+            if e.detail is None or np.shape(bad) != idx.shape \
+                    or not np.any(bad):
+                half = len(idx) // 2
+                run(idx[:half])
+                run(idx[half:])
+                return
+            for b in np.flatnonzero(bad):
+                out[idx[b]] = type(e)(e.detail(b))
+            if not np.all(bad):
+                run(idx[~bad])
+            return
+        for i, r in zip(idx, zip(*res)):
+            out[i] = r
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(points), MAX_BATCH):
+            run(np.arange(start, min(start + MAX_BATCH, len(points))))
+    return out
+
+
+def sample_rows(measure, points, what):
+    """PointRows from a `measure` returning (value, scale); see map_sample.
+
+    A point whose value or scale is not finite is excluded as degenerate
+    with the detail 'non-finite <what>'.
+    """
+    rows = []
+    for idx, res in enumerate(map_sample(measure, points)):
+        pt = np.asarray(points[idx], dtype=float)
+        if isinstance(res, DegenerateWebPoint):
+            rows.append(PointRow(idx, pt, "degenerate", detail=str(res)))
+            continue
+        value, scale = float(res[0]), float(res[1])
+        if math.isfinite(value) and math.isfinite(scale):
+            rows.append(PointRow(idx, pt, "ok", value, scale))
+        else:
+            rows.append(PointRow(idx, pt, "degenerate",
+                                 detail="non-finite " + what))
+    return rows
+
+
 def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
     """Compare s_ij across all extra foliations at each sample point.
 
     Verdict 'geodesic' when every discrepancy max_{i<j,k<l} |s_ij^(k) -
     s_ij^(l)| stays below PASS_FACTOR times the s-scale; an (n+2)-web is
-    vacuously geodesic.
+    vacuously geodesic.  The sample runs as one batch (see map_sample).
     """
     n = web.dim
-    rows = []
-    verdicts = []
     vacuous = web.d == n + 2
-    for idx, pt in enumerate(points):
-        pt = np.asarray(pt, dtype=float)
-        try:
-            if vacuous:
-                rows.append(PointRow(idx, pt, "ok", 0.0, 1.0))
-                verdicts.append("pass")
-                continue
-            cof = normalize_coframe(web, pt, order)
-            smats = []
-            for k in range(n + 2, web.d + 1):
-                inv = basis_invariants(cof, web, k)
-                smat = np.zeros((n, n))
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        val = skew_invariant(cof, inv, i, j).value
-                        smat[i, j] = val
-                        smat[j, i] = -val
-                smats.append(smat)
-            scale = max(1.0, max(np.abs(s).max() for s in smats))
-            disc = 0.0
-            for a in range(len(smats)):
-                for b in range(a + 1, len(smats)):
-                    disc = max(disc, float(np.abs(smats[a] - smats[b]).max()))
-            rows.append(PointRow(idx, pt, "ok", disc, scale))
-            verdicts.append(classify(disc, scale))
-        except DegenerateWebPoint as e:
-            rows.append(PointRow(idx, pt, "degenerate", detail=str(e)))
+
+    def measure(X):
+        disc, scale = np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
+        if vacuous:
+            return disc, scale
+        cof = normalize_coframe(web, X, order)
+        smats = []
+        for k in range(n + 2, web.d + 1):
+            inv = basis_invariants(cof, web, k)
+            smat = np.zeros(X.shape[:-1] + (n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    val = skew_invariant(cof, inv, i, j).value
+                    smat[..., i, j] = val
+                    smat[..., j, i] = -val
+            smats.append(smat)
+        for sm in smats:
+            scale = np.maximum(scale, np.abs(sm).max(axis=(-2, -1)))
+        for a in range(len(smats)):
+            for b in range(a + 1, len(smats)):
+                disc = np.maximum(disc, np.abs(smats[a] - smats[b]).max(
+                    axis=(-2, -1)))
+        return disc, scale
+
+    rows = sample_rows(measure, points, "discrepancy")
+    verdicts = [classify(r.value, r.scale) for r in rows if r.status == "ok"]
     rep = aggregate_rows("geodesicity", rows, verdicts, "geodesic", "not_geodesic")
     rep.vacuous = vacuous
     if vacuous:

@@ -11,9 +11,12 @@ truncated product `coeff_mul`, the composition `coeff_compose` of a
 univariate series with a jet (Griewank & Walther, *Evaluating Derivatives*,
 ch. 13), and the table `SERIES` of univariate series.  `expr.eval_coeffs`
 runs them over a point batch to expand web functions, powers and
-elementary functions included; a `Jet` holds one coefficient vector and
+elementary functions included.  A `Jet` holds the coefficients of one
+point, shape (count,), or of a batch of points, shape (count, B), and
 carries the field arithmetic (+ - * /) the connection and curvature code
-needs.
+needs; a point jet (a constant) broadcasts against a batch.  Every batch
+column goes through the arithmetic of a point jet, so it equals that jet
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, MixedContext, OrderExhausted, SingularSystem
+from .errors import (DomainError, MixedContext, OrderExhausted,
+                     SingularSystem, batch_error)
 
 MAX_ORDER = 4
 
@@ -59,7 +63,10 @@ def exponents(dim: int, order: int):
     return tuple(out)
 
 
-_Tables = namedtuple("_Tables", "count index ia ib io diff")
+# `scatter` caches the flattened (slot, column) index that `coeff_mul`
+# accumulates its products with, for the last batch width it was built for
+# only, so a process that sees many sample sizes keeps one index per table
+_Tables = namedtuple("_Tables", "count index ia ib io diff scatter")
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +88,9 @@ def _tables(dim, order):
                 eo = tuple(p + q for p, q in zip(ea, eb))
                 trip.append((index[eo], a, b))
     trip.sort()
-    io = np.array([t[0] for t in trip], dtype=np.int32)
-    ia = np.array([t[1] for t in trip], dtype=np.int32)
-    ib = np.array([t[2] for t in trip], dtype=np.int32)
+    io = np.array([t[0] for t in trip], dtype=np.intp)
+    ia = np.array([t[1] for t in trip], dtype=np.intp)
+    ib = np.array([t[2] for t in trip], dtype=np.intp)
     diff = []
     if order >= 1:
         lower = exponents(dim, order - 1)
@@ -100,11 +107,20 @@ def _tables(dim, order):
             diff.append((np.array(src, dtype=np.int32),
                          np.array(dst, dtype=np.int32),
                          np.array(fac)))
-    return _Tables(len(exps), index, ia, ib, io, tuple(diff))
+    return _Tables(len(exps), index, ia, ib, io, tuple(diff), {})
 
 
 # ---------------------------------------------------------------------------
 # Taylor kernels over coefficient arrays of shape (count, *batch)
+
+
+def _align(a, b):
+    # a point's coefficients (count,) broadcast against a batch's (count, B)
+    if a.ndim < b.ndim:
+        return a[:, None], b
+    if b.ndim < a.ndim:
+        return a, b[:, None]
+    return a, b
 
 
 def coeff_mul(a, b, tb):
@@ -112,12 +128,25 @@ def coeff_mul(a, b, tb):
 
     ``(tb.ia, tb.ib, tb.io)`` enumerate every pair of monomials whose
     product stays within the truncation order; entry t adds
-    ``a[ia[t]] * b[ib[t]]`` into slot ``io[t]``.  ``np.add.at`` applies
-    repeated slots in table order, so the sum is the same for any batch.
+    ``a[ia[t]] * b[ib[t]]`` into slot ``io[t]``.  ``np.bincount`` adds the
+    entries of each (slot, batch column) in table order, so every column
+    sums exactly as the product of its point jets does.  The batch axes of
+    ``a`` and ``b`` broadcast.
     """
-    out = np.zeros(a.shape)
-    np.add.at(out, tb.io, a[tb.ia] * b[tb.ib])
-    return out
+    if a.ndim != b.ndim:
+        a, b = _align(a, b)
+    prod = a[tb.ia] * b[tb.ib]
+    if prod.ndim == 1:
+        return np.bincount(tb.io, weights=prod, minlength=tb.count)
+    width = prod.size // len(tb.io)
+    index = tb.scatter.get(width)
+    if index is None:
+        index = (tb.io[:, None] * width + np.arange(width)).reshape(-1)
+        tb.scatter.clear()
+        tb.scatter[width] = index
+    out = np.bincount(index, weights=prod.reshape(-1),
+                      minlength=tb.count * width)
+    return out.reshape((tb.count,) + prod.shape[1:])
 
 
 def coeff_compose(u, series, tb):
@@ -224,14 +253,18 @@ SERIES = {"recip": _recip_series, "exp": _exp_series, "log": _log_series,
 
 
 class Jet:
-    """Dense truncated Taylor expansion over `dim` variables."""
+    """Dense truncated Taylor expansion over `dim` variables.
+
+    `coeffs` has shape (count,) for one point or (count, B) for a batch of
+    B points.
+    """
 
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs):
         tb = _tables(dim, order)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (tb.count,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[0] != tb.count:
             raise ValueError(
                 "expected %d coefficients for dim %d order %d, got shape %s"
                 % (tb.count, dim, order, coeffs.shape)
@@ -258,8 +291,11 @@ class Jet:
         return cls(dim, order, c)
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """Value part: a float for a point, the (B,) row for a batch."""
+        if self.coeffs.ndim == 1:
+            return float(self.coeffs[0])
+        return self.coeffs[0]
 
     @property
     def grad(self):
@@ -268,14 +304,15 @@ class Jet:
             return np.zeros(self.dim)
         return self.coeffs[1:1 + self.dim].copy()
 
-    def coeff(self, alpha) -> float:
+    def coeff(self, alpha):
         """Coefficient of the monomial with multi-index `alpha`."""
         tb = _tables(self.dim, self.order)
         try:
-            return float(self.coeffs[tb.index[tuple(alpha)]])
+            c = self.coeffs[tb.index[tuple(alpha)]]
         except KeyError:
             raise ValueError("multi-index %r not stored at order %d"
                              % (tuple(alpha), self.order)) from None
+        return float(c) if self.coeffs.ndim == 1 else c
 
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
@@ -293,8 +330,9 @@ class Jet:
             raise ValueError("axis %d out of range for dim %d" % (axis, self.dim))
         tb = _tables(self.dim, self.order)
         src, dst, fac = tb.diff[axis]
-        out = np.zeros(n_coeffs(self.dim, self.order - 1))
-        out[dst] = self.coeffs[src] * fac
+        c = self.coeffs
+        out = np.zeros((n_coeffs(self.dim, self.order - 1),) + c.shape[1:])
+        out[dst] = c[src] * (fac if c.ndim == 1 else fac[:, None])
         return Jet(self.dim, self.order - 1, out)
 
     # -- arithmetic ---------------------------------------------------------
@@ -319,7 +357,8 @@ class Jet:
             c = self.coeffs.copy()
             c[0] += float(other)
             return Jet(self.dim, self.order, c)
-        return Jet(self.dim, self.order, self.coeffs + o.coeffs)
+        a, b = _align(self.coeffs, o.coeffs)
+        return Jet(self.dim, self.order, a + b)
 
     __radd__ = __add__
 
@@ -334,7 +373,8 @@ class Jet:
             c = self.coeffs.copy()
             c[0] -= float(other)
             return Jet(self.dim, self.order, c)
-        return Jet(self.dim, self.order, self.coeffs - o.coeffs)
+        a, b = _align(self.coeffs, o.coeffs)
+        return Jet(self.dim, self.order, a - b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -366,50 +406,97 @@ class Jet:
         return float(other) * _reciprocal(self)
 
     def __repr__(self):
+        if self.coeffs.ndim == 2:
+            return "Jet(dim=%d, order=%d, batch=%d)" % (
+                self.dim, self.order, self.coeffs.shape[1])
         return "Jet(dim=%d, order=%d, value=%.6g)" % (self.dim, self.order,
                                                       self.value)
 
 
 def _reciprocal(u: Jet) -> Jet:
-    if u.value == 0.0:
-        raise DomainError("division by a jet with zero value part")
+    if np.any(u.coeffs[0] == 0.0):
+        raise batch_error(DomainError, u.coeffs[0] == 0.0,
+                          lambda b: "division by a jet with zero value part")
     c = coeff_compose(u.coeffs, SERIES["recip"](u.value, u.order),
                       _tables(u.dim, u.order))
     return Jet(u.dim, u.order, c)
 
 
+def value_array(jets, shape):
+    """Value parts of nested lists of jets, shape `shape`, as one array.
+
+    The result has shape batch + shape: the batch axis of the jets (none
+    for points) leads, and a point jet among batch jets is broadcast.
+    """
+    flat = list(jets)
+    for _ in shape[1:]:
+        flat = [j for row in flat for j in row]
+    batch = np.broadcast_shapes(*(j.coeffs.shape[1:] for j in flat))
+    out = np.empty(batch + tuple(shape))
+    for idx, j in zip(np.ndindex(*shape), flat):
+        out[(Ellipsis,) + idx] = j.coeffs[0]
+    return out
+
+
 def jet_linear_solve(A, b):
     """Solve A x = b for jet vectors by Gaussian elimination.
 
-    Pivots on value parts; a best pivot below 1e-12 times the largest entry
-    magnitude raises SingularSystem (degenerate point upstream).
+    The entries are point jets or batch jets (a point entry broadcasts).
+    Each batch column pivots on its own value parts, taking the first
+    largest; a best pivot below 1e-12 times the largest entry magnitude of
+    the column's matrix raises SingularSystem (degenerate point upstream).
+    A column goes through the products and sums of a point solve, so it
+    equals the solve of its point jets bit for bit.
     """
-    rows = [list(r) for r in A]
-    m = len(rows)
-    if any(len(r) != m for r in rows) or len(b) != m:
+    m = len(A)
+    if any(len(r) != m for r in A) or len(b) != m:
         raise ValueError("jet_linear_solve needs a square system")
-    rhs = list(b)
-    scale = max((abs(e.value) for r in rows for e in r), default=0.0)
-    floor = 1e-12 * scale
+    if m == 0:
+        return []
+    first = A[0][0]
+    for e in [e for r in A for e in r] + list(b):
+        first._coerce(e)
+    dim, order = first.dim, first.order
+    tb = _tables(dim, order)
+    rows = [[e.coeffs for e in A[r]] + [b[r].coeffs] for r in range(m)]
+    # a point entry among batch entries becomes a read-only broadcast view
+    shape = max((c.shape for row in rows for c in row), key=len)
+    rows = [[c if c.shape == shape else np.broadcast_to(c[:, None], shape)
+             for c in row] for row in rows]
+    floor = 1e-12 * np.abs(value_array(A, (m, m))).max(axis=(-2, -1))
     for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(rows[r][col].value))
-        if abs(rows[piv][col].value) <= floor:
-            raise SingularSystem(
-                "pivot %g below floor %g in column %d"
-                % (rows[piv][col].value, floor, col)
-            )
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = _reciprocal(rows[col][col])
+        column = np.array([rows[r][col][0] for r in range(col, m)])
+        piv = col + np.argmax(np.abs(column), axis=0)
+        best = np.take_along_axis(column, (piv - col)[None], axis=0)[0]
+        low = np.abs(best) <= floor
+        if np.any(low):
+            best_b = np.reshape(best, -1)
+            floor_b = np.reshape(np.broadcast_to(floor, np.shape(best)), -1)
+            raise batch_error(SingularSystem, low, lambda b:
+                              "pivot %g below floor %g in column %d"
+                              % (best_b[b], floor_b[b], col))
+        for r in range(col + 1, m):
+            hit = piv == r
+            if np.all(hit):
+                rows[col], rows[r] = rows[r], rows[col]
+            elif np.any(hit):
+                for c in range(col, m + 1):
+                    rows[col][c], rows[r][c] = (
+                        np.where(hit, rows[r][c], rows[col][c]),
+                        np.where(hit, rows[col][c], rows[r][c]))
+        d = rows[col][col]
+        inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
         for r in range(m):
-            if r == col:
-                continue
-            f = rows[r][col] * inv
-            for c in range(col, m):
-                rows[r][c] = rows[r][c] - f * rows[col][c]
-            rhs[r] = rhs[r] - f * rhs[col]
-    return [rhs[i] * _reciprocal(rows[i][i]) for i in range(m)]
+            if r != col:
+                f = coeff_mul(rows[r][col], inv, tb)
+                for c in range(col, m + 1):
+                    rows[r][c] = rows[r][c] - coeff_mul(f, rows[col][c], tb)
+    out = []
+    for i in range(m):
+        d = rows[i][i]
+        inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
+        out.append(Jet(dim, order, coeff_mul(rows[i][m], inv, tb)))
+    return out
 
 
 def directional_derivative(f: Jet, v) -> Jet:

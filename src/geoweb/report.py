@@ -61,8 +61,10 @@ class Report:
             "columns": self.columns,
             "rows": self.rows,
         }
+        # strict JSON: a nan or inf raises ValueError instead of writing
+        # the bare NaN/Infinity tokens no JSON parser has to accept
         return json.dumps(payload, indent=2, sort_keys=True,
-                          allow_nan=True) + "\n"
+                          allow_nan=False) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

@@ -17,8 +17,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import expr
-from .errors import DegenerateWebPoint, OrderExhausted, SingularSystem
-from .jets import Jet, directional_derivative, jet_linear_solve
+from .errors import (DegenerateWebPoint, OrderExhausted, SingularSystem,
+                     batch_error)
+from .jets import Jet, directional_derivative, jet_linear_solve, value_array
 
 # relative floor below which a lambda or a-coefficient counts as vanishing
 DEGENERACY_FLOOR = 1e-10
@@ -33,6 +34,7 @@ class WebChart:
     center: Optional[np.ndarray] = None
     radius: float = 1.0
     labels: Optional[List[str]] = None
+    digest: Optional[str] = None    # sha256 of the web file bytes parsed
 
     def __post_init__(self):
         n, d = self.dim, len(self.functions)
@@ -62,7 +64,7 @@ class WebChart:
         return cls(dim, trees, list(sources), pointed, center, radius, labels)
 
     def eval_function(self, k: int, point, order: int) -> Jet:
-        """Jet of f_k (1-based) at the point."""
+        """Jet of f_k (1-based) at a point (n,) or a batch of points (B, n)."""
         return expr.eval_field(self.functions[k - 1], point, order)
 
 
@@ -84,7 +86,7 @@ def pointed_chart(web: WebChart) -> WebChart:
 
 @dataclass
 class NormalizedCoframe:
-    """Gauge-fixed coframe data at one base point.
+    """Gauge-fixed coframe data at one base point (n,) or a batch (B, n).
 
     `order` is the jet order of omega/frame/lambda entries (one less than
     the order the web functions were expanded to); `c` holds the frame
@@ -106,8 +108,34 @@ class NormalizedCoframe:
         return directional_derivative(f, self.frame[i])
 
 
+def _points(point):
+    # a point (n,) or a batch (B, n) as rows
+    return np.reshape(point, (-1, np.shape(point)[-1]))
+
+
+def _check_vanishing(jets, point, name):
+    """Raise DegenerateWebPoint at the points where a jet's value part is at
+    most DEGENERACY_FLOOR times the largest magnitude (floored at 1), naming
+    the first such jet there by `name(i)`."""
+    vals = np.abs(value_array(jets, (len(jets),)))
+    scale = np.maximum(1.0, vals.max(axis=-1))
+    low = (vals <= DEGENERACY_FLOOR * scale[..., None]).reshape(-1, len(jets))
+    if low.any():
+        pts = _points(point)
+        raise batch_error(DegenerateWebPoint, low.any(axis=1), lambda b:
+                          "%s vanishes at %s" % (name(int(np.argmax(low[b]))),
+                                                 np.array2string(pts[b])))
+
+
+def _singular(what, point, e):
+    # a SingularSystem of a jet solve, reported at the points it failed at
+    pts = _points(point)
+    return batch_error(DegenerateWebPoint, e.rows, lambda b: "%s at %s (%s)"
+                       % (what, np.array2string(pts[b]), e.detail(b)))
+
+
 def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe:
-    """Gauge-fix the first n+1 foliations at a point.
+    """Gauge-fix the first n+1 foliations at a point (n,) or a batch (B, n).
 
     `order` is the jet order for the web functions; it must be >= 2 so the
     structure functions (two derivatives of f) survive truncation.
@@ -124,14 +152,9 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     try:
         lam = jet_linear_solve(A, b)
     except SingularSystem as e:
-        raise DegenerateWebPoint(
-            "coframe normalization is singular at %s (%s)"
-            % (np.array2string(point), e)) from None
-    lam_scale = max(1.0, max(abs(l.value) for l in lam))
-    for i, l in enumerate(lam):
-        if abs(l.value) <= DEGENERACY_FLOOR * lam_scale:
-            raise DegenerateWebPoint(
-                "lambda_%d vanishes at %s" % (i + 1, np.array2string(point)))
+        raise _singular("coframe normalization is singular", point, e) \
+            from None
+    _check_vanishing(lam, point, lambda i: "lambda_%d" % (i + 1))
     lam = lam + [Jet.constant(1.0, n, order - 1)]
     omega = [[lam[i] * grads[i][a] for a in range(n)] for i in range(n + 1)]
 
@@ -143,9 +166,7 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
         try:
             frame.append(jet_linear_solve(W, ej))
         except SingularSystem as e:
-            raise DegenerateWebPoint(
-                "coframe is not invertible at %s (%s)"
-                % (np.array2string(point), e)) from None
+            raise _singular("coframe is not invertible", point, e) from None
 
     cof = NormalizedCoframe(point, order - 1, lam, omega, frame, [])
     zero = Jet.constant(0.0, n, order - 2)
@@ -174,10 +195,13 @@ class BasisInvariant:
     a: list                    # n jets, order matching the coframe
 
     def projective_class(self) -> np.ndarray:
-        """Representative of [a_1 : ... : a_n], largest component scaled to 1."""
-        vals = np.array([ai.value for ai in self.a])
-        lead = np.argmax(np.abs(vals))
-        return vals / vals[lead]
+        """Representative of [a_1 : ... : a_n], largest component scaled to 1.
+
+        Shape (n,) at a point, (B, n) for a batch.
+        """
+        vals = value_array(self.a, (len(self.a),))
+        lead = np.argmax(np.abs(vals), axis=-1)[..., None]
+        return vals / np.take_along_axis(vals, lead, axis=-1)
 
 
 def basis_invariants(cof: NormalizedCoframe, web: WebChart,
@@ -194,13 +218,8 @@ def basis_invariants(cof: NormalizedCoframe, web: WebChart,
     try:
         a = jet_linear_solve(A, b)
     except SingularSystem as e:
-        raise DegenerateWebPoint(
-            "basis-invariant system for foliation %d is singular at %s (%s)"
-            % (k, np.array2string(cof.point), e)) from None
-    scale = max(1.0, max(abs(ai.value) for ai in a))
-    for i, ai in enumerate(a):
-        if abs(ai.value) <= DEGENERACY_FLOOR * scale:
-            raise DegenerateWebPoint(
-                "basis invariant a_%d of foliation %d vanishes at %s"
-                % (i + 1, k, np.array2string(cof.point)))
+        raise _singular("basis-invariant system for foliation %d is singular"
+                        % k, cof.point, e) from None
+    _check_vanishing(a, cof.point, lambda i: "basis invariant a_%d of "
+                     "foliation %d" % (i + 1, k))
     return BasisInvariant(k, a)

@@ -104,16 +104,16 @@ def parse_webfile(text: str, name: str = "<webfile>") -> WebChart:
 
 
 def load_webfile(path) -> WebChart:
-    """Load and validate a JSON web file."""
+    """Load and validate a JSON web file.
+
+    The chart's `digest` is the sha256 hex digest of the bytes parsed, for
+    report headers.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise WebFileError("cannot read %s: %s" % (path, e), "") from None
-    return parse_webfile(text, name=str(path))
-
-
-def input_digest(path) -> str:
-    """sha256 hex digest of the raw file bytes, for report headers."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    web = parse_webfile(data.decode("utf-8"), name=str(path))
+    web.digest = hashlib.sha256(data).hexdigest()
+    return web

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report layout, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import geoweb
 from geoweb import cli
+from geoweb.report import Report
 
 
 WEBS = {
@@ -148,6 +150,117 @@ def test_domain_failure_excludes_the_point(tmp_path):
     degenerate = [r for r in rows if r[status] == "degenerate"]
     assert len(degenerate) == 3
     assert all("log" in r[detail] for r in degenerate)
+
+
+def test_overflow_excludes_the_point(tmp_path):
+    # exp(1000*x1) overflows at x1 = 0.85: without the check numpy warned
+    # on stderr and the rows reported nan
+    web = tmp_path / "overflow.json"
+    web.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+exp(1000*x1)"],
+        "domain": {"center": [0.5, 0.0], "radius": 0.5},
+    }))
+    code, out, err = run_geoweb("linearize", str(web))
+    assert (code, err) == (3, "")
+    assert "nan" not in out
+    rows = list(csv.reader(line for line in out.splitlines()
+                           if not line.startswith("#")))
+    header, rows = rows[0], rows[1:]
+    status, detail = header.index("status"), header.index("detail")
+    overflow = [r for r in rows if "non-finite value" in r[detail]]
+    assert [r[status] for r in overflow] == ["degenerate"] * 3
+    # inside a random sample the excluded point sits between ok rows
+    web.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)",
+                      "x1+2*x2+x1*x2+exp(1000*(x1-0.8))"],
+        "domain": {"center": [0.5, 0.0], "radius": 1.2},
+    }))
+    code, out, err = run_geoweb("linearize", str(web), "--random", "24",
+                                "--seed", "3")
+    assert (code, err) == (3, "")
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    assert any("non-finite" in r[-1] for r in rows)
+    assert sum(r[3] == "ok" for r in rows) >= 12
+
+
+def test_overflowing_literal_is_one_line_error(tmp_path):
+    bad = tmp_path / "literal.json"
+    bad.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+1e999"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5},
+    }))
+    code, out, err = run_geoweb("linearize", str(bad))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1, err
+    assert "functions[3]" in err and "offset 8" in err and "1e999" in err
+
+
+def _no_constant(name):
+    raise ValueError("bare %s in a JSON report" % name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{d}/pert5.json"],
+    ["linearize", "{d}/curved4.json", "--random", "5"],
+    ["linearize", "{d}/coincident.json"],
+    ["linearize", "{d}/overflow.json"],
+    ["linearize", "{d}/huge.json"],
+    ["check", "{d}/huge.json"],
+    ["invariants", "{d}/huge.json"],
+    ["invariants", "{d}/lin5.json", "--grid", "2"],
+    ["invariants", "{d}/coincident.json"],
+    ["connection", "{d}/xy4.json", "--at", "0.1,0.2"],
+    ["geodesic", "{d}/lin5.json", "--from", "0.1,0.05", "--leaf", "5",
+     "--T", "0.05", "--h", "0.01"],
+])
+def test_json_reports_are_strict_json(webdir, tmp_path, argv):
+    (webdir / "overflow.json").write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+exp(1000*x1)"],
+        "domain": {"center": [0.5, 0.0], "radius": 0.5},
+    }))
+    # finite web jets whose products overflow in the curvature code
+    (webdir / "huge.json").write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+1e200*x1^2*x2",
+                      "x1+3*x2+x1*x2"],
+        "domain": {"center": [0.5, 0.5], "radius": 0.5},
+    }))
+    out = tmp_path / "report.json"
+    argv = [a.format(d=webdir) for a in argv]
+    assert cli.main(argv + ["--format", "json", "--out", str(out)]) in (0, 2, 3)
+    payload = json.loads(out.read_text(), parse_constant=_no_constant)
+    path = webdir / os.path.basename(argv[1])
+    assert payload["meta"]["sha256"] == \
+        hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_overflow_in_the_curvature_code_excludes_the_point(tmp_path):
+    # the web jets are finite; their products overflow in the connection
+    # and curvature code, which used to warn on stderr and report nan
+    web = tmp_path / "huge.json"
+    web.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+1e200*x1^2*x2"],
+        "domain": {"center": [0.5, 0.5], "radius": 0.5},
+    }))
+    code, out, err = run_geoweb("linearize", str(web), "--format", "json")
+    assert (code, err) == (3, "")
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert payload["meta"]["excluded_fraction"] == 1
+    assert payload["rows"] and all(
+        r[3:] == ["degenerate", "", "", "non-finite obstruction"]
+        for r in payload["rows"])
+
+
+def test_json_writer_refuses_nan():
+    report = Report("check", {"max_discrepancy": float("nan")}, ["a"], [])
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_connection_report_spot_values(webdir, tmp_path):

@@ -123,6 +123,14 @@ def test_inequivalent_connections_detected():
     assert not same and resid > 1e-3
 
 
+def test_equivalence_check_refuses_a_batch():
+    web = make_web("curved4")
+    pts = np.array([(0.15, -0.2), (0.1, 0.05)])
+    conn = connection.canonical_structure(web, pts).conn
+    with pytest.raises(ValueError, match="one point"):
+        connection.projective_equivalence_check(conn, conn)
+
+
 def test_pointed_connection_matches_pointed_chart():
     web = make_web("lin5")
     web.pointed = 5

@@ -99,3 +99,11 @@ def test_constants_are_lifted():
     j = expr.eval_field(tree, (0.1, 0.2), 2)
     assert j.value == 3.5
     assert np.all(j.coeffs[1:] == 0.0)
+
+
+@pytest.mark.parametrize("source, offset", [("1e999", 0), ("x1+2e400*x2", 3),
+                                            ("x1^1e309", 3)])
+def test_overflowing_literal_rejected(source, offset):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        expr.parse_expression(source, 2)
+    assert err.value.offset == offset

@@ -1,11 +1,12 @@
 """Web description files: schema validation, error reporting, digests."""
 
+import hashlib
 import json
 
 import pytest
 
 from geoweb.errors import WebFileError
-from geoweb.webfile import input_digest, load_webfile, parse_webfile
+from geoweb.webfile import load_webfile, parse_webfile
 
 
 GOOD = {
@@ -109,8 +110,8 @@ def test_parse_webfile_accepts_text():
 def test_digest_tracks_bytes(tmp_path):
     a = write(tmp_path, GOOD, "a.json")
     b = write(tmp_path, GOOD, "b.json")
-    assert input_digest(a) == input_digest(b)
+    assert load_webfile(a).digest == load_webfile(b).digest
     payload = dict(GOOD, domain={"center": [0.0, 0.0], "radius": 0.25})
     c = write(tmp_path, payload, "c.json")
-    assert input_digest(a) != input_digest(c)
-    assert len(input_digest(a)) == 64
+    assert load_webfile(a).digest != load_webfile(c).digest
+    assert load_webfile(a).digest == hashlib.sha256(a.read_bytes()).hexdigest()
