@@ -26,7 +26,7 @@ from . import __version__, connection, curvature, fastgamma, geodesics, \
 from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
                      StepTooLarge, WebFileError)
 from .report import Report, write_report
-from .web import basis_invariants, normalize_coframe, pointed_chart
+from .web import basis_invariants, pointed_chart
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -137,50 +137,42 @@ def _point_columns(web):
     return ["x%d" % (a + 1) for a in range(web.dim)]
 
 
-def _sample_rows(rep):
-    rows = []
-    for r in rep.rows:
-        rows.append([r.index] + [float(x) for x in r.point]
-                    + [r.status,
-                       float(r.value) if r.status == "ok" else "",
-                       float(r.scale) if r.status == "ok" else "",
-                       r.detail])
-    return rows
+def _emit(args, out: Report) -> None:
+    """Write the report to --out, or to stdout without one."""
+    text = write_report(out, args.format, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+
+
+def _verdict_report(args, web, command, rep, value, meta) -> int:
+    """Emit a sample test's report, one row per point with its `value`."""
+    meta = {**_base_meta(args, web), **meta, "max_" + value: rep.max_value,
+            "excluded_fraction": rep.excluded_fraction}
+    rows = [[r.index] + [float(x) for x in r.point]
+            + [r.status, float(r.value) if r.status == "ok" else "",
+               float(r.scale) if r.status == "ok" else "", r.detail]
+            for r in rep.rows]
+    _emit(args, Report(command, meta, ["index"] + _point_columns(web)
+                       + ["status", value, "scale", "detail"],
+                       rows, rep.verdict, list(rep.notes)))
+    return _VERDICT_EXIT[rep.verdict]
 
 
 def _cmd_check(args) -> int:
     web = webfile.load_webfile(args.webfile)
     pts, smeta = _sample(web, args)
-    rep = invariants.geodesicity_test(web, pts)
-    meta = {**_base_meta(args, web), **smeta,
-            "max_discrepancy": rep.max_value,
-            "excluded_fraction": rep.excluded_fraction}
-    out = Report("check", meta,
-                 ["index"] + _point_columns(web)
-                 + ["status", "discrepancy", "scale", "detail"],
-                 _sample_rows(rep), rep.verdict, list(rep.notes))
-    text = write_report(out, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return _VERDICT_EXIT[rep.verdict]
+    return _verdict_report(args, web, "check",
+                           invariants.geodesicity_test(web, pts),
+                           "discrepancy", smeta)
 
 
 def _cmd_linearize(args) -> int:
     web = webfile.load_webfile(args.webfile)
     pts, smeta = _sample(web, args)
-    rep = curvature.linearizability_verdict(web, pts)
-    meta = {**_base_meta(args, web), **smeta,
-            "obstruction": "cotton" if web.dim == 2 else "weyl",
-            "max_obstruction": rep.max_value,
-            "excluded_fraction": rep.excluded_fraction}
-    out = Report("linearize", meta,
-                 ["index"] + _point_columns(web)
-                 + ["status", "obstruction", "scale", "detail"],
-                 _sample_rows(rep), rep.verdict, list(rep.notes))
-    text = write_report(out, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return _VERDICT_EXIT[rep.verdict]
+    smeta["obstruction"] = "cotton" if web.dim == 2 else "weyl"
+    return _verdict_report(args, web, "linearize",
+                           curvature.linearizability_verdict(web, pts),
+                           "obstruction", smeta)
 
 
 def _cmd_connection(args) -> int:
@@ -218,9 +210,7 @@ def _cmd_connection(args) -> int:
             "gauge": args.gauge}
     out = Report("connection", meta,
                  ["section", "k", "i", "j", "value"], rows)
-    text = write_report(out, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(args, out)
     return EXIT_OK
 
 
@@ -253,9 +243,7 @@ def _cmd_geodesic(args) -> int:
             "drift": drift}
     out = Report("geodesic", meta,
                  ["t"] + _point_columns(web) + list(names), rows)
-    text = write_report(out, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(args, out)
     return EXIT_OK
 
 
@@ -264,20 +252,17 @@ def invariant_rows(web, points):
     classes and skew invariants of every extra foliation, detail.  The
     sample runs as one batch (see `invariants.map_sample`)."""
     n = web.dim
-    extras = range(n + 2, web.d + 1)
-    pad = len(extras) * n + len(extras) * (n * (n - 1)) // 2
+    extras = web.d - n - 1
+    pad = extras * n + extras * (n * (n - 1)) // 2
 
     def measure(X):
-        cof = normalize_coframe(web, X, order=2)
-        invs = {k: basis_invariants(cof, web, k) for k in extras}
+        found = invariants.extra_foliations(web, X)
         body = []
-        for k in extras:
-            body.extend(np.moveaxis(invs[k].projective_class(), -1, 0))
-        for k in extras:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    body.append(connection.skew_invariant(
-                        cof, invs[k], i, j).value)
+        for inv, _ in found:
+            body.extend(np.moveaxis(inv.projective_class(), -1, 0))
+        for _, smat in found:
+            body.extend(smat[..., i, j] for i in range(n)
+                        for j in range(i + 1, n))
         return body
 
     rows = []
@@ -310,9 +295,7 @@ def _cmd_invariants(args) -> int:
     rows = invariant_rows(web, pts)
     meta = {**_base_meta(args, web), **smeta}
     out = Report("invariants", meta, cols, rows)
-    text = write_report(out, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(args, out)
     return EXIT_OK
 
 

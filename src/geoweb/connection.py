@@ -24,6 +24,26 @@ from .web import (BasisInvariant, NormalizedCoframe, WebChart,
 COINCIDENCE_FLOOR = 1e-10
 
 
+def check_coincidence(u0, v0, i, j, point):
+    """Raise CoincidentInvariants at the points where the values u0 of a_i
+    and v0 of a_j (frame indices; floats at a point (n,), (B,) rows for a
+    batch) agree to COINCIDENCE_FLOOR times their size, floored at 1."""
+    scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
+    close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
+    if np.any(close):
+        vals = np.reshape(u0, -1)
+        pts = np.reshape(point, (-1, np.shape(point)[-1]))
+        raise batch_error(CoincidentInvariants, close, lambda b:
+                          "basis invariants a_%d and a_%d coincide (%g) at %s"
+                          % (i + 1, j + 1, vals[b], np.array2string(pts[b])))
+
+
+def skew_formula(u, v, di_u, di_v, dj_u, dj_v):
+    """s_ij from u = a_i, v = a_j and their derivatives along frame vectors
+    i and j; jets or value arrays alike."""
+    return (u * (dj_v / v - dj_u / u) - v * (di_v / v - di_u / u)) / (u - v)
+
+
 def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant,
                    i: int, j: int) -> Jet:
     """s_ij = (a_i d_j - a_j d_i) log(a_j / a_i) / (a_i - a_j), frame indices.
@@ -36,21 +56,11 @@ def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant,
     if i > j:
         return -skew_invariant(cof, inv, j, i)
     u, v = inv.a[i], inv.a[j]
-    u0, v0 = u.value, v.value
-    scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
-    close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
-    if np.any(close):
-        vals = np.reshape(u0, -1)
-        pts = np.reshape(cof.point, (-1, cof.dim))
-        raise batch_error(CoincidentInvariants, close, lambda b:
-                          "basis invariants a_%d and a_%d coincide (%g) at %s"
-                          % (i + 1, j + 1, vals[b], np.array2string(pts[b])))
+    check_coincidence(u.value, v.value, i, j, cof.point)
     r = cof.order - 1
-    ut, vt = u.truncate(r), v.truncate(r)
-    dj_u, dj_v = cof.frame_derivative(j, u), cof.frame_derivative(j, v)
-    di_u, di_v = cof.frame_derivative(i, u), cof.frame_derivative(i, v)
-    num = ut * (dj_v / vt - dj_u / ut) - vt * (di_v / vt - di_u / ut)
-    return num / (ut - vt)
+    return skew_formula(u.truncate(r), v.truncate(r),
+                        cof.frame_derivative(i, u), cof.frame_derivative(i, v),
+                        cof.frame_derivative(j, u), cof.frame_derivative(j, v))
 
 
 @dataclass
@@ -59,7 +69,6 @@ class ThetaSystem:
     t: list                    # n jets
     s: list                    # n x n jets, s[i][j] = -s[j][i]
     theta: list                # n x n jets, theta[i][j] = t[j] + s[i][j]
-    thetaN2: list              # n jets: theta of foliation n+2 in the omega basis
 
 
 def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
@@ -69,8 +78,7 @@ def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
     if t is None:
         t = [Jet.constant(0.0, n, r) for _ in range(n)]
     else:
-        t = [ti.truncate(r) if isinstance(ti, Jet)
-             else Jet.constant(float(ti), n, r) for ti in t]
+        t = [ti.truncate(r) for ti in t]
     zero = Jet.constant(0.0, n, r)
     s = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -79,11 +87,7 @@ def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
             s[i][j] = sij
             s[j][i] = -sij
     theta = [[t[j] + s[i][j] for j in range(n)] for i in range(n)]
-    thetaN2 = []
-    for i in range(n):
-        da = cof.frame_derivative(i, inv.a[i])
-        thetaN2.append(t[i] + da / inv.a[i].truncate(r))
-    return ThetaSystem(t, s, theta, thetaN2)
+    return ThetaSystem(t, s, theta)
 
 
 @dataclass
@@ -111,13 +115,10 @@ class ConnectionField:
         return value_array(self.gamma, (n, n, n))
 
 
-def canonical_christoffels(cof: NormalizedCoframe,
-                           theta: ThetaSystem) -> ConnectionField:
-    """Frame Christoffels from the theta system, then coordinate symbols."""
-    n = cof.dim
-    r = cof.order - 1
-    c = cof.c
-    th = theta.theta
+def frame_christoffels(c, th):
+    """Frame symbols fg[k][p][q] from the structure functions c[k][i][j]
+    and the theta matrix th[i][j]; jets or value arrays alike."""
+    n = len(th)
     fg = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for p in range(n):
@@ -130,7 +131,15 @@ def canonical_christoffels(cof: NormalizedCoframe,
                     fg[k][k][q] = (c[k][q][k] - th[k][q]) * 0.5
                 else:
                     fg[k][p][q] = c[k][q][p] * 0.5
+    return fg
 
+
+def canonical_christoffels(cof: NormalizedCoframe,
+                           theta: ThetaSystem) -> ConnectionField:
+    """Frame Christoffels from the theta system, then coordinate symbols."""
+    n = cof.dim
+    r = cof.order - 1
+    fg = frame_christoffels(cof.c, theta.theta)
     E = cof.frame
     Et = [[E[i][a].truncate(r) for a in range(n)] for i in range(n)]
     Wt = [[cof.omega[i][a].truncate(r) for a in range(n)] for i in range(n)]
@@ -237,23 +246,6 @@ class CanonicalStructure:
     conn: ConnectionField
 
 
-def _resolve_gauge(t, point, n, order):
-    if t is None:
-        return None
-    out = []
-    for ti in t:
-        if isinstance(ti, Jet):
-            out.append(ti)
-        elif isinstance(ti, str):
-            out.append(expr.eval_field(expr.parse_expression(ti, n),
-                                       point, order))
-        elif isinstance(ti, (int, float)):
-            out.append(float(ti))
-        else:  # parsed expression tree
-            out.append(expr.eval_field(ti, point, order))
-    return out
-
-
 def canonical_structure(web: WebChart, point, order: int = 3,
                         t=None) -> CanonicalStructure:
     """Canonical connection of the (n+2)-subweb f_1..f_{n+2}.
@@ -263,13 +255,15 @@ def canonical_structure(web: WebChart, point, order: int = 3,
     column equals the structure at its point bit for bit.  `order` is the
     jet order of the web functions; the connection comes out
     with jets of order `order - 2`.  `t` is the symmetric gauge: None for
-    t = 0, else n entries (jets, numbers, or expression text/trees).
+    t = 0, else n expression texts.
     """
     point = np.asarray(point, dtype=float)
     cof = normalize_coframe(web, point, order)
     inv = basis_invariants(cof, web, web.dim + 2)
-    tj = _resolve_gauge(t, point, web.dim, max(order - 2, 0))
-    theta = theta_system(cof, inv, tj)
+    if t is not None:
+        t = [expr.eval_field(expr.parse_expression(ti, web.dim), point,
+                             order - 2) for ti in t]
+    theta = theta_system(cof, inv, t)
     conn = canonical_christoffels(cof, theta)
     return CanonicalStructure(cof, inv, theta, conn)
 
@@ -282,10 +276,3 @@ def pointed_affine_connection(web: WebChart, point,
     t = 0, which keeps the pointed function affine for the result.
     """
     return canonical_structure(pointed_chart(web), point, order, t=None)
-
-
-def gamma_evaluator(web: WebChart, t=None, order: int = 2):
-    """Point -> coordinate Christoffel values, for geodesic integration."""
-    def evaluate(x):
-        return canonical_structure(web, x, order, t).conn.gamma_values()
-    return evaluate

@@ -83,15 +83,14 @@ class CurvaturePack:
         return self._row_max(self.riemann, 4, floor=1.0)
 
 
-def projective_pack(conn: ConnectionField, R=None) -> CurvaturePack:
+def projective_pack(conn: ConnectionField) -> CurvaturePack:
     """Ricci, projective Schouten, and the flatness obstruction.
 
     For n = 2 the obstruction is Y_jkl = nabla_k P_jl - nabla_l P_jk, which
     needs connection jets of order >= 2 (one more derivative than Weyl).
     """
     n = conn.dim
-    if R is None:
-        R = riemann(conn)
+    R = riemann(conn)
     ric = [[None] * n for _ in range(n)]
     for j in range(n):
         for l in range(n):

@@ -99,9 +99,10 @@ def batch_error(cls, rows, detail):
     `rows` is a boolean array over the batch (a scalar for one point) and
     `detail(b)` the message of failing point b, the message of the error
     the check raises at that point alone; the error's own message is that
-    of the first failing point.
+    of the first failing point, or `detail(None)` for a batch of no points
+    (a check that fails whatever the point, met at load time).
     """
     rows = np.atleast_1d(rows)
-    err = cls(detail(int(np.argmax(rows))))
+    err = cls(detail(int(np.argmax(rows)) if rows.size else None))
     err.rows, err.detail = rows, detail
     return err

@@ -69,6 +69,11 @@ _TOKEN_RE = re.compile(
 )
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 
+# deepest tree and nesting the parser accepts: evaluating and printing a
+# tree recurse once per level, parsing about six times per nested
+# parenthesis, minus sign, exponent or function call
+MAX_DEPTH = 100
+
 
 def _tokenize(source):
     tokens = []
@@ -102,6 +107,7 @@ class _Parser:
         self.tokens = tokens
         self.dim = dim
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -123,51 +129,72 @@ class _Parser:
     def _describe(tok):
         return "end of input" if tok[0] == "end" else repr(str(tok[1]))
 
+    @staticmethod
+    def _bounded(depth, offset):
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                "expression nests deeper than %d levels" % MAX_DEPTH,
+                offset=offset)
+        return depth
+
+    def nested(self, rule, offset):
+        # a rule that recurses into the grammar: bound the parser's depth
+        self.nesting = self._bounded(self.nesting + 1, offset)
+        result = rule()
+        self.nesting -= 1
+        return result
+
+    # each rule returns (tree, depth of the tree)
+
     def parse(self):
-        node = self.sum()
+        node, _ = self.sum()
         tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ExpressionSyntaxError(
                 "unexpected %s" % self._describe(tok), offset=tok[2])
         return node
 
+    def chain(self, ops, operand):
+        node, depth = operand()
+        while self.peek() in ops:
+            op, _, offset = self.advance()
+            right, rdepth = operand()
+            node = BinOp(op, node, right)
+            depth = self._bounded(1 + max(depth, rdepth), offset)
+        return node, depth
+
     def sum(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+        return self.chain(("+", "-"), self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
-        return node
+        return self.chain(("*", "/"), self.unary)
 
     def unary(self):
         if self.peek() == "-":
-            self.advance()
-            return Neg(self.unary())
+            offset = self.advance()[2]
+            node, depth = self.nested(self.unary, offset)
+            return Neg(node), self._bounded(depth + 1, offset)
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         if self.peek() == "^":
-            self.advance()
+            offset = self.advance()[2]
             # exponent re-enters at unary level: right-associative, and
             # x^-2 is legal
-            return BinOp("^", base, self.unary())
-        return base
+            exponent, edepth = self.nested(self.unary, offset)
+            return (BinOp("^", base, exponent),
+                    self._bounded(1 + max(depth, edepth), offset))
+        return base, depth
 
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Const(value)
+            return Const(value), 1
         if kind == "(":
-            node = self.sum()
+            inner = self.nested(self.sum, offset)
             self.expect(")")
-            return node
+            return inner
         if kind == "ident":
             var = _VAR_RE.match(value)
             if var is not None:
@@ -176,23 +203,24 @@ class _Parser:
                     raise VariableOutOfRange(
                         "variable %s out of range for dimension %d"
                         % (value, self.dim), offset=offset)
-                return Var(idx - 1)
+                return Var(idx - 1), 1
             if value in _MATH:
                 if self.peek() != "(":
                     raise ArityError(
                         "function %r needs a parenthesized argument" % value,
                         offset=offset)
                 self.advance()
-                args = [self.sum()]
+                args = [self.nested(self.sum, offset)]
                 while self.peek() == ",":
                     self.advance()
-                    args.append(self.sum())
+                    args.append(self.nested(self.sum, offset))
                 self.expect(")")
                 if len(args) != 1:
                     raise ArityError(
                         "function %r takes one argument, got %d"
                         % (value, len(args)), offset=offset)
-                return Call(value, args[0])
+                arg, depth = args[0]
+                return Call(value, arg), self._bounded(depth + 1, offset)
             raise UnknownIdentifier("unknown identifier %r" % value,
                                     offset=offset)
         raise ExpressionSyntaxError(
@@ -251,9 +279,9 @@ def print_expression(node: Node) -> str:
     return _print(node, 0)
 
 
-# overflow and invalid operations show as non-finite coefficients, which
-# eval_coeffs checks, so numpy need not warn about them
-@np.errstate(over="ignore", invalid="ignore")
+# overflow, division by zero and invalid operations show as non-finite
+# coefficients, which eval_coeffs checks, so numpy need not warn about them
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     """Taylor coefficients (count, B) of the expression at the points X (B, n).
 
@@ -285,29 +313,44 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
         return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
 
     def const_power(u, p):
-        # integral exponent: ascending product chain from 1, reciprocal
-        # when negative; otherwise exp(p log u)
+        # integral exponent: binary powering from the leading bit (u^2 =
+        # u*u, u^3 = (u*u)*u), reciprocal when negative; otherwise
+        # exp(p log u)
         if math.isfinite(p) and p == int(p):
-            out = constant(1.0, u.shape[1])
-            for _ in range(abs(int(p))):
-                out = jets.coeff_mul(out, u, tb)
+            k = abs(int(p))
+            out = u if k else constant(1.0, u.shape[1])
+            for bit in bin(k)[3:]:
+                out = jets.coeff_mul(out, out, tb)
+                if bit == "1":
+                    out = jets.coeff_mul(out, u, tb)
             return out if p >= 0 else series("recip", out)
         return series("exp", p * series("log", u))
+
+    def on_columns(cols, fn, *args):
+        # fn over the batch columns `cols` marks; a DomainError it raises
+        # marks its rows, and gives their details, in the whole batch
+        try:
+            return fn(*(a[:, cols] for a in args))
+        except DomainError as e:
+            rows = np.zeros(cols.shape, bool)
+            rows[np.flatnonzero(cols)[e.rows]] = True
+            sub, detail = np.cumsum(cols) - 1, e.detail
+            raise batch_error(DomainError, rows,
+                              lambda b: detail(sub[b])) from None
 
     def power(u, p):
         if not isinstance(p, np.ndarray):
             return const_power(u, p)
-        # an exponent column without a derivative part counts as constant;
-        # a DomainError from a subset of the columns marks the subset's rows,
-        # which are the batch's rows only when the subset is all of it
+        # an exponent column without a derivative part counts as constant
         out = np.full(u.shape, np.nan)
         varying = np.any(p[1:] != 0.0, axis=0)
         if np.any(varying):
-            out[:, varying] = series("exp", jets.coeff_mul(
-                p[:, varying], series("log", u[:, varying]), tb))
+            out[:, varying] = on_columns(varying, lambda pv, uv: series(
+                "exp", jets.coeff_mul(pv, series("log", uv), tb)), p, u)
         for e in np.unique(p[0, ~varying]):
             cols = ~varying & (p[0] == e)
-            out[:, cols] = const_power(u[:, cols], float(e))
+            out[:, cols] = on_columns(
+                cols, lambda uc: const_power(uc, float(e)), u)
         return out
 
     def walk(nd):
@@ -352,7 +395,8 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
             if not b_arr:
                 if b == 0.0:
                     raise batch_error(DomainError, np.ones(len(X), bool),
-                                      lambda _: "division by zero")
+                                      lambda _: "division by zero in %s"
+                                      % print_expression(nd))
                 return a / b
             inv = series("recip", b)
             return jets.coeff_mul(a, inv, tb) if a_arr else a * inv

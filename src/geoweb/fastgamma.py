@@ -5,9 +5,12 @@ too slow through per-point jet objects.  This module takes the order-2
 coefficient arrays of the web functions for a whole batch of points from
 `expr.eval_coeffs`, the walk that also gives each per-point `Jet`, so a
 batch column equals the per-point jet bit for bit.  It then derives
-lambda, the frame, the structure functions, the skew invariants and the
-coordinate Christoffels by explicit matrix calculus, which a
-cross-validation test checks against the jet-level connection.
+lambda, the frame, the structure functions and the derivatives of the
+basis invariants by matrix calculus on their values, and hands those to
+the jet route's own checks and formulas (`web.check_vanishing`,
+`connection.check_coincidence`, `connection.skew_formula`,
+`connection.frame_christoffels`) with the batch axis moved last, so every
+entry is a (B,) row.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, jets
-from .errors import DegenerateWebPoint
-from .web import DEGENERACY_FLOOR, WebChart
-from .connection import COINCIDENCE_FLOOR
+from .connection import check_coincidence, frame_christoffels, skew_formula
+from .errors import DegenerateWebPoint, batch_error
+from .web import WebChart, check_vanishing
 
 
 def batched_values(tree, X) -> np.ndarray:
@@ -45,29 +48,23 @@ def _value_grad_hess(tree, X):
     return val, grad, hess
 
 
-def _solve(A, rhs, what):
+def _solve(A, rhs, what, X):
     try:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        raise DegenerateWebPoint("%s system is singular in batch" % what) \
-            from None
-
-
-def _check_floor(vals, floor_rel, what):
-    # vals (B, k): every component must clear the per-row relative floor
-    scale = np.maximum(1.0, np.abs(vals).max(axis=1))
-    bad = np.abs(vals) <= floor_rel * scale[:, None]
-    if np.any(bad):
-        b = int(np.argwhere(bad)[0, 0])
-        raise DegenerateWebPoint("%s vanishes at batch row %d" % (what, b))
+        # LAPACK stops at an exactly zero pivot of the LU factorization,
+        # whose determinant is then exactly zero too
+        singular = np.linalg.det(A) == 0.0
+        raise batch_error(DegenerateWebPoint, singular, lambda b: "%s at %s"
+                          % (what, np.array2string(X[b]))) from None
 
 
 def batched_gamma_evaluator(web: WebChart):
     """Point batch (B, n) -> coordinate Christoffel values (B, n, n, n).
 
     Implements the canonical connection with gauge t = 0 for the subweb
-    f_1..f_{n+2}; raises DegenerateWebPoint when any point in the batch is
-    inadmissible.
+    f_1..f_{n+2}; raises DegenerateWebPoint, whose `rows` mark the
+    inadmissible points, when any point in the batch is inadmissible.
     """
     n = web.dim
     trees = web.functions[:n + 2]
@@ -82,12 +79,12 @@ def batched_gamma_evaluator(web: WebChart):
         hesses = [v[2] for v in vgh]
 
         A = np.stack(grads[:n], axis=2)              # A[b,a,i] = d_a f_i
-        lam = _solve(A, -grads[n][:, :, None],
-                     "coframe normalization")[:, :, 0]
-        _check_floor(lam, DEGENERACY_FLOOR, "lambda")
+        what = "coframe normalization is singular"
+        lam = _solve(A, -grads[n][:, :, None], what, X)[:, :, 0]
+        check_vanishing(lam, X, lambda i: "lambda_%d" % (i + 1))
         dA = np.stack(hesses[:n], axis=2)            # dA[b,a,i,c]
         rhsd = -hesses[n] - np.einsum("baic,bi->bac", dA, lam)
-        dlam = _solve(A, rhsd, "coframe normalization")   # (B,i,c)
+        dlam = _solve(A, rhsd, what, X)              # (B, i, c)
 
         B = X.shape[0]
         lamf = np.concatenate([lam, np.ones((B, 1))], axis=1)
@@ -100,55 +97,38 @@ def batched_gamma_evaluator(web: WebChart):
 
         W = Om[:, :n, :]                             # (B, i, a)
         dW = dOm[:, :n, :, :]                        # (B, i, a, c)
-        try:
-            V = np.linalg.inv(W)                     # (B, a, j): E[j][a]=V[a,j]
-        except np.linalg.LinAlgError:
-            raise DegenerateWebPoint("coframe is not invertible in batch") \
-                from None
+        # the frame: E[j][a] = V[a, j]
+        V = _solve(W, np.eye(n), "coframe is not invertible", X)
         dV = -np.einsum("bpi,biqc,bqj->bpjc", V, dW, V)
         FD = np.einsum("bpi,bajp->bija", V, dV)      # D_i E[j][a]
         bracket = FD - FD.transpose(0, 2, 1, 3)
         cst = np.einsum("bka,bija->bkij", W, bracket)
 
         M = W.transpose(0, 2, 1)                     # M[b,a,i] = omega_i[a]
-        av = _solve(M, -grads[n + 1][:, :, None],
-                    "basis invariant")[:, :, 0]
-        _check_floor(av, DEGENERACY_FLOOR, "basis invariant")
+        what = ("basis-invariant system for foliation %d is singular"
+                % (n + 2))
+        av = _solve(M, -grads[n + 1][:, :, None], what, X)[:, :, 0]
+        check_vanishing(av, X, lambda i: "basis invariant a_%d of "
+                        "foliation %d" % (i + 1, n + 2))
         dM = dW.transpose(0, 2, 1, 3)
         rhsa = -hesses[n + 1] - np.einsum("baic,bi->bac", dM, av)
-        da = _solve(M, rhsa, "basis invariant")      # (B, i, c)
+        da = _solve(M, rhsa, what, X)                # (B, i, c)
         Da = np.einsum("bcj,bic->bij", V, da)        # D_j a_i
 
-        theta = np.zeros((B, n, n))
+        # the batch axis last: a[i], Da[i][j] = D_j a_i, c[k][i][j] and
+        # theta[i][j] are (B,) rows
+        a, Da = av.T, Da.transpose(1, 2, 0)
+        zero = np.zeros(B)
+        theta = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                ai, aj = av[:, i], av[:, j]
-                den = ai - aj
-                scale = np.maximum(1.0, np.maximum(np.abs(ai), np.abs(aj)))
-                if np.any(np.abs(den) <= COINCIDENCE_FLOOR * scale):
-                    raise DegenerateWebPoint(
-                        "basis invariants a_%d and a_%d coincide in batch"
-                        % (i + 1, j + 1))
-                num = ai * (Da[:, j, j] / aj - Da[:, i, j] / ai) \
-                    - aj * (Da[:, j, i] / aj - Da[:, i, i] / ai)
-                sij = num / den
-                theta[:, i, j] = sij
-                theta[:, j, i] = -sij
-
-        fg = np.empty((B, n, n, n))
-        for k in range(n):
-            for p in range(n):
-                for q in range(n):
-                    if p == k and q == k:
-                        fg[:, k, k, k] = -theta[:, k, k]
-                    elif q == k:
-                        fg[:, k, p, k] = 0.5 * (cst[:, k, k, p]
-                                                - theta[:, k, p])
-                    elif p == k:
-                        fg[:, k, k, q] = 0.5 * (cst[:, k, q, k]
-                                                - theta[:, k, q])
-                    else:
-                        fg[:, k, p, q] = 0.5 * cst[:, k, q, p]
+                check_coincidence(a[i], a[j], i, j, X)
+                sij = skew_formula(a[i], a[j], Da[i][i], Da[j][i],
+                                   Da[i][j], Da[j][j])
+                theta[i][j] = sij
+                theta[j][i] = -sij
+        fg = frame_christoffels(cst.transpose(1, 2, 3, 0), theta)
+        fg = np.ascontiguousarray(np.array(fg).transpose(3, 0, 1, 2))
 
         H = np.einsum("bkji,bck->bcij", fg, V) - FD.transpose(0, 3, 1, 2)
         G = np.einsum("bia,bjd,bcij->bcad", W, W, H)

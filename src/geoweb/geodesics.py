@@ -29,7 +29,6 @@ class Trajectory:
     states: np.ndarray        # (steps+1, n), or (steps+1, B, n) for a batch
     velocities: np.ndarray    # same shape as states
     step: float
-    method: str = "rk4"
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -95,11 +94,14 @@ def tangent_vector(web: WebChart, i: int, point, direction) -> np.ndarray:
     jet = web.eval_function(i, point, order=1)
     g = jet.grad
     d = np.array(direction, dtype=float)
-    gn = float(g @ g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gn = float(g @ g)
+        t = d - (float(g @ d) / gn) * g if gn else d
+        nt = np.linalg.norm(t)
     if gn == 0.0:
         raise DegenerateWebPoint("foliation %d has vanishing gradient" % i)
-    t = d - (float(g @ d) / gn) * g
-    nt = np.linalg.norm(t)
+    if not np.isfinite([gn, nt]).all():
+        raise DegenerateWebPoint("projecting onto foliation %d overflows" % i)
     if nt == 0.0:
         raise DegenerateWebPoint(
             "direction is normal to foliation %d; no tangent component" % i)

@@ -165,50 +165,36 @@ def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
 def map_sample(measure, points):
     """Apply `measure` to a point sample in as few batched calls as it allows.
 
-    `measure(X)` takes one point (n,) or a batch (B, n) and returns a tuple
-    of results, each with a leading batch axis for a batch.  Returns one
-    entry per point, in order: the tuple of that point's results, or the
-    DegenerateWebPoint it raises on its own.  The sample runs in batches of
-    at most MAX_BATCH points.  When a batch raises, the points the error's
-    `rows` mark get the error its `detail` gives for them, the text of
-    their single-point runs, and the rest runs again as one batch; a batch
-    whose failing points are not known is split in halves, down to single
-    points (n,).  So a sample of up to MAX_BATCH points costs one batched
-    call plus one for each check that excluded some of its points.
-    Overflow and invalid-value warnings are silenced: a point whose results
-    are not finite is left for the caller to exclude.
+    `measure(X)` takes a batch of points (B, n) and returns a tuple of
+    results, each with a leading batch axis.  Returns one entry per point,
+    in order: the tuple of that point's results, or the DegenerateWebPoint
+    it raises on its own.  The sample runs in batches of at most MAX_BATCH
+    points.  When a batch raises, the points the error's `rows` mark get
+    the error its `detail` gives for them, the text of their single-point
+    runs, and the rest runs again as one batch.  So a sample of up to
+    MAX_BATCH points costs one batched call plus one for each check that
+    excluded some of its points.  Overflow and invalid-value warnings are
+    silenced: a point whose results are not finite is left for the caller
+    to exclude.
     """
     points = np.asarray(points, dtype=float)
     out = [None] * len(points)
-
-    def run(idx):
-        if len(idx) == 1:
-            try:
-                out[idx[0]] = measure(points[idx[0]])
-            except DegenerateWebPoint as e:
-                out[idx[0]] = e
-            return
-        try:
-            res = measure(points[idx])
-        except DegenerateWebPoint as e:
-            bad = e.rows
-            if e.detail is None or np.shape(bad) != idx.shape \
-                    or not np.any(bad):
-                half = len(idx) // 2
-                run(idx[:half])
-                run(idx[half:])
-                return
-            for b in np.flatnonzero(bad):
-                out[idx[b]] = type(e)(e.detail(b))
-            if not np.all(bad):
-                run(idx[~bad])
-            return
-        for i, r in zip(idx, zip(*res)):
-            out[i] = r
-
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(points), MAX_BATCH):
-            run(np.arange(start, min(start + MAX_BATCH, len(points))))
+            idx = np.arange(start, min(start + MAX_BATCH, len(points)))
+            while len(idx):
+                try:
+                    res = measure(points[idx])
+                except DegenerateWebPoint as e:
+                    if e.rows is None or not np.any(e.rows):
+                        raise
+                    for b in np.flatnonzero(e.rows):
+                        out[idx[b]] = type(e)(e.detail(b))
+                    idx = idx[~e.rows]
+                    continue
+                for i, r in zip(idx, zip(*res)):
+                    out[i] = r
+                break
     return out
 
 
@@ -233,6 +219,25 @@ def sample_rows(measure, points, what):
     return rows
 
 
+def extra_foliations(web: WebChart, X, order: int = 2):
+    """Basis invariants and skew matrices of the foliations n+2..d at the
+    points X (B, n): a list of (BasisInvariant, s) pairs in foliation order,
+    s[b, i, j] = s_ij at point b.  The checks run foliation by foliation."""
+    n = web.dim
+    cof = normalize_coframe(web, X, order)
+    out = []
+    for k in range(n + 2, web.d + 1):
+        inv = basis_invariants(cof, web, k)
+        smat = np.zeros(X.shape[:-1] + (n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                val = skew_invariant(cof, inv, i, j).value
+                smat[..., i, j] = val
+                smat[..., j, i] = -val
+        out.append((inv, smat))
+    return out
+
+
 def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
     """Compare s_ij across all extra foliations at each sample point.
 
@@ -240,24 +245,13 @@ def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
     s_ij^(l)| stays below PASS_FACTOR times the s-scale; an (n+2)-web is
     vacuously geodesic.  The sample runs as one batch (see map_sample).
     """
-    n = web.dim
-    vacuous = web.d == n + 2
+    vacuous = web.d == web.dim + 2
 
     def measure(X):
         disc, scale = np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
         if vacuous:
             return disc, scale
-        cof = normalize_coframe(web, X, order)
-        smats = []
-        for k in range(n + 2, web.d + 1):
-            inv = basis_invariants(cof, web, k)
-            smat = np.zeros(X.shape[:-1] + (n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    val = skew_invariant(cof, inv, i, j).value
-                    smat[..., i, j] = val
-                    smat[..., j, i] = -val
-            smats.append(smat)
+        smats = [smat for _, smat in extra_foliations(web, X, order)]
         for sm in smats:
             scale = np.maximum(scale, np.abs(sm).max(axis=(-2, -1)))
         for a in range(len(smats)):

@@ -146,7 +146,8 @@ def coeff_mul(a, b, tb):
         tb.scatter[width] = index
     out = np.bincount(index, weights=prod.reshape(-1),
                       minlength=tb.count * width)
-    return out.reshape((tb.count,) + prod.shape[1:])
+    # a batch of no points: bincount of nothing is an integer array
+    return out.astype(float, copy=False).reshape((tb.count,) + prod.shape[1:])
 
 
 def coeff_compose(u, series, tb):

@@ -113,13 +113,15 @@ def _points(point):
     return np.reshape(point, (-1, np.shape(point)[-1]))
 
 
-def _check_vanishing(jets, point, name):
-    """Raise DegenerateWebPoint at the points where a jet's value part is at
-    most DEGENERACY_FLOOR times the largest magnitude (floored at 1), naming
-    the first such jet there by `name(i)`."""
-    vals = np.abs(value_array(jets, (len(jets),)))
+def check_vanishing(values, point, name):
+    """Raise DegenerateWebPoint at the points where one of the values (last
+    axis of `values`, shape (k,) at a point (n,), (B, k) for a batch) is at
+    most DEGENERACY_FLOOR times the largest magnitude (floored at 1),
+    naming the first such value there by `name(i)`."""
+    vals = np.abs(values)
+    k = vals.shape[-1]
     scale = np.maximum(1.0, vals.max(axis=-1))
-    low = (vals <= DEGENERACY_FLOOR * scale[..., None]).reshape(-1, len(jets))
+    low = (vals <= DEGENERACY_FLOOR * scale[..., None]).reshape(-1, k)
     if low.any():
         pts = _points(point)
         raise batch_error(DegenerateWebPoint, low.any(axis=1), lambda b:
@@ -154,7 +156,8 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     except SingularSystem as e:
         raise _singular("coframe normalization is singular", point, e) \
             from None
-    _check_vanishing(lam, point, lambda i: "lambda_%d" % (i + 1))
+    check_vanishing(value_array(lam, (n,)), point,
+                    lambda i: "lambda_%d" % (i + 1))
     lam = lam + [Jet.constant(1.0, n, order - 1)]
     omega = [[lam[i] * grads[i][a] for a in range(n)] for i in range(n + 1)]
 
@@ -220,6 +223,6 @@ def basis_invariants(cof: NormalizedCoframe, web: WebChart,
     except SingularSystem as e:
         raise _singular("basis-invariant system for foliation %d is singular"
                         % k, cof.point, e) from None
-    _check_vanishing(a, cof.point, lambda i: "basis invariant a_%d of "
-                     "foliation %d" % (i + 1, k))
+    check_vanishing(value_array(a, (n,)), cof.point, lambda i:
+                    "basis invariant a_%d of foliation %d" % (i + 1, k))
     return BasisInvariant(k, a)

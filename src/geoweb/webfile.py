@@ -32,7 +32,7 @@ def parse_webfile(text: str, name: str = "<webfile>") -> WebChart:
     """Build a WebChart from JSON text; `name` only decorates messages."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise WebFileError("%s is not valid JSON: %s" % (name, e), "") \
             from None
     _require(isinstance(data, dict), "top level must be a JSON object", "")
@@ -93,9 +93,9 @@ def parse_webfile(text: str, name: str = "<webfile>") -> WebChart:
             # a batch of no points evaluates only the constant subexpressions
             expr.eval_coeffs(trees[-1], np.empty((0, n)), 0)
         except ExpressionError as e:
-            raise WebFileError(
-                "bad expression at offset %d: %s" % (e.offset, e),
-                "functions[%d]" % k) from None
+            # the message ends in "(at offset N)"
+            raise WebFileError("bad expression: %s" % e,
+                               "functions[%d]" % k) from None
         except DomainError as e:
             raise WebFileError(str(e), "functions[%d]" % k) from None
     return WebChart(n, trees, [str(s) for s in funcs], pointed,

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from geoweb import cli, connection, curvature, invariants, jets
-from geoweb.errors import DegenerateWebPoint, batch_error
+from geoweb import cli, connection, curvature, expr, invariants, jets
+from geoweb.errors import DegenerateWebPoint, DomainError, batch_error
 from geoweb.sampling import grid_points, random_points
 from geoweb.web import WebChart
 
@@ -180,30 +180,27 @@ def test_marked_rows_get_their_detail_without_a_call():
     assert calls == [32, 30, 29]
 
 
-def test_unmarked_failures_are_isolated_by_halving():
-    points = np.arange(64, dtype=float).reshape(32, 2)
-    bad = {5, 6, 30}
-    calls = []
-
-    def measure(X):
-        calls.append(len(np.atleast_2d(X)))
-        rows = np.atleast_2d(X)[:, 0] / 2
-        hit = bad.intersection(rows.astype(int).tolist())
-        if hit:
-            raise DegenerateWebPoint("row %d" % min(hit))
-        return (rows, rows + 1) if X.ndim == 2 else (rows[0], rows[0] + 1)
-
-    out = invariants.map_sample(measure, points)
-    assert [str(r) for r in out if isinstance(r, Exception)] == \
-        ["row 5", "row 6", "row 30"]
-    assert [r[0] for r in out if not isinstance(r, Exception)] == \
-        [i for i in range(32) if i not in bad]
-    # log2(32) = 5 levels, each with at most one split per bad row
-    assert len(calls) <= 1 + 2 * len(bad) * 5
-    calls.clear()
-    bad.clear()
-    invariants.map_sample(measure, points)
-    assert calls == [32]
+def test_variable_exponent_failure_marks_batch_rows():
+    # at order 2 the exponent x2^3 - 1 has no derivative part where x2 = 0,
+    # so those columns take the constant-exponent path (x1^-1, undefined at
+    # x1 = 0) and the rest the exp(p log x1) path (undefined for x1 < 0); a
+    # failure on either subset marks rows of the whole batch
+    tree = expr.parse_expression("x1^(x2^3-1)", 2)
+    X = np.array([[0.5, 0.0], [-0.5, 0.5], [0.3, 0.2], [-0.2, 0.7],
+                  [0.0, 0.0], [0.4, 0.3]])
+    with pytest.raises(DomainError) as err:
+        expr.eval_coeffs(tree, X, 2)
+    assert err.value.rows.tolist() == [False, True, False, True, False,
+                                       False]
+    for b in (1, 3):
+        with pytest.raises(DomainError) as alone:
+            expr.eval_coeffs(tree, X[b:b + 1], 2)
+        assert err.value.detail(b) == str(alone.value)
+    out = invariants.map_sample(
+        lambda P: (expr.eval_coeffs(tree, P, 2)[0],), X)
+    assert [str(r) if isinstance(r, DomainError) else "ok" for r in out] == [
+        "ok", "log of non-positive value -0.5", "ok",
+        "log of non-positive value -0.2", "division by zero", "ok"]
 
 
 def test_large_sample_runs_in_bounded_batches(monkeypatch):
@@ -291,7 +288,7 @@ def test_weyl_loop_leaves_riemann_values_alone():
     pts = random_points(web, 5, seed=2)
     conn = connection.canonical_structure(web, pts, 3).conn
     R = curvature.riemann(conn)
-    pack = curvature.projective_pack(conn, R)
+    pack = curvature.projective_pack(conn)
     assert np.array_equal(pack.riemann, jets.value_array(R, (3, 3, 3, 3)))
     for b, pt in enumerate(pts):
         alone = curvature.projective_pack(

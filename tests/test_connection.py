@@ -142,9 +142,8 @@ def test_pointed_connection_matches_pointed_chart():
                        direct.conn.gamma_values(), atol=1e-14)
 
 
-def test_gamma_evaluator_closure():
+def test_gamma_values_at_order_two():
     web = make_web("xy4")
-    ev = connection.gamma_evaluator(web)
-    g = ev((0.0, 0.0))
+    g = connection.canonical_structure(web, (0.0, 0.0), 2).conn.gamma_values()
     assert g.shape == (2, 2, 2)
     assert g[0, 0, 1] == pytest.approx(-1.0, abs=1e-9)

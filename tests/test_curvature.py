@@ -45,10 +45,13 @@ def test_riemann_antisymmetry_in_last_pair():
 def test_riemann_matches_finite_differences():
     web = make_web("curved4")
     point = np.array([0.2, -0.1])
-    ev = connection.gamma_evaluator(web)
     struct = connection.canonical_structure(web, point, order=3)
     R = curvature.riemann(struct.conn)
     n = web.dim
+
+    def ev(y):
+        return connection.canonical_structure(web, y, 2).conn.gamma_values()
+
     g0 = ev(point)
     dg = np.empty((n, n, n, n))        # dg[c,a,b,k] = d_k Gamma^c_ab
     for c in range(n):

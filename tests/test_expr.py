@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geoweb import expr
+from geoweb import expr, jets
 from geoweb.errors import (ArityError, ExpressionSyntaxError,
                            UnknownIdentifier, VariableOutOfRange)
 
@@ -99,6 +99,41 @@ def test_constants_are_lifted():
     j = expr.eval_field(tree, (0.1, 0.2), 2)
     assert j.value == 3.5
     assert np.all(j.coeffs[1:] == 0.0)
+
+
+@pytest.mark.parametrize("p", [-3, -2, -1, 0, 1, 2, 3])
+def test_small_integral_powers_are_product_chains(p):
+    # binary powering gives the ascending chain 1*u*u*... for |p| <= 3,
+    # up to the sign of zero (== equates -0.0 and 0.0)
+    X = np.array([[0.3, -0.2], [0.0, 0.0], [-0.7, 0.4]])
+    base = expr.parse_expression("x1+2*x2+0.5", 2)
+    u = expr.eval_coeffs(base, X, 4)
+    tb = jets._tables(2, 4)
+    chain = np.zeros_like(u)
+    chain[0] = 1.0
+    for _ in range(abs(p)):
+        chain = jets.coeff_mul(chain, u, tb)
+    if p < 0:
+        chain = jets.coeff_compose(
+            chain, jets.SERIES["recip"](chain[0], 4), tb)
+    tree = expr.parse_expression("(x1+2*x2+0.5)^%d" % p if p >= 0
+                                 else "(x1+2*x2+0.5)^(%d)" % p, 2)
+    assert (expr.eval_coeffs(tree, X, 4) == chain).all()
+
+
+@pytest.mark.parametrize("source, offset", [
+    ("(" * 101 + "x1" + ")" * 101, 100),
+    ("-" * 101 + "x1", 100),
+    ("+".join(["x1"] * 102), 299),
+    ("exp(" * 101 + "x1" + ")" * 101, 400),
+])
+def test_nesting_deeper_than_the_bound_is_rejected(source, offset):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        expr.parse_expression(source, 2)
+    assert err.value.offset == offset
+    # the deepest accepted nesting evaluates
+    expr.eval_coeffs(expr.parse_expression("(" * 100 + "x1" + ")" * 100, 2),
+                     np.zeros((1, 2)), 2)
 
 
 @pytest.mark.parametrize("source, offset", [("1e999", 0), ("x1+2e400*x2", 3),

@@ -2,17 +2,22 @@
 
 Both routes expand the web functions with the one walk
 `expr.eval_coeffs`, so a batch column must equal the per-point jet bit for
-bit.  From those coefficients on they share nothing: the batch derives the
-Christoffels by explicit matrix calculus, the jet route by jet-level linear
-algebra, so agreement at round-off level checks both.
+bit.  They also share the degeneracy checks, the skew-invariant formula and
+the frame-Christoffel mapping; only the linear algebra differs (matrix
+calculus on values here, jet-level solves there), so agreement at round-off
+checks that part alone.  The checks that do not rest on the shared
+formulas are in `test_acceptance.py`: `test_02` (the defining foliations
+are totally geodesic for the jet route's connection), `test_03`
+(hand-derived spot values) and `test_09` (geodesics of this module's
+Christoffels stay on the leaves they start tangent to).
 """
 
 import numpy as np
 import pytest
 
 from geoweb import expr, fastgamma
-from geoweb.connection import gamma_evaluator
-from geoweb.errors import DegenerateWebPoint
+from geoweb.connection import canonical_structure
+from geoweb.errors import CoincidentInvariants, DegenerateWebPoint
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
@@ -35,12 +40,12 @@ def test_batch_column_equals_point_jet(source, point, order):
 @pytest.mark.parametrize("name", sorted(CORPUS_SOURCES))
 def test_matches_jet_route(name):
     web = make_web(name)
-    slow = gamma_evaluator(web)
     fast = fastgamma.batched_gamma_evaluator(web)
     pts = random_points(web, 6, seed=101)
     batched = fast(pts)
     for b, point in enumerate(pts):
-        assert np.allclose(batched[b], slow(point), rtol=1e-12, atol=1e-12)
+        slow = canonical_structure(web, point, 2).conn.gamma_values()
+        assert np.allclose(batched[b], slow, rtol=1e-12, atol=1e-12)
 
 
 def test_single_point_shape():
@@ -74,13 +79,23 @@ def test_degenerate_batch_row_reported():
         2, ["x1", "x2", "-(x1+x2+x1*x2)", "x1+2*x2"])
     fast = fastgamma.batched_gamma_evaluator(web)
     pts = np.array([[0.1, 0.1], [0.0, -1.0]])
-    with pytest.raises(DegenerateWebPoint):
+    with pytest.raises(DegenerateWebPoint) as err:
         fast(pts)
+    # the failing row is marked and named, with the jet route's text
+    assert err.value.rows.tolist() == [False, True]
+    with pytest.raises(DegenerateWebPoint) as alone:
+        canonical_structure(web, pts[1], 2)
+    assert str(err.value) == err.value.detail(1) == str(alone.value)
 
 
 def test_coincident_invariants_in_batch():
     web = WebChart.from_strings(
         2, ["x1", "x2", "-(x1+x2)", "x1+x2+x1*x1"])
     fast = fastgamma.batched_gamma_evaluator(web)
-    with pytest.raises(DegenerateWebPoint):
-        fast(np.array([[0.0, 0.0]]))
+    pts = np.array([[0.2, 0.1], [0.0, 0.3], [0.0, 0.0]])
+    with pytest.raises(CoincidentInvariants) as err:
+        fast(pts)
+    assert err.value.rows.tolist() == [False, True, True]
+    with pytest.raises(CoincidentInvariants) as alone:
+        canonical_structure(web, pts[2], 2)
+    assert err.value.detail(2) == str(alone.value)

@@ -73,6 +73,7 @@ def test_bad_expression_reports_slot_and_offset(tmp_path):
         load_webfile(write(tmp_path, payload))
     assert err.value.field == "functions[2]"
     assert "offset 5" in str(err.value)
+    assert str(err.value).count("offset") == 1
 
 
 def test_out_of_range_variable_rejected(tmp_path):
@@ -86,6 +87,13 @@ def test_out_of_range_variable_rejected(tmp_path):
 def test_non_json_payload(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(WebFileError):
+        load_webfile(path)
+
+
+def test_deeply_nested_json_is_invalid(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(WebFileError):
         load_webfile(path)
 
