@@ -185,26 +185,16 @@ def _cmd_connection(args) -> int:
     for k in range(n + 2, work.d + 1):
         inv = (struct.invariant if k == n + 2
                else basis_invariants(struct.cof, work, k))
-        cls = inv.projective_class()
-        for i in range(n):
-            rows.append(["a", k, i + 1, "", float(inv.a[i].value)])
-        for i in range(n):
-            rows.append(["a_class", k, i + 1, "", float(cls[i])])
-    for i in range(n):
-        for j in range(n):
-            rows.append(["theta", "", i + 1, j + 1,
-                         float(struct.theta.theta[i][j].value)])
-    for k in range(n):
-        for p_ in range(n):
-            for q in range(n):
-                rows.append(["frame_gamma", k + 1, p_ + 1, q + 1,
-                             float(struct.conn.frame_gamma[k][p_][q].value)])
-    gv = struct.conn.gamma_values()
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                rows.append(["coord_gamma", c + 1, a + 1, b + 1,
-                             float(gv[c, a, b])])
+        for section, values in (("a", inv.a.value),
+                                ("a_class", inv.projective_class())):
+            rows.extend([section, k, i + 1, "", float(v)]
+                        for i, v in enumerate(values))
+    for section, values in (("theta", struct.theta.theta.value),
+                            ("frame_gamma", struct.conn.frame_gamma.value),
+                            ("coord_gamma", struct.conn.gamma_values())):
+        for idx, v in np.ndenumerate(values):
+            rows.append([section] + [""] * (3 - len(idx))
+                        + [i + 1 for i in idx] + [float(v)])
     meta = {**_base_meta(args, web),
             "point": ",".join("%.17g" % x for x in point),
             "gauge": args.gauge}
@@ -266,7 +256,7 @@ def invariant_rows(web, points):
         return body
 
     rows = []
-    for idx, res in enumerate(invariants.map_sample(measure, points)):
+    for idx, res in enumerate(invariants.map_sample(measure, points, order=2)):
         head = [idx] + [float(x) for x in points[idx]]
         if isinstance(res, DegenerateWebPoint):
             rows.append(head + ["degenerate"] + [""] * pad + [str(res)])

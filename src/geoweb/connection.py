@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr
 from .errors import CoincidentInvariants, batch_error
-from .jets import Jet, value_array
+from .jets import Jet, grid, ordered_sum, skew_upper, stack, where
 from .web import (BasisInvariant, NormalizedCoframe, WebChart,
                   basis_invariants, normalize_coframe, pointed_chart)
 
@@ -26,16 +26,22 @@ COINCIDENCE_FLOOR = 1e-10
 
 def check_coincidence(u0, v0, i, j, point):
     """Raise CoincidentInvariants at the points where the values u0 of a_i
-    and v0 of a_j (frame indices; floats at a point (n,), (B,) rows for a
-    batch) agree to COINCIDENCE_FLOOR times their size, floored at 1."""
+    and v0 of a_j (frame indices) agree to COINCIDENCE_FLOOR times their
+    size, floored at 1.  Index arrays i, j add a leading pair axis to the
+    values (floats at a point, (B,) rows for a batch); the first failing
+    pair raises."""
+    i, j = np.atleast_1d(i), np.atleast_1d(j)
+    u0, v0 = np.reshape(u0, (len(i), -1)), np.reshape(v0, (len(i), -1))
     scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
     close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
-    if np.any(close):
-        vals = np.reshape(u0, -1)
+    if close.any():
+        p = int(np.argmax(close.any(axis=1)))
+        vals = u0[p]
         pts = np.reshape(point, (-1, np.shape(point)[-1]))
-        raise batch_error(CoincidentInvariants, close, lambda b:
+        raise batch_error(CoincidentInvariants, close[p], lambda b:
                           "basis invariants a_%d and a_%d coincide (%g) at %s"
-                          % (i + 1, j + 1, vals[b], np.array2string(pts[b])))
+                          % (i[p] + 1, j[p] + 1, vals[b],
+                             np.array2string(pts[b])))
 
 
 def skew_formula(u, v, di_u, di_v, dj_u, dj_v):
@@ -44,50 +50,52 @@ def skew_formula(u, v, di_u, di_v, dj_u, dj_v):
     return (u * (dj_v / v - dj_u / u) - v * (di_v / v - di_u / u)) / (u - v)
 
 
-def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant,
-                   i: int, j: int) -> Jet:
+def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant, i, j) -> Jet:
     """s_ij = (a_i d_j - a_j d_i) log(a_j / a_i) / (a_i - a_j), frame indices.
 
     Expanded through logarithmic derivatives so negative a-components are
-    fine; only a_i != a_j and a_i, a_j != 0 are required.
+    fine; only a_i != a_j and a_i, a_j != 0 are required.  i and j may be
+    equal-length index arrays with i < j; the result then has their shape.
     """
-    if i == j:
+    i, j = np.asarray(i), np.asarray(j)
+    if np.any(i == j):
         raise ValueError("skew invariant needs distinct indices")
-    if i > j:
+    if i.ndim == 0 and i > j:
         return -skew_invariant(cof, inv, j, i)
-    u, v = inv.a[i], inv.a[j]
-    check_coincidence(u.value, v.value, i, j, cof.point)
+    a = inv.a
+    check_coincidence(a.coeffs[0][i], a.coeffs[0][j], i, j, cof.point)
     r = cof.order - 1
-    return skew_formula(u.truncate(r), v.truncate(r),
-                        cof.frame_derivative(i, u), cof.frame_derivative(i, v),
-                        cof.frame_derivative(j, u), cof.frame_derivative(j, v))
+    d = cof.frame_derivatives(a)       # d[p][q] = D_p a_q
+    return skew_formula(a[i].truncate(r), a[j].truncate(r),
+                        d[i, i], d[i, j], d[j, i], d[j, j])
+
+
+def skew_matrix(cof: NormalizedCoframe, inv: BasisInvariant) -> Jet:
+    """All skew invariants of one foliation: the antisymmetric (n, n) jet
+    s[i][j] = s_ij, with the coincidence checks run pair by pair."""
+    i, j = grid(cof.dim, 2)
+    upper = np.nonzero(i < j)
+    pair = np.zeros(i.shape, dtype=np.intp)
+    pair[upper] = np.arange(len(upper[0]))
+    return skew_upper(skew_invariant(cof, inv, *upper)[pair])
 
 
 @dataclass
 class ThetaSystem:
     """theta_i = sum_j theta[i][j] omega_j; t is the symmetric gauge."""
-    t: list                    # n jets
-    s: list                    # n x n jets, s[i][j] = -s[j][i]
-    theta: list                # n x n jets, theta[i][j] = t[j] + s[i][j]
+    t: Jet                     # (n,)
+    s: Jet                     # (n, n), s[i][j] = -s[j][i]
+    theta: Jet                 # (n, n), theta[i][j] = t[j] + s[i][j]
 
 
 def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
                  t: Optional[list] = None) -> ThetaSystem:
     n = cof.dim
     r = cof.order - 1
-    if t is None:
-        t = [Jet.constant(0.0, n, r) for _ in range(n)]
-    else:
-        t = [ti.truncate(r) for ti in t]
-    zero = Jet.constant(0.0, n, r)
-    s = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sij = skew_invariant(cof, inv, i, j)
-            s[i][j] = sij
-            s[j][i] = -sij
-    theta = [[t[j] + s[i][j] for j in range(n)] for i in range(n)]
-    return ThetaSystem(t, s, theta)
+    t = (Jet.constant(np.zeros(n), n, r) if t is None
+         else stack([ti.truncate(r) for ti in t]))
+    s = skew_matrix(cof, inv)
+    return ThetaSystem(t, s, t + s)
 
 
 @dataclass
@@ -101,37 +109,31 @@ class ConnectionField:
     """
     point: np.ndarray
     order: int
-    gamma: list
-    frame_gamma: Optional[list] = None
-    frame: Optional[list] = None
+    gamma: Jet                 # (n, n, n)
+    frame_gamma: Optional[Jet] = None
+    frame: Optional[Jet] = None
 
     @property
     def dim(self) -> int:
-        return len(self.gamma)
+        return self.gamma.shape[0]
 
     def gamma_values(self) -> np.ndarray:
         """Value parts G[c, a, b]: shape (n, n, n), or (B, n, n, n)."""
-        n = self.dim
-        return value_array(self.gamma, (n, n, n))
+        return self.gamma.value
 
 
 def frame_christoffels(c, th):
     """Frame symbols fg[k][p][q] from the structure functions c[k][i][j]
-    and the theta matrix th[i][j]; jets or value arrays alike."""
+    and the theta matrix th[i][j]: jets, or value arrays with the batch
+    axis last."""
     n = len(th)
-    fg = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for p in range(n):
-            for q in range(n):
-                if p == k and q == k:
-                    fg[k][k][k] = -th[k][k]
-                elif q == k:
-                    fg[k][p][k] = (c[k][k][p] - th[k][p]) * 0.5
-                elif p == k:
-                    fg[k][k][q] = (c[k][q][k] - th[k][q]) * 0.5
-                else:
-                    fg[k][p][q] = c[k][q][p] * 0.5
-    return fg
+    k, p, q = grid(n, 3)
+    cqp = c[k, q, p]
+    # (c[k][k][p] - th[k][p]) / 2 where q = k, (c[k][q][k] - th[k][q]) / 2
+    # where p = k, c[k][q][p] / 2 elsewhere and -th[k][k] where both
+    shifted = (cqp - th[k, np.where(q == k, p, q)]) * 0.5
+    fg = where((p == k) | (q == k), shifted, cqp * 0.5)
+    return where((p == k) & (q == k), -th[k, k], fg)
 
 
 def canonical_christoffels(cof: NormalizedCoframe,
@@ -140,28 +142,16 @@ def canonical_christoffels(cof: NormalizedCoframe,
     n = cof.dim
     r = cof.order - 1
     fg = frame_christoffels(cof.c, theta.theta)
-    E = cof.frame
-    Et = [[E[i][a].truncate(r) for a in range(n)] for i in range(n)]
-    Wt = [[cof.omega[i][a].truncate(r) for a in range(n)] for i in range(n)]
-    H = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for cc in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = fg[0][j][i] * Et[0][cc]
-                for k in range(1, n):
-                    acc = acc + fg[k][j][i] * Et[k][cc]
-                H[cc][i][j] = acc - cof.frame_derivative(i, E[j][cc])
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for cc in range(n):
-        for a in range(n):
-            for b in range(n):
-                acc = None
-                for i in range(n):
-                    for j in range(n):
-                        term = Wt[i][a] * Wt[j][b] * H[cc][i][j]
-                        acc = term if acc is None else acc + term
-                gamma[cc][a][b] = acc
-    return ConnectionField(cof.point, r, gamma, fg, E)
+    Et = cof.frame.truncate(r)
+    Wt = cof.omega[:n].truncate(r)
+    # H[c][i][j] = sum_k fg[k][j][i] E_k^c - D_i E_j^c
+    H = ordered_sum(fg[k].transpose() * Et[k, :, None, None]
+                    for k in range(n)) - cof.dframe.transpose(2, 0, 1)
+    # gamma[c][a][b] = sum over (i, j) in lexicographic order of
+    # (W_ia W_jb) H[c][i][j]
+    gamma = ordered_sum(Wt[i, :, None] * Wt[j] * H[:, i, j, None, None]
+                        for i in range(n) for j in range(n))
+    return ConnectionField(cof.point, r, gamma, fg, cof.frame)
 
 
 @dataclass
@@ -177,38 +167,19 @@ def projective_gauge_change(conn: ConnectionField, rho) -> ConnectionField:
     """Shift gamma'^c_ab = gamma^c_ab + delta^c_a rho_b + delta^c_b rho_a."""
     n = conn.dim
     comps = rho.rho if isinstance(rho, GaugeForm) else rho
-    rj = []
-    for comp in comps:
-        if isinstance(comp, Jet):
-            rj.append(comp.truncate(conn.order)
-                      if comp.order > conn.order else comp)
-        else:
-            rj.append(Jet.constant(float(comp), n, conn.order))
-    gamma = [[[conn.gamma[c][a][b] for b in range(n)] for a in range(n)]
-             for c in range(n)]
-    for c in range(n):
-        for b in range(n):
-            gamma[c][c][b] = gamma[c][c][b] + rj[b]
-        for a in range(n):
-            gamma[c][a][c] = gamma[c][a][c] + rj[a]
+    rj = stack([x.truncate(min(x.order, conn.order)) if isinstance(x, Jet)
+                else Jet.constant(x, n, conn.order) for x in comps])
+    c, a, b = grid(n, 3)
+    gamma = where(c == a, conn.gamma + rj, conn.gamma)
+    gamma = where(c == b, gamma + rj[:, None], gamma)
     frame_gamma = None
     if conn.frame_gamma is not None and conn.frame is not None:
-        rho_frame = []
-        for i in range(n):
-            acc = None
-            for a in range(n):
-                ea = conn.frame[i][a]
-                ea = ea.truncate(conn.order) if ea.order > conn.order else ea
-                term = ea * rj[a]
-                acc = term if acc is None else acc + term
-            rho_frame.append(acc)
-        frame_gamma = [[[conn.frame_gamma[k][p][q] for q in range(n)]
-                        for p in range(n)] for k in range(n)]
-        for k in range(n):
-            for q in range(n):
-                frame_gamma[k][k][q] = frame_gamma[k][k][q] + rho_frame[q]
-            for p in range(n):
-                frame_gamma[k][p][k] = frame_gamma[k][p][k] + rho_frame[p]
+        E = conn.frame.truncate(conn.order)
+        rho_frame = ordered_sum(E[:, i] * rj[i] for i in range(n))
+        frame_gamma = where(c == a, conn.frame_gamma + rho_frame,
+                            conn.frame_gamma)
+        frame_gamma = where(c == b, frame_gamma + rho_frame[:, None],
+                            frame_gamma)
     return ConnectionField(conn.point, conn.order, gamma, frame_gamma,
                            conn.frame)
 
@@ -226,13 +197,10 @@ def projective_equivalence_check(conn_a: ConnectionField,
                          "at one point, not a batch")
     n = conn_a.dim
     diff = conn_b.gamma_values() - conn_a.gamma_values()
-    rho = np.array([diff[:, :, b].trace() for b in range(n)]) / (n + 1)
-    resid = 0.0
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                pred = (rho[b] if c == a else 0.0) + (rho[a] if c == b else 0.0)
-                resid = max(resid, abs(diff[c, a, b] - pred))
+    rho = np.einsum("mmb->b", diff) / (n + 1)
+    eye = np.eye(n)
+    pred = eye[:, :, None] * rho + eye[:, None, :] * rho[:, None]
+    resid = float(np.abs(diff - pred).max())
     return resid <= tol, GaugeForm(rho), resid
 
 

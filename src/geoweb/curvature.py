@@ -18,39 +18,26 @@ from .connection import ConnectionField, canonical_structure
 from .errors import OrderExhausted
 from .invariants import (FAIL_FACTOR, SampleReport, aggregate_rows, classify,
                          geodesicity_test, sample_rows)
-from .jets import Jet, value_array
+from .jets import Jet, grid, ordered_sum, skew_upper
 from .web import WebChart
 
 LINEARIZABLE_PASS_FACTOR = 1e-7
 
 
-def riemann(conn: ConnectionField):
+def riemann(conn: ConnectionField) -> Jet:
     """Jet-valued R^i_jkl = d_k G^i_lj - d_l G^i_kj + G G - G G terms."""
     n = conn.dim
     if conn.order < 1:
         raise OrderExhausted(
             "curvature needs connection jets of order >= 1, have %d"
             % conn.order)
-    g = conn.gamma
-    r = conn.order - 1
-    gt = [[[g[c][a][b].truncate(r) for b in range(n)] for a in range(n)]
-          for c in range(n)]
-    R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    zero = Jet.constant(0.0, n, r)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k, n):
-                    if l == k:
-                        R[i][j][k][k] = zero
-                        continue
-                    term = g[i][l][j].derivative(k) - g[i][k][j].derivative(l)
-                    for m in range(n):
-                        term = term + (gt[i][k][m] * gt[m][l][j]
-                                       - gt[i][l][m] * gt[m][k][j])
-                    R[i][j][k][l] = term
-                    R[i][j][l][k] = -term
-    return R
+    gt = conn.gamma.truncate(conn.order - 1)
+    dg = conn.gamma.derivatives()      # dg[c][a][b][x] = d_x G^c_ab
+    i, j, k, l = grid(n, 4)
+    R = dg[i, l, j, k] - dg[i, k, j, l]
+    for m in range(n):
+        R = R + (gt[i, k, m] * gt[m, l, j] - gt[i, l, m] * gt[m, k, j])
+    return skew_upper(R)
 
 
 @dataclass
@@ -91,59 +78,32 @@ def projective_pack(conn: ConnectionField) -> CurvaturePack:
     """
     n = conn.dim
     R = riemann(conn)
-    ric = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for l in range(n):
-            acc = R[0][j][0][l]
-            for i in range(1, n):
-                acc = acc + R[i][j][i][l]
-            ric[j][l] = acc
-    P = [[(n * ric[j][l] + ric[l][j]) / (n * n - 1.0) for l in range(n)]
-         for j in range(n)]
-    Rv = value_array(R, (n, n, n, n))
-    ricv = value_array(ric, (n, n))
-    Pv = value_array(P, (n, n))
-    batch = conn.point.shape[:-1]
+    ric = ordered_sum(R[i, :, i] for i in range(n))
+    P = (n * ric + ric.transpose()) / (n * n - 1.0)
     weyl = cotton = None
     if n >= 3:
-        weyl = np.empty(Rv.shape)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        # a copy: for a batch the entry is a view into Rv
-                        w = Rv[..., i, j, k, l].copy()
-                        if i == k:
-                            w -= Pv[..., j, l]
-                        if i == l:
-                            w += Pv[..., j, k]
-                        if i == j:
-                            w -= Pv[..., k, l] - Pv[..., l, k]
-                        weyl[..., i, j, k, l] = w
+        Rv, Pv = R.value, P.value
+        i, j, k, l = grid(n, 4)
+        weyl = np.where(i == k, Rv - Pv[..., j, l], Rv)
+        weyl = np.where(i == l, weyl + Pv[..., j, k], weyl)
+        weyl = np.where(i == j, weyl - (Pv[..., k, l] - Pv[..., l, k]), weyl)
     else:
         ro = conn.order - 1   # jet order of P
         if ro < 1:
             raise OrderExhausted(
                 "the n = 2 obstruction needs connection jets of order >= 2")
-        g = conn.gamma
-        gt = [[[g[c][a][b].truncate(ro - 1) for b in range(n)]
-               for a in range(n)] for c in range(n)]
-        Pt = [[P[j][l].truncate(ro - 1) for l in range(n)] for j in range(n)]
-
-        def nabla(k, j, l):
-            acc = P[j][l].derivative(k)
-            for m in range(n):
-                acc = acc - gt[m][k][j] * Pt[m][l] - gt[m][k][l] * Pt[j][m]
-            return acc
-
-        cotton = np.zeros(batch + (n, n, n))
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    y = (nabla(k, j, l) - nabla(l, j, k)).value
-                    cotton[..., j, k, l] = y
-                    cotton[..., j, l, k] = -y
-    return CurvaturePack(conn.point, Rv, ricv, Pv, weyl, cotton)
+        gt = conn.gamma.truncate(ro - 1)
+        Pt = P.truncate(ro - 1)
+        dP = P.derivatives()           # dP[j][l][k] = d_k P_jl
+        k, j, l = grid(n, 3)
+        # N[k][j][l] = nabla_k P_jl
+        N = dP[j, l, k]
+        for m in range(n):
+            N = N - gt[m, k, j] * Pt[m, l] - gt[m, k, l] * Pt[j, m]
+        j, k, l = grid(n, 3)
+        cotton = skew_upper(N[k, j, l] - N[l, j, k]).value
+    return CurvaturePack(conn.point, R.value, ric.value, P.value, weyl,
+                         cotton)
 
 
 def linearizability_verdict(web: WebChart, points,
@@ -164,7 +124,7 @@ def linearizability_verdict(web: WebChart, points,
         pack = projective_pack(canonical_structure(web, X, order).conn)
         return pack.obstruction_norm(), pack.scale()
 
-    rows = sample_rows(measure, points, "obstruction")
+    rows = sample_rows(measure, points, "obstruction", order)
     verdicts = [classify(r.value, r.scale, LINEARIZABLE_PASS_FACTOR,
                          FAIL_FACTOR) for r in rows if r.status == "ok"]
     rep = aggregate_rows("linearizability", rows, verdicts, "linearizable",

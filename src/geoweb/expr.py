@@ -310,6 +310,10 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
         if name in ("log", "sqrt") and np.any(u0 <= 0.0):
             raise batch_error(DomainError, u0 <= 0.0, lambda b:
                               "%s of non-positive value %g" % (name, u0[b]))
+        if name == "log" and not np.any(u[1:]):
+            # a constant's logarithm as a value: the series terms 1/u0^j
+            # only multiply zeros, and overflow to nan for a tiny u0
+            return constant(np.log(u0), u.shape[1])
         return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
 
     def const_power(u, p):

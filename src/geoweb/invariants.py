@@ -17,16 +17,20 @@ from typing import List
 import numpy as np
 
 from . import expr
-from .connection import ConnectionField, canonical_structure, skew_invariant
+from .connection import ConnectionField, canonical_structure, skew_matrix
 from .errors import DegenerateWebPoint, ZeroForm
+from .jets import Jet, n_coeffs, stack
 from .web import WebChart, basis_invariants, normalize_coframe
 
 PASS_FACTOR = 1e-8
 FAIL_FACTOR = 1e-3
 MAX_EXCLUDED_FRACTION = 0.2
-# points per batched call: a batch holds every jet of the pipeline for all
-# its points at once, under 20 MB at n = 4, order 3 for this many
-MAX_BATCH = 512
+# jet coefficients per batched call, points x n_coeffs(n, order): a batch
+# holds every jet of the pipeline for all its points at once.  `linearize
+# --random 10000` on xy4 / mixed3 / web4 (546 / 409 / 234 points a batch)
+# took 0.6 / 1.0 / 2.8 s at 45 / 49 / 52 MB peak RSS; twice this cap was
+# no faster at 52-64 MB, half of it 12 % slower at n = 4
+MAX_BATCH = 8192
 
 
 @dataclass
@@ -39,31 +43,29 @@ class SymResidual:
         return float(np.abs(self.matrix).max())
 
 
+def _form(omega) -> Jet:
+    # a 1-form given as a jet of shape (n,) or as a list of n jets
+    return omega if isinstance(omega, Jet) else stack(omega)
+
+
 def sym_covariant_differential(conn: ConnectionField, omega) -> SymResidual:
     """(d^s omega)_ab = (d_a omega_b + d_b omega_a)/2 - sum_c G^c_ab omega_c.
 
-    `omega` is a list of n jets of order >= 1 (coordinate components).
+    `omega` holds the coordinate components: a jet of shape (n,) and order
+    >= 1, or a list of n such scalar jets.
     """
-    n = conn.dim
-    w = np.array([om.value for om in omega])
-    dw = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            dw[a, b] = omega[b].derivative(a).value
+    om = _form(omega)
+    dw = om.derivatives().value        # dw[b][a] = d_a omega_b
     g = conn.gamma_values()
-    m = 0.5 * (dw + dw.T) - np.einsum("cab,c->ab", g, w)
+    m = 0.5 * (dw + dw.T) - np.einsum("cab,c->ab", g, om.value)
     return SymResidual(m)
 
 
 def residual_scale(omega) -> float:
     """Size of omega and its first derivatives, floored at 1."""
-    n = len(omega)
-    scale = 1.0
-    for b in range(n):
-        scale = max(scale, abs(omega[b].value))
-        for a in range(n):
-            scale = max(scale, abs(omega[b].derivative(a).value))
-    return scale
+    om = _form(omega)
+    return max(1.0, float(np.abs(om.value).max()),
+               float(np.abs(om.derivatives().value).max()))
 
 
 def totally_geodesic_residual(conn: ConnectionField, omega):
@@ -74,17 +76,14 @@ def totally_geodesic_residual(conn: ConnectionField, omega):
     normal equations over the n(n+1)/2 upper-triangle equations.
     """
     n = conn.dim
-    w = np.array([om.value for om in omega])
+    w = _form(omega).value
     if np.abs(w).max() == 0.0:
         raise ZeroForm("totally-geodesic residual of a vanishing form")
     target = sym_covariant_differential(conn, omega).matrix
-    eqs = [(a, b) for a in range(n) for b in range(a, n)]
-    A = np.zeros((len(eqs), n))
-    m = np.zeros(len(eqs))
-    for r, (a, b) in enumerate(eqs):
-        for cc in range(n):
-            A[r, cc] = 0.5 * ((cc == a) * w[b] + (cc == b) * w[a])
-        m[r] = target[a, b]
+    a, b = np.triu_indices(n)
+    eye = np.eye(n)
+    A = 0.5 * (eye[a] * w[b, None] + eye[b] * w[a, None])
+    m = target[a, b]
     theta = np.linalg.solve(A.T @ A, A.T @ m)
     fit = 0.5 * (np.outer(theta, w) + np.outer(w, theta))
     residual = float(np.abs(target - fit).max())
@@ -98,8 +97,7 @@ def affine_function_residual(conn: ConnectionField, f) -> float:
         f = expr.parse_expression(f, n)
     if not hasattr(f, "derivative"):
         f = expr.eval_field(f, conn.point, 2)
-    df = [f.derivative(a) for a in range(n)]
-    return sym_covariant_differential(conn, df).norm
+    return sym_covariant_differential(conn, f.derivatives()).norm
 
 
 def foliation_residual(web: WebChart, k: int, conn: ConnectionField):
@@ -108,8 +106,7 @@ def foliation_residual(web: WebChart, k: int, conn: ConnectionField):
     Returns (theta_fit, residual, scale); verdicts compare residual with
     PASS_FACTOR * scale and FAIL_FACTOR * scale.
     """
-    fk = web.eval_function(k, conn.point, 2)
-    df = [fk.derivative(a) for a in range(web.dim)]
+    df = web.eval_function(k, conn.point, 2).derivatives()
     theta, residual = totally_geodesic_residual(conn, df)
     return theta, residual, residual_scale(df)
 
@@ -162,26 +159,28 @@ def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
     return SampleReport(kind, verdict, rows, max_value, frac)
 
 
-def map_sample(measure, points):
+def map_sample(measure, points, order=0):
     """Apply `measure` to a point sample in as few batched calls as it allows.
 
     `measure(X)` takes a batch of points (B, n) and returns a tuple of
     results, each with a leading batch axis.  Returns one entry per point,
     in order: the tuple of that point's results, or the DegenerateWebPoint
-    it raises on its own.  The sample runs in batches of at most MAX_BATCH
-    points.  When a batch raises, the points the error's `rows` mark get
-    the error its `detail` gives for them, the text of their single-point
-    runs, and the rest runs again as one batch.  So a sample of up to
-    MAX_BATCH points costs one batched call plus one for each check that
-    excluded some of its points.  Overflow and invalid-value warnings are
-    silenced: a point whose results are not finite is left for the caller
-    to exclude.
+    it raises on its own.  The sample runs in batches of at most
+    MAX_BATCH // n_coeffs(n, order) points, `order` being the jet order
+    `measure` expands the web to.  When a batch raises, the points the
+    error's `rows` mark get the error its `detail` gives for them, the
+    text of their single-point runs, and the rest runs again as one batch.
+    So a sample that fits one batch costs one batched call plus one for
+    each check that excluded some of its points.  Overflow and
+    invalid-value warnings are silenced: a point whose results are not
+    finite is left for the caller to exclude.
     """
     points = np.asarray(points, dtype=float)
     out = [None] * len(points)
+    size = max(1, MAX_BATCH // n_coeffs(points.shape[-1], order))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(points), MAX_BATCH):
-            idx = np.arange(start, min(start + MAX_BATCH, len(points)))
+        for start in range(0, len(points), size):
+            idx = np.arange(start, min(start + size, len(points)))
             while len(idx):
                 try:
                     res = measure(points[idx])
@@ -198,14 +197,14 @@ def map_sample(measure, points):
     return out
 
 
-def sample_rows(measure, points, what):
+def sample_rows(measure, points, what, order):
     """PointRows from a `measure` returning (value, scale); see map_sample.
 
     A point whose value or scale is not finite is excluded as degenerate
     with the detail 'non-finite <what>'.
     """
     rows = []
-    for idx, res in enumerate(map_sample(measure, points)):
+    for idx, res in enumerate(map_sample(measure, points, order)):
         pt = np.asarray(points[idx], dtype=float)
         if isinstance(res, DegenerateWebPoint):
             rows.append(PointRow(idx, pt, "degenerate", detail=str(res)))
@@ -228,13 +227,7 @@ def extra_foliations(web: WebChart, X, order: int = 2):
     out = []
     for k in range(n + 2, web.d + 1):
         inv = basis_invariants(cof, web, k)
-        smat = np.zeros(X.shape[:-1] + (n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = skew_invariant(cof, inv, i, j).value
-                smat[..., i, j] = val
-                smat[..., j, i] = -val
-        out.append((inv, smat))
+        out.append((inv, skew_matrix(cof, inv).value))
     return out
 
 
@@ -260,7 +253,7 @@ def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
                     axis=(-2, -1)))
         return disc, scale
 
-    rows = sample_rows(measure, points, "discrepancy")
+    rows = sample_rows(measure, points, "discrepancy", order)
     verdicts = [classify(r.value, r.scale) for r in rows if r.status == "ok"]
     rep = aggregate_rows("geodesicity", rows, verdicts, "geodesic", "not_geodesic")
     rep.vacuous = vacuous

@@ -1,30 +1,32 @@
 """Truncated multivariate Taylor arithmetic (jets) of order 0..4.
 
-A jet stores the coefficients of a scalar function's Taylor expansion at a
-base point, indexed by multi-indices in graded lexicographic order
+A jet stores the coefficients of a function's Taylor expansion at a base
+point, indexed by multi-indices in graded lexicographic order
 (degree-major, x1-major within a degree).  The stored coefficient for a
 multi-index alpha is the scaled derivative  d^alpha f / alpha!, so arithmetic
 on jets is exact polynomial arithmetic truncated at the chosen order.
 
-The Taylor kernels work on coefficient arrays of shape (count, *batch): the
+The Taylor kernels work on coefficient arrays, coefficients first: the
 truncated product `coeff_mul`, the composition `coeff_compose` of a
 univariate series with a jet (Griewank & Walther, *Evaluating Derivatives*,
 ch. 13), and the table `SERIES` of univariate series.  `expr.eval_coeffs`
-runs them over a point batch to expand web functions, powers and
-elementary functions included.  A `Jet` holds the coefficients of one
-point, shape (count,), or of a batch of points, shape (count, B), and
-carries the field arithmetic (+ - * /) the connection and curvature code
-needs; a point jet (a constant) broadcasts against a batch.  Every batch
-column goes through the arithmetic of a point jet, so it equals that jet
-bit for bit.
+runs them over a point batch to expand web functions.  A `Jet` expands a
+whole tensor field in one array (count, *shape, *batch): the tensor's
+shape axes, then at most one batch axis over points; a scalar jet has
+shape ().  Its arithmetic broadcasts entry by entry, shape axes aligned on
+the right as in numpy and a point jet against a batch, and indexing the
+shape axes gives sub-jets.  Every entry and batch column goes through the
+products and sums of its scalar point jet, so it equals that jet bit for
+bit; contractions sum in a fixed order (`ordered_sum`) for the same reason.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -111,16 +113,7 @@ def _tables(dim, order):
 
 
 # ---------------------------------------------------------------------------
-# Taylor kernels over coefficient arrays of shape (count, *batch)
-
-
-def _align(a, b):
-    # a point's coefficients (count,) broadcast against a batch's (count, B)
-    if a.ndim < b.ndim:
-        return a[:, None], b
-    if b.ndim < a.ndim:
-        return a, b[:, None]
-    return a, b
+# Taylor kernels over coefficient arrays of shape (count, *entries)
 
 
 def coeff_mul(a, b, tb):
@@ -129,13 +122,19 @@ def coeff_mul(a, b, tb):
     ``(tb.ia, tb.ib, tb.io)`` enumerate every pair of monomials whose
     product stays within the truncation order; entry t adds
     ``a[ia[t]] * b[ib[t]]`` into slot ``io[t]``.  ``np.bincount`` adds the
-    entries of each (slot, batch column) in table order, so every column
-    sums exactly as the product of its point jets does.  The batch axes of
-    ``a`` and ``b`` broadcast.
+    terms of each (slot, tensor entry, batch column) in table order, so
+    every entry and column sums exactly as the product of scalar point jets
+    does.  The trailing axes of ``a`` and ``b`` broadcast; a point's
+    (count,) also broadcasts against a batch's (count, B).
     """
     if a.ndim != b.ndim:
-        a, b = _align(a, b)
-    prod = a[tb.ia] * b[tb.ib]
+        # a point's coefficients (count,) against a batch's (count, B)
+        a, b = (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
+    prod, right = a[tb.ia], b[tb.ib]
+    if prod.shape == right.shape:
+        prod *= right               # one product array fewer at the peak
+    else:
+        prod = prod * right
     if prod.ndim == 1:
         return np.bincount(tb.io, weights=prod, minlength=tb.count)
     width = prod.size // len(tb.io)
@@ -254,31 +253,34 @@ SERIES = {"recip": _recip_series, "exp": _exp_series, "log": _log_series,
 
 
 class Jet:
-    """Dense truncated Taylor expansion over `dim` variables.
+    """Dense truncated Taylor expansion of a tensor field over `dim` variables.
 
-    `coeffs` has shape (count,) for one point or (count, B) for a batch of
-    B points.
+    `coeffs` has shape (count, *shape, *batch) with `rank` shape axes and
+    at most one batch axis: (count,) for a scalar at one point.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "coeffs", "rank")
 
-    def __init__(self, dim: int, order: int, coeffs):
+    def __init__(self, dim: int, order: int, coeffs, rank: int = 0):
         tb = _tables(dim, order)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim not in (1, 2) or coeffs.shape[0] != tb.count:
-            raise ValueError(
-                "expected %d coefficients for dim %d order %d, got shape %s"
-                % (tb.count, dim, order, coeffs.shape)
-            )
+        if (coeffs.shape[:1] != (tb.count,)
+                or not 0 <= coeffs.ndim - 1 - rank <= 1):
+            raise ValueError("expected %d coefficients, %d shape axes and at "
+                             "most one batch axis, got shape %s"
+                             % (tb.count, rank, coeffs.shape))
         self.dim = dim
         self.order = order
         self.coeffs = coeffs
+        self.rank = rank
 
     @classmethod
-    def constant(cls, value: float, dim: int, order: int) -> "Jet":
-        c = np.zeros(n_coeffs(dim, order))
+    def constant(cls, value, dim: int, order: int) -> "Jet":
+        """Jet of a constant scalar, or of a constant tensor given as array."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros((n_coeffs(dim, order),) + value.shape)
         c[0] = value
-        return cls(dim, order, c)
+        return cls(dim, order, c, value.ndim)
 
     @classmethod
     def variable(cls, axis: int, value: float, dim: int, order: int) -> "Jet":
@@ -292,11 +294,21 @@ class Jet:
         return cls(dim, order, c)
 
     @property
+    def shape(self) -> tuple:
+        return self.coeffs.shape[1:1 + self.rank]
+
+    @property
+    def batched(self) -> bool:
+        return self.coeffs.ndim > 1 + self.rank
+
+    @property
     def value(self):
-        """Value part: a float for a point, the (B,) row for a batch."""
-        if self.coeffs.ndim == 1:
-            return float(self.coeffs[0])
-        return self.coeffs[0]
+        """Value part: a float for a scalar at one point, else an array
+        with the batch axis (if any) first, then the shape axes."""
+        v = self.coeffs[0]
+        if v.ndim == 0:
+            return float(v)
+        return np.moveaxis(v, -1, 0) if self.batched else v
 
     @property
     def grad(self):
@@ -321,20 +333,65 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot truncate order %d up to %d"
                              % (self.order, order))
-        return Jet(self.dim, order, self.coeffs[:n_coeffs(self.dim, order)].copy())
+        return Jet(self.dim, order,
+                   self.coeffs[:n_coeffs(self.dim, order)].copy(), self.rank)
 
     def derivative(self, axis: int) -> "Jet":
         """Partial derivative along coordinate axis (0-based); drops one order."""
-        if self.order == 0:
-            raise OrderExhausted("cannot differentiate an order-0 jet")
         if not 0 <= axis < self.dim:
             raise ValueError("axis %d out of range for dim %d" % (axis, self.dim))
-        tb = _tables(self.dim, self.order)
-        src, dst, fac = tb.diff[axis]
+        return self.derivatives()[..., axis]
+
+    def derivatives(self) -> "Jet":
+        """All first partials, one order lower, along a new last shape axis
+        over the coordinates."""
+        if self.order == 0:
+            raise OrderExhausted("cannot differentiate an order-0 jet")
         c = self.coeffs
-        out = np.zeros((n_coeffs(self.dim, self.order - 1),) + c.shape[1:])
-        out[dst] = c[src] * (fac if c.ndim == 1 else fac[:, None])
-        return Jet(self.dim, self.order - 1, out)
+        out = np.zeros((n_coeffs(self.dim, self.order - 1),) + self.shape
+                       + (self.dim,) + c.shape[1 + self.rank:])
+        keep = (slice(None),) * self.rank
+        for axis, (src, dst, fac) in enumerate(
+                _tables(self.dim, self.order).diff):
+            out[(dst,) + keep + (axis,)] = c[src] * fac.reshape(
+                (-1,) + (1,) * (c.ndim - 1))
+        return Jet(self.dim, self.order - 1, out, self.rank + 1)
+
+    # -- the shape axes -----------------------------------------------------
+
+    def __getitem__(self, key) -> "Jet":
+        """Sub-jet by numpy indexing of the shape axes; the batch axis is
+        kept.  Index arrays among the keys must be adjacent."""
+        if not isinstance(key, tuple):
+            key = (key,)
+        used = sum(k is not None and k is not Ellipsis for k in key)
+        if used > self.rank:
+            raise IndexError("%d indices for a jet of rank %d"
+                             % (used, self.rank))
+        for pos, k in enumerate(key):
+            if k is Ellipsis:
+                key = (key[:pos] + (slice(None),) * (self.rank - used)
+                       + key[pos + 1:])
+                break
+        c = self.coeffs[(slice(None),) + key]
+        return Jet(self.dim, self.order, c,
+                   c.ndim - self.coeffs.ndim + self.rank)
+
+    def __len__(self):
+        if self.rank == 0:
+            raise TypeError("len() of a scalar jet")
+        return self.coeffs.shape[1]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def transpose(self, *axes) -> "Jet":
+        """Permute the shape axes; reverse them when no axes are given."""
+        axes = axes or tuple(range(self.rank))[::-1]
+        perm = ((0,) + tuple(1 + a for a in axes)
+                + tuple(range(1 + self.rank, self.coeffs.ndim)))
+        return Jet(self.dim, self.order, self.coeffs.transpose(perm),
+                   self.rank)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -350,56 +407,52 @@ class Jet:
             return None  # handled as a scalar
         return NotImplemented
 
-    def __add__(self, other):
+    def _operands(self, other: "Jet"):
+        # both coefficient arrays laid out to broadcast (shape axes aligned
+        # on the right as in numpy, the batch axis last), the result's rank
+        if self.rank == other.rank and self.batched == other.batched:
+            return self.coeffs, other.coeffs, self.rank
+        rank = max(self.rank, other.rank)
+        batched = self.batched or other.batched
+        return _spread(self, rank, batched), _spread(other, rank, batched), rank
+
+    def _binary(self, other, on_jets, on_number):
+        # self (op) other, for a jet of this context or a real number
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            c = self.coeffs.copy()
-            c[0] += float(other)
-            return Jet(self.dim, self.order, c)
-        a, b = _align(self.coeffs, o.coeffs)
-        return Jet(self.dim, self.order, a + b)
+            return Jet(self.dim, self.order,
+                       on_number(self.coeffs, float(other)), self.rank)
+        a, b, rank = self._operands(o)
+        return Jet(self.dim, self.order, on_jets(a, b), rank)
+
+    def __add__(self, other):
+        return self._binary(other, np.add, _shift)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs)
+        return Jet(self.dim, self.order, -self.coeffs, self.rank)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            c = self.coeffs.copy()
-            c[0] -= float(other)
-            return Jet(self.dim, self.order, c)
-        a, b = _align(self.coeffs, o.coeffs)
-        return Jet(self.dim, self.order, a - b)
+        return self._binary(other, np.subtract, lambda c, x: _shift(c, -x))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            return Jet(self.dim, self.order, self.coeffs * float(other))
-        c = coeff_mul(self.coeffs, o.coeffs, _tables(self.dim, self.order))
-        return Jet(self.dim, self.order, c)
+        return self._binary(other, lambda a, b: coeff_mul(
+            a, b, _tables(self.dim, self.order)), np.multiply)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            if float(other) == 0.0:
-                raise DomainError("division by zero scalar")
-            return Jet(self.dim, self.order, self.coeffs / float(other))
-        return self * _reciprocal(o)
+        if isinstance(other, Jet):
+            return self * _reciprocal(other)
+        if isinstance(other, numbers.Real) and float(other) == 0.0:
+            raise DomainError("division by zero scalar")
+        return self._binary(other, None, np.true_divide)
 
     def __rtruediv__(self, other):
         if not isinstance(other, numbers.Real):
@@ -407,66 +460,115 @@ class Jet:
         return float(other) * _reciprocal(self)
 
     def __repr__(self):
-        if self.coeffs.ndim == 2:
-            return "Jet(dim=%d, order=%d, batch=%d)" % (
-                self.dim, self.order, self.coeffs.shape[1])
-        return "Jet(dim=%d, order=%d, value=%.6g)" % (self.dim, self.order,
-                                                      self.value)
+        return "Jet(dim=%d, order=%d, rank=%d, coeffs %s)" % (
+            self.dim, self.order, self.rank, self.coeffs.shape)
+
+
+def _shift(c, x):
+    # a number added to a jet moves its value part only
+    c = c.copy()
+    c[0] += x
+    return c
+
+
+def _spread(j: Jet, rank: int, batched: bool):
+    # coefficients of j with size-1 axes for the shape and batch axes it lacks
+    c = j.coeffs
+    pad = (1,) * (rank - j.rank)
+    tail = (1,) if batched and not j.batched else ()
+    if pad or tail:
+        c = c.reshape(c.shape[:1] + pad + c.shape[1:] + tail)
+    return c
 
 
 def _reciprocal(u: Jet) -> Jet:
-    if np.any(u.coeffs[0] == 0.0):
-        raise batch_error(DomainError, u.coeffs[0] == 0.0,
+    zero = u.coeffs[0] == 0.0
+    if np.any(zero):
+        rows = zero.reshape(-1, zero.shape[-1]).any(axis=0) if u.batched \
+            else True
+        raise batch_error(DomainError, rows,
                           lambda b: "division by a jet with zero value part")
-    c = coeff_compose(u.coeffs, SERIES["recip"](u.value, u.order),
+    c = coeff_compose(u.coeffs, SERIES["recip"](u.coeffs[0], u.order),
                       _tables(u.dim, u.order))
-    return Jet(u.dim, u.order, c)
+    return Jet(u.dim, u.order, c, u.rank)
 
 
-def value_array(jets, shape):
-    """Value parts of nested lists of jets, shape `shape`, as one array.
+def stack(items) -> Jet:
+    """One jet from jets of one context and numbers, along a new first
+    shape axis; their shapes and batch axes broadcast."""
+    first = next(j for j in items if isinstance(j, Jet))
+    parts = [Jet.constant(j, first.dim, first.order)
+             if first._coerce(j) is None else j for j in items]
+    rank = max(j.rank for j in parts)
+    batched = any(j.batched for j in parts)
+    arrays = [_spread(j, rank, batched) for j in parts]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return Jet(first.dim, first.order,
+               np.stack([np.broadcast_to(a, shape) for a in arrays], axis=1),
+               rank + 1)
 
-    The result has shape batch + shape: the batch axis of the jets (none
-    for points) leads, and a point jet among batch jets is broadcast.
-    """
-    flat = list(jets)
-    for _ in shape[1:]:
-        flat = [j for row in flat for j in row]
-    batch = np.broadcast_shapes(*(j.coeffs.shape[1:] for j in flat))
-    out = np.empty(batch + tuple(shape))
-    for idx, j in zip(np.ndindex(*shape), flat):
-        out[(Ellipsis,) + idx] = j.coeffs[0]
+
+def where(mask, a, b):
+    """Entries of `a` where `mask` holds and of `b` (a jet or a number)
+    elsewhere; `mask` spans the shape axes, or the leading axes of value
+    arrays."""
+    mask = np.asarray(mask)
+    if not isinstance(a, Jet):
+        return np.where(mask.reshape(mask.shape + (1,) * (np.ndim(a)
+                                                         - mask.ndim)), a, b)
+    if a._coerce(b) is None:
+        b = Jet.constant(b, a.dim, a.order)
+    ca, cb, rank = a._operands(b)
+    mask = mask.reshape((1,) * (1 + rank - mask.ndim) + mask.shape
+                        + (1,) * (ca.ndim - 1 - rank))
+    return Jet(a.dim, a.order, np.where(mask, ca, cb), rank)
+
+
+@lru_cache(maxsize=None)
+def grid(n: int, rank: int) -> np.ndarray:
+    """The index arrays of an n x ... x n tensor of the given rank, as
+    np.indices gives them; cached and read-only."""
+    out = np.indices((n,) * rank)
+    out.flags.writeable = False
     return out
 
 
-def jet_linear_solve(A, b):
-    """Solve A x = b for jet vectors by Gaussian elimination.
+def skew_upper(t: Jet) -> Jet:
+    """The jet antisymmetric in the last two shape axes that equals `t`
+    above their diagonal: `t` transposed and negated below it, zero on it."""
+    i, j = grid(t.shape[-1], 2)
+    swap = tuple(range(t.rank - 2)) + (t.rank - 1, t.rank - 2)
+    return where(i < j, t, where(i > j, -t.transpose(*swap), 0.0))
 
-    The entries are point jets or batch jets (a point entry broadcasts).
-    Each batch column pivots on its own value parts, taking the first
-    largest; a best pivot below 1e-12 times the largest entry magnitude of
-    the column's matrix raises SingularSystem (degenerate point upstream).
-    A column goes through the products and sums of a point solve, so it
-    equals the solve of its point jets bit for bit.
+
+def jet_linear_solve(A, b):
+    """Solve A x = b by Gaussian elimination over jets.
+
+    `A` is an (m, m) jet and `b` an (m,) or (m, k) jet, the columns of b
+    solved alike; nested lists of scalar jets are stacked on entry.  A
+    point jet broadcasts against a batch.  Each batch column pivots on its
+    own value parts, taking the first largest; a best pivot below 1e-12
+    times the largest entry magnitude of the column's matrix raises
+    SingularSystem (degenerate point upstream).  The loop runs over the
+    elimination columns and updates every row and right-hand side in one
+    product, so each entry goes through the products and sums of a solve
+    of scalar point jets and equals it bit for bit.
     """
+    if not isinstance(A, Jet):
+        A = stack([stack(row) for row in A])
+    if not isinstance(b, Jet):
+        b = stack(b)
     m = len(A)
-    if any(len(r) != m for r in A) or len(b) != m:
+    if A.shape != (m, m) or b.shape[:1] != (m,) or b.rank > 2:
         raise ValueError("jet_linear_solve needs a square system")
-    if m == 0:
-        return []
-    first = A[0][0]
-    for e in [e for r in A for e in r] + list(b):
-        first._coerce(e)
-    dim, order = first.dim, first.order
-    tb = _tables(dim, order)
-    rows = [[e.coeffs for e in A[r]] + [b[r].coeffs] for r in range(m)]
-    # a point entry among batch entries becomes a read-only broadcast view
-    shape = max((c.shape for row in rows for c in row), key=len)
-    rows = [[c if c.shape == shape else np.broadcast_to(c[:, None], shape)
-             for c in row] for row in rows]
-    floor = 1e-12 * np.abs(value_array(A, (m, m))).max(axis=(-2, -1))
+    order, tb = A.order, _tables(A.dim, A.order)
+    # the augmented matrix [A | b], (count, m, m + k, *batch)
+    M = stack([*A.transpose(), *(b.transpose() if b.rank == 2 else [b])]
+              ).transpose().coeffs
+    batch = M.shape[3:]
+    floor = 1e-12 * np.abs(A.coeffs[0]).max(axis=(0, 1))
     for col in range(m):
-        column = np.array([rows[r][col][0] for r in range(col, m)])
+        column = M[0, col:, col]
         piv = col + np.argmax(np.abs(column), axis=0)
         best = np.take_along_axis(column, (piv - col)[None], axis=0)[0]
         low = np.abs(best) <= floor
@@ -476,43 +578,41 @@ def jet_linear_solve(A, b):
             raise batch_error(SingularSystem, low, lambda b:
                               "pivot %g below floor %g in column %d"
                               % (best_b[b], floor_b[b], col))
-        for r in range(col + 1, m):
-            hit = piv == r
-            if np.all(hit):
-                rows[col], rows[r] = rows[r], rows[col]
-            elif np.any(hit):
-                for c in range(col, m + 1):
-                    rows[col][c], rows[r][c] = (
-                        np.where(hit, rows[r][c], rows[col][c]),
-                        np.where(hit, rows[col][c], rows[r][c]))
-        d = rows[col][col]
+        if np.any(piv != col):
+            # swap rows col and piv, in each batch column on its own
+            perm = np.indices((m,) + batch)[0]
+            perm[col] = piv
+            np.put_along_axis(perm, piv[None], col, axis=0)
+            M = np.take_along_axis(M, perm[None, :, None], axis=1)
+        d = M[:, col, col]
         inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
-        for r in range(m):
-            if r != col:
-                f = coeff_mul(rows[r][col], inv, tb)
-                for c in range(col, m + 1):
-                    rows[r][c] = rows[r][c] - coeff_mul(f, rows[col][c], tb)
-    out = []
-    for i in range(m):
-        d = rows[i][i]
-        inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
-        out.append(Jet(dim, order, coeff_mul(rows[i][m], inv, tb)))
-    return out
+        rows = [r for r in range(m) if r != col]
+        f = coeff_mul(M[:, rows, col], inv[:, None], tb)
+        M[:, rows, col:] = M[:, rows, col:] - coeff_mul(
+            f[:, :, None], M[:, col, None, col:], tb)
+    diag = np.arange(m)
+    d = M[:, diag, diag]
+    inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
+    x = coeff_mul(M[:, :, m:], inv[:, :, None], tb)
+    return Jet(A.dim, order, x if b.rank == 2 else x[:, :, 0], b.rank)
 
 
 def directional_derivative(f: Jet, v) -> Jet:
-    """Derivative of f along the vector v (components jets or scalars)."""
+    """Derivative of f along v: one vector (a jet of shape (dim,), or a
+    list of jets and numbers), or a jet of vectors along its last axis,
+    whose other axes then lead the shape of the result."""
     if f.order == 0:
         raise OrderExhausted("directional derivative needs order >= 1")
-    out = None
-    for axis in range(f.dim):
-        term = f.derivative(axis)
-        vc = v[axis]
-        if isinstance(vc, Jet):
-            if vc.order > term.order:
-                vc = vc.truncate(term.order)
-            elif vc.order < term.order:
-                term = term.truncate(vc.order)
-        term = term * vc
-        out = term if out is None else out + term
-    return out
+    if not isinstance(v, Jet):
+        v = stack(v)
+    df = f.derivatives()
+    r = min(v.order, df.order)
+    df, v = df.truncate(r), v.truncate(r)
+    return ordered_sum(df[..., axis] * v[(Ellipsis, axis) + (None,) * f.rank]
+                       for axis in range(f.dim))
+
+
+def ordered_sum(terms):
+    """Left-to-right sum of jets: the one order every contraction sums in,
+    so that each entry adds up as the scalar jets it replaces did."""
+    return reduce(operator.add, terms)

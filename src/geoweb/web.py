@@ -19,7 +19,8 @@ import numpy as np
 from . import expr
 from .errors import (DegenerateWebPoint, OrderExhausted, SingularSystem,
                      batch_error)
-from .jets import Jet, directional_derivative, jet_linear_solve, value_array
+from .jets import (Jet, directional_derivative, jet_linear_solve,
+                   ordered_sum, skew_upper, stack, where)
 
 # relative floor below which a lambda or a-coefficient counts as vanishing
 DEGENERACY_FLOOR = 1e-10
@@ -88,24 +89,25 @@ def pointed_chart(web: WebChart) -> WebChart:
 class NormalizedCoframe:
     """Gauge-fixed coframe data at one base point (n,) or a batch (B, n).
 
-    `order` is the jet order of omega/frame/lambda entries (one less than
-    the order the web functions were expanded to); `c` holds the frame
-    commutator coefficients c^k_ij at one order less again.
+    `order` is the jet order of omega/frame/lambda (one less than the
+    order the web functions were expanded to); `c` and `dframe` are one
+    order less again.
     """
     point: np.ndarray
     order: int
-    lam: list                  # n+1 jets, lam[n] == 1
-    omega: list                # (n+1) x n jets, omega[i][a] dx_a components
-    frame: list                # n x n jets, frame[i][a] d/dx_a components
-    c: list                    # n x n x n jets, c[k][i][j] = -c[k][j][i]
+    lam: Jet                   # (n+1,), lam[n] == 1
+    omega: Jet                 # (n+1, n), omega[i][a] dx_a components
+    frame: Jet                 # (n, n), frame[i][a] d/dx_a components
+    c: Jet                     # (n, n, n), c[k][i][j] = -c[k][j][i]
+    dframe: Jet                # (n, n, n), dframe[i][j][a] = D_i frame[j][a]
 
     @property
     def dim(self) -> int:
-        return len(self.frame)
+        return self.frame.shape[0]
 
-    def frame_derivative(self, i: int, f: Jet) -> Jet:
-        """Derivative of a jet along frame vector i (0-based)."""
-        return directional_derivative(f, self.frame[i])
+    def frame_derivatives(self, f: Jet) -> Jet:
+        """D_i f for every frame vector i, along a new first shape axis."""
+        return directional_derivative(f, self.frame)
 
 
 def _points(point):
@@ -147,62 +149,45 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
         raise OrderExhausted(
             "coframe normalization needs function jets of order >= 2")
     point = np.asarray(point, dtype=float)
-    fs = [web.eval_function(i, point, order) for i in range(1, n + 2)]
-    grads = [[f.derivative(a) for a in range(n)] for f in fs]
-    A = [[grads[i][a] for i in range(n)] for a in range(n)]
-    b = [-grads[n][a] for a in range(n)]
+    f = stack([web.eval_function(i, point, order) for i in range(1, n + 2)])
+    grads = f.derivatives()            # grads[i][a] = d_a f_i
     try:
-        lam = jet_linear_solve(A, b)
+        lam = jet_linear_solve(grads[:n].transpose(), -grads[n])
     except SingularSystem as e:
         raise _singular("coframe normalization is singular", point, e) \
             from None
-    check_vanishing(value_array(lam, (n,)), point,
-                    lambda i: "lambda_%d" % (i + 1))
-    lam = lam + [Jet.constant(1.0, n, order - 1)]
-    omega = [[lam[i] * grads[i][a] for a in range(n)] for i in range(n + 1)]
-
-    W = [row[:] for row in omega[:n]]
-    frame = []
-    for j in range(n):
-        ej = [Jet.constant(1.0 if i == j else 0.0, n, order - 1)
-              for i in range(n)]
-        try:
-            frame.append(jet_linear_solve(W, ej))
-        except SingularSystem as e:
-            raise _singular("coframe is not invertible", point, e) from None
-
-    cof = NormalizedCoframe(point, order - 1, lam, omega, frame, [])
-    zero = Jet.constant(0.0, n, order - 2)
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # [frame_i, frame_j]^a = D_i E_j^a - D_j E_i^a
-            bracket = [cof.frame_derivative(i, frame[j][a])
-                       - cof.frame_derivative(j, frame[i][a])
-                       for a in range(n)]
-            for k in range(n):
-                wk = [omega[k][a].truncate(order - 2) for a in range(n)]
-                ckij = wk[0] * bracket[0]
-                for a in range(1, n):
-                    ckij = ckij + wk[a] * bracket[a]
-                c[k][i][j] = ckij
-                c[k][j][i] = -ckij
-    cof.c = c
-    return cof
+    check_vanishing(lam.value, point, lambda i: "lambda_%d" % (i + 1))
+    i = np.arange(n + 1)
+    lam = where(i < n, lam[np.minimum(i, n - 1)], 1.0)    # lam[n] = 1
+    omega = lam[:, None] * grads
+    try:
+        # column j of the inverse of omega[i][a] is frame j
+        frame = jet_linear_solve(
+            omega[:n], Jet.constant(np.eye(n), n, order - 1)).transpose()
+    except SingularSystem as e:
+        raise _singular("coframe is not invertible", point, e) from None
+    dframe = directional_derivative(frame, frame)
+    # c[k][i][j] = omega_k([frame_i, frame_j]), summed over a in order,
+    # with [frame_i, frame_j]^a = D_i frame_j^a - D_j frame_i^a
+    bracket = dframe - dframe.transpose(1, 0, 2)
+    w = omega[:n].truncate(order - 2)
+    c = ordered_sum(w[:, a, None, None] * bracket[..., a] for a in range(n))
+    return NormalizedCoframe(point, order - 1, lam, omega, frame,
+                             skew_upper(c), dframe)
 
 
 @dataclass
 class BasisInvariant:
     """Coefficients of foliation k in the basis coframe: sum a_i omega_i = -df_k."""
     foliation: int             # 1-based index into the chart
-    a: list                    # n jets, order matching the coframe
+    a: Jet                     # (n,), order matching the coframe
 
     def projective_class(self) -> np.ndarray:
         """Representative of [a_1 : ... : a_n], largest component scaled to 1.
 
         Shape (n,) at a point, (B, n) for a batch.
         """
-        vals = value_array(self.a, (len(self.a),))
+        vals = self.a.value
         lead = np.argmax(np.abs(vals), axis=-1)[..., None]
         return vals / np.take_along_axis(vals, lead, axis=-1)
 
@@ -215,14 +200,11 @@ def basis_invariants(cof: NormalizedCoframe, web: WebChart,
         raise ValueError("foliation index %d outside n+2..d = %d..%d"
                          % (k, n + 2, web.d))
     fk = web.eval_function(k, cof.point, cof.order + 1)
-    dfk = [fk.derivative(a) for a in range(n)]
-    A = [[cof.omega[i][a] for i in range(n)] for a in range(n)]
-    b = [-dfk[a] for a in range(n)]
     try:
-        a = jet_linear_solve(A, b)
+        a = jet_linear_solve(cof.omega[:n].transpose(), -fk.derivatives())
     except SingularSystem as e:
         raise _singular("basis-invariant system for foliation %d is singular"
                         % k, cof.point, e) from None
-    check_vanishing(value_array(a, (n,)), cof.point, lambda i:
+    check_vanishing(a.value, cof.point, lambda i:
                     "basis invariant a_%d of foliation %d" % (i + 1, k))
     return BasisInvariant(k, a)

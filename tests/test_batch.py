@@ -203,6 +203,29 @@ def test_variable_exponent_failure_marks_batch_rows():
         "log of non-positive value -0.2", "division by zero", "ok"]
 
 
+def test_tiny_constant_base_under_a_variable_exponent():
+    # 1e-300^x1 is exp(x1 log 1e-300): the series of log at the constant
+    # 1e-300 overflows (1/u0^2 = inf) and times the constant's zero
+    # derivative part gave nan in every slot, so every point was excluded
+    # as non-finite; the logarithm of a constant is now taken as a value
+    web = WebChart.from_strings(
+        2, ["x1", "x2", "-(x1+x2)", "x1+2*x2+1e-300^x1"],
+        center=(0.5, 0.0), radius=0.4)
+    pts = grid_points(web, 3)
+    rep = curvature.linearizability_verdict(web, pts)
+    assert [r.status for r in rep.rows] == ["ok"] * len(pts)
+    assert rep.verdict == "linearizable"
+    tree = web.functions[3]
+    for order in range(5):
+        batch = expr.eval_coeffs(tree, pts, order)
+        assert np.isfinite(batch).all()
+        for b, pt in enumerate(pts):
+            assert batch[:, b].tobytes() == \
+                expr.eval_field(tree, pt, order).coeffs.tobytes()
+    with pytest.raises(DomainError, match="log of non-positive value -2"):
+        expr.eval_coeffs(expr.parse_expression("(-2)^x1", 2), pts, 2)
+
+
 def test_large_sample_runs_in_bounded_batches(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_BATCH", 8)
     calls = []
@@ -289,7 +312,7 @@ def test_weyl_loop_leaves_riemann_values_alone():
     conn = connection.canonical_structure(web, pts, 3).conn
     R = curvature.riemann(conn)
     pack = curvature.projective_pack(conn)
-    assert np.array_equal(pack.riemann, jets.value_array(R, (3, 3, 3, 3)))
+    assert np.array_equal(pack.riemann, R.value)
     for b, pt in enumerate(pts):
         alone = curvature.projective_pack(
             connection.canonical_structure(web, pt, 3).conn)

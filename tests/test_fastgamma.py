@@ -1,11 +1,14 @@
 """Batched Christoffel pipeline against the jet route.
 
-Both routes expand the web functions with the one walk
-`expr.eval_coeffs`, so a batch column must equal the per-point jet bit for
-bit.  They also share the degeneracy checks, the skew-invariant formula and
-the frame-Christoffel mapping; only the linear algebra differs (matrix
-calculus on values here, jet-level solves there), so agreement at round-off
-checks that part alone.  The checks that do not rest on the shared
+`fastgamma` stays beside the tensor-shaped jet route because at one point
+it is several times faster (see its module docstring), and `geodesic`
+calls it one point at a time.  Both routes expand the web functions with
+the one walk `expr.eval_coeffs`, so a batch column must equal the
+per-point jet bit for bit.  They also share the degeneracy checks, the
+skew-invariant formula and the frame-Christoffel mapping; only the linear
+algebra differs (matrix calculus on values here, jet-level solves and
+tensor contractions there), so agreement at round-off checks that part
+alone.  The checks that do not rest on the shared
 formulas are in `test_acceptance.py`: `test_02` (the defining foliations
 are totally geodesic for the jet route's connection), `test_03`
 (hand-derived spot values) and `test_09` (geodesics of this module's

@@ -59,7 +59,7 @@ def test_frame_derivative_scales_partial():
     web = WebChart.from_strings(2, XY_SLOT3)
     cof = normalize_coframe(web, (0.0, 0.5), order=3)
     f = web.eval_function(1, (0.0, 0.5), order=3)   # f = x1
-    d = cof.frame_derivative(0, f)
+    d = cof.frame_derivatives(f)[0]
     assert d.value == pytest.approx(1.0 / 1.5, rel=1e-13)
 
 
