@@ -10,6 +10,7 @@ the unique torsion-free connection making every web leaf totally geodesic
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -122,18 +123,27 @@ class ConnectionField:
         return self.gamma.value
 
 
+@lru_cache(maxsize=None)
+def _frame_index(n):
+    # for frame_christoffels, cached like `grid`: the index arrays (k, p,
+    # q), the theta column of an entry with q = k or p = k, and the masks
+    # of the entries with one and with both
+    k, p, q = grid(n, 3)
+    return (k, p, q, np.where(q == k, p, q), (p == k) | (q == k),
+            (p == k) & (q == k))
+
+
 def frame_christoffels(c, th):
     """Frame symbols fg[k][p][q] from the structure functions c[k][i][j]
     and the theta matrix th[i][j]: jets, or value arrays with the batch
     axis last."""
-    n = len(th)
-    k, p, q = grid(n, 3)
+    k, p, q, col, one, both = _frame_index(len(th))
     cqp = c[k, q, p]
     # (c[k][k][p] - th[k][p]) / 2 where q = k, (c[k][q][k] - th[k][q]) / 2
     # where p = k, c[k][q][p] / 2 elsewhere and -th[k][k] where both
-    shifted = (cqp - th[k, np.where(q == k, p, q)]) * 0.5
-    fg = where((p == k) | (q == k), shifted, cqp * 0.5)
-    return where((p == k) & (q == k), -th[k, k], fg)
+    shifted = (cqp - th[k, col]) * 0.5
+    fg = where(one, shifted, cqp * 0.5)
+    return where(both, -th[k, k], fg)
 
 
 def canonical_christoffels(cof: NormalizedCoframe,

@@ -5,9 +5,13 @@ Grammar (precedence low to high): `+ -`, `* /`, unary minus, `^`
 sin, cos, sqrt, atan; literals are decimal or scientific.  Trees are
 immutable; the canonical printer is a fixed point under reparsing.
 
-`eval_coeffs` is the one evaluation walk over a tree: it gives the Taylor
-coefficients of the expression over a batch of points, and `eval_field` is
-its batch of one wrapped as a `Jet`.
+Trees are evaluated by programs compiled once (`compile_program`): each
+constant subtree is folded to a float, and every other node becomes a
+closure that runs its Taylor operation on the coefficients of a whole
+batch of points, in the order a depth-first walk visits the nodes.
+`eval_coeffs` compiles and runs one tree, `eval_field` wraps its batch of
+one as a `Jet`, and `fastgamma` compiles a web's functions once for all
+its RK4 stages.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ _TOKEN_RE = re.compile(
 )
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 
-# deepest tree and nesting the parser accepts: evaluating and printing a
-# tree recurse once per level, parsing about six times per nested
+# deepest tree and nesting the parser accepts: compiling, running and
+# printing a tree recurse once per level, parsing about six times per nested
 # parenthesis, minus sign, exponent or function call
 MAX_DEPTH = 100
 
@@ -279,9 +283,69 @@ def print_expression(node: Node) -> str:
     return _print(node, 0)
 
 
-# overflow, division by zero and invalid operations show as non-finite
-# coefficients, which eval_coeffs checks, so numpy need not warn about them
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+# ---------------------------------------------------------------------------
+# Compiled evaluation.  A compiled node is a folded constant (a float) or a
+# closure node(xs, tb, order) that runs its compiled children left to
+# right, as a depth-first walk would, then the node's operation on
+# coefficient arrays (count, B).  A constant subtree that does not fold
+# compiles to a closure raising its DomainError, so the error still comes
+# at evaluation, in walk order.  xs holds the jets of the coordinate
+# functions, built once per run and shared by every variable node, so no
+# closure writes into an array it is given.
+
+
+def compile_program(nodes):
+    """Program `program(X, order)` giving the Taylor coefficients
+    (len(nodes), count, B) of the trees `nodes` at the points X (B, n).
+
+    Row k is `eval_coeffs(nodes[k], X, order)`.  The trees run in order,
+    and the first that fails raises: an out-of-domain column, or a column
+    with a coefficient that overflows to inf or nan, raises DomainError for
+    the whole batch (see `errors.batch_error`).  Compile the functions of a
+    web once when they are evaluated many times.
+    """
+    nodes = tuple(nodes)
+    runs = [node if callable(node) else _constant_node(node)
+            for node in map(_compile, nodes)]
+
+    # overflow, division by zero and invalid operations show as non-finite
+    # coefficients, which the program checks, so numpy need not warn
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def program(X, order):
+        X = np.asarray(X, dtype=float)
+        width, n = X.shape
+        tb = jets._tables(n, order)
+        xs = np.zeros((n, tb.count, width))
+        xs[:, 0] = X.T
+        if order >= 1:
+            axes = np.arange(n)
+            xs[axes, 1 + axes] = 1.0
+        out = np.empty((len(nodes), tb.count, width))
+        for k, run in enumerate(runs):
+            try:
+                out[k] = run(xs, tb, order)
+            except DomainError:
+                # an earlier tree that came out non-finite fails first
+                _check_finite(nodes, out[:k])
+                raise
+        _check_finite(nodes, out)
+        return out
+
+    return program
+
+
+def _check_finite(nodes, out):
+    # a finite sum of squares has no inf or nan term
+    if math.isfinite(np.vdot(out, out)) or np.isfinite(out).all():
+        return
+    bad = ~np.isfinite(out)
+    k = int(np.argmax(bad.any(axis=(1, 2))))
+    raise batch_error(DomainError, bad[k].any(axis=0), lambda b:
+                      "non-finite %s of %s"
+                      % ("value" if bad[k, 0, b] else "derivative",
+                         print_expression(nodes[k])))
+
+
 def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     """Taylor coefficients (count, B) of the expression at the points X (B, n).
 
@@ -289,134 +353,11 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     in the multi-index layout of `jets.exponents`.  Each operation does
     what the `Jet` operator of the same name does, column by column, so a
     column equals the single-point jet bit for bit.  Constant
-    subexpressions stay Python floats until they meet an array and raise
-    DomainError where they are undefined; an out-of-domain column, or one
-    with a coefficient that overflows to inf or nan, raises DomainError for
-    the whole batch (see `errors.batch_error`).
+    subexpressions are folded to Python floats and raise DomainError where
+    they are undefined; an out-of-domain column, or one with a coefficient
+    that overflows to inf or nan, raises DomainError for the whole batch.
     """
-    X = np.asarray(X, dtype=float)
-    tb = jets._tables(X.shape[1], order)
-
-    def constant(value, width):
-        out = np.zeros((tb.count, width))
-        out[0] = value
-        return out
-
-    def series(name, u):
-        u0 = u[0]
-        if name == "recip" and np.any(u0 == 0.0):
-            raise batch_error(DomainError, u0 == 0.0,
-                              lambda b: "division by zero")
-        if name in ("log", "sqrt") and np.any(u0 <= 0.0):
-            raise batch_error(DomainError, u0 <= 0.0, lambda b:
-                              "%s of non-positive value %g" % (name, u0[b]))
-        if name == "log" and not np.any(u[1:]):
-            # a constant's logarithm as a value: the series terms 1/u0^j
-            # only multiply zeros, and overflow to nan for a tiny u0
-            return constant(np.log(u0), u.shape[1])
-        return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
-
-    def const_power(u, p):
-        # integral exponent: binary powering from the leading bit (u^2 =
-        # u*u, u^3 = (u*u)*u), reciprocal when negative; otherwise
-        # exp(p log u)
-        if math.isfinite(p) and p == int(p):
-            k = abs(int(p))
-            out = u if k else constant(1.0, u.shape[1])
-            for bit in bin(k)[3:]:
-                out = jets.coeff_mul(out, out, tb)
-                if bit == "1":
-                    out = jets.coeff_mul(out, u, tb)
-            return out if p >= 0 else series("recip", out)
-        return series("exp", p * series("log", u))
-
-    def on_columns(cols, fn, *args):
-        # fn over the batch columns `cols` marks; a DomainError it raises
-        # marks its rows, and gives their details, in the whole batch
-        try:
-            return fn(*(a[:, cols] for a in args))
-        except DomainError as e:
-            rows = np.zeros(cols.shape, bool)
-            rows[np.flatnonzero(cols)[e.rows]] = True
-            sub, detail = np.cumsum(cols) - 1, e.detail
-            raise batch_error(DomainError, rows,
-                              lambda b: detail(sub[b])) from None
-
-    def power(u, p):
-        if not isinstance(p, np.ndarray):
-            return const_power(u, p)
-        # an exponent column without a derivative part counts as constant
-        out = np.full(u.shape, np.nan)
-        varying = np.any(p[1:] != 0.0, axis=0)
-        if np.any(varying):
-            out[:, varying] = on_columns(varying, lambda pv, uv: series(
-                "exp", jets.coeff_mul(pv, series("log", uv), tb)), p, u)
-        for e in np.unique(p[0, ~varying]):
-            cols = ~varying & (p[0] == e)
-            out[:, cols] = on_columns(
-                cols, lambda uc: const_power(uc, float(e)), u)
-        return out
-
-    def walk(nd):
-        if isinstance(nd, Const):
-            return nd.value
-        if isinstance(nd, Var):
-            out = constant(X[:, nd.axis], len(X))
-            if order >= 1:
-                out[1 + nd.axis] = 1.0
-            return out
-        if isinstance(nd, Neg):
-            return -walk(nd.arg)
-        if isinstance(nd, Call):
-            u = walk(nd.arg)
-            if isinstance(u, np.ndarray):
-                return series(nd.fn, u)
-            return _fold(nd, _MATH[nd.fn], u)
-        a, b = walk(nd.left), walk(nd.right)
-        a_arr, b_arr = isinstance(a, np.ndarray), isinstance(b, np.ndarray)
-        if not (a_arr or b_arr):
-            return _fold(nd, _FLOAT_OPS[nd.op], a, b)
-        # a float meets an array: as in `Jet`, + and - touch coefficient 0
-        if nd.op == "+":
-            if a_arr and b_arr:
-                return a + b
-            out, c = (a.copy(), b) if a_arr else (b.copy(), a)
-            out[0] += c
-            return out
-        if nd.op == "-":
-            if a_arr and b_arr:
-                return a - b
-            if a_arr:
-                out = a.copy()
-                out[0] -= b
-            else:
-                out = -b
-                out[0] += a
-            return out
-        if nd.op == "*":
-            return jets.coeff_mul(a, b, tb) if a_arr and b_arr else a * b
-        if nd.op == "/":
-            if not b_arr:
-                if b == 0.0:
-                    raise batch_error(DomainError, np.ones(len(X), bool),
-                                      lambda _: "division by zero in %s"
-                                      % print_expression(nd))
-                return a / b
-            inv = series("recip", b)
-            return jets.coeff_mul(a, inv, tb) if a_arr else a * inv
-        return power(a if a_arr else constant(a, len(X)), b)
-
-    res = walk(node)
-    if not isinstance(res, np.ndarray):
-        return constant(res, len(X))
-    # a finite sum of squares has no inf or nan term
-    if not math.isfinite(np.vdot(res, res)) and not np.isfinite(res).all():
-        bad = ~np.isfinite(res)
-        raise batch_error(DomainError, bad.any(axis=0), lambda b:
-                          "non-finite %s of %s"
-                          % ("value" if bad[0, b] else "derivative",
-                             print_expression(node)))
-    return res
+    return compile_program([node])(X, order)[0]
 
 
 def eval_field(node: Node, point, order: int) -> Jet:
@@ -427,14 +368,186 @@ def eval_field(node: Node, point, order: int) -> Jet:
     return Jet(len(point), order, eval_coeffs(node, point[None], order)[:, 0])
 
 
+def _compile(node):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        axis = node.axis
+        return lambda xs, tb, order: xs[axis]
+    if isinstance(node, Neg):
+        arg = _compile(node.arg)
+        if not callable(arg):
+            return -arg
+        return lambda xs, tb, order: -arg(xs, tb, order)
+    if isinstance(node, Call):
+        arg, name = _compile(node.arg), node.fn
+        if not callable(arg):
+            return _fold(node, _MATH[name], arg)
+        return lambda xs, tb, order: _series(name, arg(xs, tb, order), tb,
+                                             order)
+    a, b = _compile(node.left), _compile(node.right)
+    if not (callable(a) or callable(b)):
+        return _fold(node, _FLOAT_OPS[node.op], a, b)
+    return _BINARY[node.op](node, a, b)
+
+
+def _constant_node(value):
+    return lambda xs, tb, order: _constant(value, tb.count, xs.shape[2])
+
+
 def _fold(node, fn, *args):
     # evaluate a constant subexpression; a complex power, an overflow, a
-    # division by zero or a math domain error raises DomainError
+    # division by zero or a math domain error gives a node that raises
+    # DomainError when run
     try:
         value = fn(*args)
     except (ArithmeticError, ValueError):
         value = None
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise DomainError("constant subexpression %s is not a finite real number"
-                          % print_expression(node))
-    return value
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    message = ("constant subexpression %s is not a finite real number"
+               % print_expression(node))
+
+    def undefined(xs, tb, order):
+        raise DomainError(message)
+    return undefined
+
+
+# Each binary builder takes the node and its compiled operands, at least
+# one of them a closure, and gives the closure of the node.  A float
+# meets an array as in `Jet`: + and - touch coefficient 0.
+
+def _add(node, a, b):
+    if callable(a) and callable(b):
+        return lambda xs, tb, order: a(xs, tb, order) + b(xs, tb, order)
+    arr, c = (a, b) if callable(a) else (b, a)
+
+    def shifted(xs, tb, order):
+        out = arr(xs, tb, order).copy()
+        out[0] += c
+        return out
+    return shifted
+
+
+def _sub(node, a, b):
+    if callable(a) and callable(b):
+        return lambda xs, tb, order: a(xs, tb, order) - b(xs, tb, order)
+    if callable(a):
+        def lowered(xs, tb, order):
+            out = a(xs, tb, order).copy()
+            out[0] -= b
+            return out
+        return lowered
+
+    def negated(xs, tb, order):
+        out = -b(xs, tb, order)
+        out[0] += a
+        return out
+    return negated
+
+
+def _mul(node, a, b):
+    if callable(a) and callable(b):
+        return lambda xs, tb, order: jets.coeff_mul(a(xs, tb, order),
+                                                    b(xs, tb, order), tb)
+    if callable(a):
+        return lambda xs, tb, order: a(xs, tb, order) * b
+    return lambda xs, tb, order: a * b(xs, tb, order)
+
+
+def _div(node, a, b):
+    if callable(b):
+        if callable(a):
+            def quotient(xs, tb, order):
+                u = a(xs, tb, order)
+                return jets.coeff_mul(
+                    u, _series("recip", b(xs, tb, order), tb, order), tb)
+            return quotient
+        return lambda xs, tb, order: a * _series("recip", b(xs, tb, order),
+                                                 tb, order)
+    if b != 0.0:
+        return lambda xs, tb, order: a(xs, tb, order) / b
+
+    def by_zero(xs, tb, order):
+        a(xs, tb, order)
+        raise batch_error(DomainError, np.ones(xs.shape[2], bool), lambda _:
+                          "division by zero in %s" % print_expression(node))
+    return by_zero
+
+
+def _pow(node, a, b):
+    if not callable(b):
+        return lambda xs, tb, order: _const_power(a(xs, tb, order), b, tb,
+                                                  order)
+    if callable(a):
+        return lambda xs, tb, order: _power(a(xs, tb, order),
+                                            b(xs, tb, order), tb, order)
+    return lambda xs, tb, order: _power(_constant(a, tb.count, xs.shape[2]),
+                                        b(xs, tb, order), tb, order)
+
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+
+
+def _constant(value, count, width):
+    out = np.zeros((count, width))
+    out[0] = value
+    return out
+
+
+def _series(name, u, tb, order):
+    u0 = u[0]
+    if name == "recip" and np.any(u0 == 0.0):
+        raise batch_error(DomainError, u0 == 0.0,
+                          lambda b: "division by zero")
+    if name in ("log", "sqrt") and np.any(u0 <= 0.0):
+        raise batch_error(DomainError, u0 <= 0.0, lambda b:
+                          "%s of non-positive value %g" % (name, u0[b]))
+    if name == "log" and not np.any(u[1:]):
+        # a constant's logarithm as a value: the series terms 1/u0^j
+        # only multiply zeros, and overflow to nan for a tiny u0
+        return _constant(np.log(u0), tb.count, u.shape[1])
+    return jets.coeff_compose(u, jets.SERIES[name](u0, order), tb)
+
+
+def _const_power(u, p, tb, order):
+    # integral exponent: binary powering from the leading bit (u^2 = u*u,
+    # u^3 = (u*u)*u), reciprocal when negative; otherwise exp(p log u)
+    if math.isfinite(p) and p == int(p):
+        k = abs(int(p))
+        out = u if k else _constant(1.0, tb.count, u.shape[1])
+        for bit in bin(k)[3:]:
+            out = jets.coeff_mul(out, out, tb)
+            if bit == "1":
+                out = jets.coeff_mul(out, u, tb)
+        return out if p >= 0 else _series("recip", out, tb, order)
+    return _series("exp", p * _series("log", u, tb, order), tb, order)
+
+
+def _on_columns(cols, fn, *args):
+    # fn over the batch columns `cols` marks; a DomainError it raises marks
+    # its rows, and gives their details, in the whole batch
+    try:
+        return fn(*(a[:, cols] for a in args))
+    except DomainError as e:
+        rows = np.zeros(cols.shape, bool)
+        rows[np.flatnonzero(cols)[e.rows]] = True
+        sub, detail = np.cumsum(cols) - 1, e.detail
+        raise batch_error(DomainError, rows,
+                          lambda b: detail(sub[b])) from None
+
+
+def _power(u, p, tb, order):
+    # u^p for an exponent array p: an exponent column without a derivative
+    # part counts as constant
+    out = np.full(u.shape, np.nan)
+    varying = np.any(p[1:] != 0.0, axis=0)
+    if np.any(varying):
+        out[:, varying] = _on_columns(varying, lambda pv, uv: _series(
+            "exp", jets.coeff_mul(pv, _series("log", uv, tb, order), tb),
+            tb, order), p, u)
+    for e in np.unique(p[0, ~varying]):
+        cols = ~varying & (p[0] == e)
+        out[:, cols] = _on_columns(
+            cols, lambda uc: _const_power(uc, float(e), tb, order), u)
+    return out

@@ -133,6 +133,21 @@ def test_blowup_raises_step_too_large():
     assert web.dim == 2
 
 
+def test_overflowing_stages_raise_without_warnings():
+    # Gamma[0,0,0] = +-1e300 by the sign of x1: the stages meet inf and
+    # nan, numpy's overflow and invalid-value warnings are not silenced on
+    # this path, and pytest turns any of them into an error
+    def huge(x):
+        x = np.asarray(x)
+        G = np.zeros(x.shape[:-1] + (2, 2, 2))
+        G[..., 0, 0, 0] = np.where(x[..., 0] >= 0, 1e300, -1e300)
+        return G
+
+    with pytest.raises(StepTooLarge, match="near t=0.1;"):
+        geodesics.integrate_geodesic(huge, [0.0, 0.0], [1.0, 0.0],
+                                     T=1.0, h=0.1)
+
+
 def test_invalid_horizon_rejected():
     web = make_web("parallel2")
     gamma = fastgamma.batched_gamma_evaluator(web)

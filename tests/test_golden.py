@@ -1,10 +1,14 @@
 """Golden reports: byte-identical stdout for fixed webs, flags and seeds.
 
-Each case runs `cli.main` in this process on a benchmark web file and
-compares the sha256 of its stdout with a recorded hash.  The hashes hold
-the reports' bytes fixed across refactors of the pipeline: a change that
-moves a single digit of any row fails here.  Re-record a hash only for a
-change that is meant to move report bytes, and say which rows moved.
+Each case runs `cli.main` in this process on a benchmark web file, or on
+`tests/webs/nodes.json`, whose functions use every kind of expression node
+(constants, negation, the four operations, integral, negative and
+non-integral constant powers, a variable exponent, every series function
+and division by a non-constant), and compares the sha256 of its stdout
+with a recorded hash.  The hashes hold the reports' bytes fixed across
+refactors of the pipeline: a change that moves a single digit of any row
+fails here.  Re-record a hash only for a change that is meant to move
+report bytes, and say which rows moved.
 """
 
 import hashlib
@@ -14,8 +18,9 @@ import pytest
 
 from geoweb import cli
 
-WEBS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                    "webs")
+HERE = os.path.dirname(__file__)
+WEBS = os.path.join(HERE, os.pardir, "perfbench", "webs")
+NODES = os.path.join(HERE, "webs", "nodes.json")
 SAMPLE = ("--random", "20", "--seed", "1")
 GEODESIC = {"xy4": ("--from", "0.1,0.05", "--leaf", "4", "--dir", "1,0",
                     "--T", "0.02", "--h", "0.002"),
@@ -25,25 +30,35 @@ GEODESIC = {"xy4": ("--from", "0.1,0.05", "--leaf", "4", "--dir", "1,0",
                      "--T", "0.01", "--h", "0.001")}
 AT = {"xy4": "0.1,-0.2", "mixed3": "0.1,-0.05,0.2"}
 
-# case -> (command, web, further arguments, exit code)
+
+def _bench(web):
+    return os.path.join(WEBS, web + ".json")
+
+
+# case -> (command, web file, further arguments, exit code)
 CASES = {}
 for _web in ("xy4", "curved4", "lin5", "mixed3", "web4"):
-    CASES["linearize-" + _web] = ("linearize", _web, SAMPLE,
+    CASES["linearize-" + _web] = ("linearize", _bench(_web), SAMPLE,
                                   0 if _web in ("xy4", "lin5") else 2)
 for _web in ("sin6", "cubic6"):
-    CASES["check-" + _web] = ("check", _web, SAMPLE, 2)
-    CASES["invariants-" + _web] = ("invariants", _web, SAMPLE, 0)
+    CASES["check-" + _web] = ("check", _bench(_web), SAMPLE, 2)
+    CASES["invariants-" + _web] = ("invariants", _bench(_web), SAMPLE, 0)
 for _web in ("xy4", "mixed3"):
     for _gauge in ("zero", "pointed"):
         CASES["connection-%s-%s" % (_web, _gauge)] = (
-            "connection", _web, ("--at", AT[_web], "--gauge", _gauge), 0)
+            "connection", _bench(_web), ("--at", AT[_web], "--gauge", _gauge),
+            0)
 for _web, _args in GEODESIC.items():
-    CASES["geodesic-" + _web] = ("geodesic", _web, _args, 0)
+    CASES["geodesic-" + _web] = ("geodesic", _bench(_web), _args, 0)
 CASES["linearize-mixed3-json"] = (
-    "linearize", "mixed3", ("--random", "5", "--seed", "2", "--format",
-                            "json"), 2)
+    "linearize", _bench("mixed3"), ("--random", "5", "--seed", "2",
+                                    "--format", "json"), 2)
+CASES["linearize-nodes"] = ("linearize", NODES, SAMPLE, 2)
+CASES["geodesic-nodes"] = ("geodesic", NODES, (
+    "--from", "0.05,0.05", "--leaf", "5", "--T", "0.02", "--h", "0.002"), 0)
 
-# sha256 of each case's stdout, recorded before the tensor-shaped jets
+# sha256 of each case's stdout, recorded before the tensor-shaped jets;
+# the two `nodes` cases before the compiled expression programs
 DIGESTS = {
     "check-cubic6":
         "54229bcf9e9ba7f764fabe8890c1859019afd4052a49f9ee356b99237977f25a",
@@ -57,6 +72,8 @@ DIGESTS = {
         "91d0eb95d7b48e8ce9c3677971ce9dae97133a4d54b76e0ceea8cf7bfdc67100",
     "connection-xy4-zero":
         "67c2b59f843fdb8b3c9f256f552204201fd7b8317ba96abcfbe4339882963f89",
+    "geodesic-nodes":
+        "782ef86c483b5ec35c7e15f19c78bd87a6a1ecc391afa86007fd1e2d4e9b0bdb",
     "geodesic-mixed3":
         "799b5d581adb50772074fd11f5fecb16c015431ee75ed3c87e898a5840063b00",
     "geodesic-web4":
@@ -75,6 +92,8 @@ DIGESTS = {
         "49a567b9bf755e164892888d2f3d640e630e242cd34a3325d2e7fa6d1d5f0dfe",
     "linearize-mixed3-json":
         "8fade6065fd55eb5dd082f938a637ecdf48eb73bf50f3ecb5bdd3d22c234c289",
+    "linearize-nodes":
+        "ce097e964862808db5d7baaab4500fcb757b01c09ee5406e58155ebb30a62dc3",
     "linearize-web4":
         "2ca3ccdbc57f8195f29f1641a9e4806533c06cd46f89aae7d4cefbaa507dd973",
     "linearize-xy4":
@@ -84,8 +103,8 @@ DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes(case, capsys):
-    command, web, args, code = CASES[case]
-    argv = [command, os.path.join(WEBS, web + ".json"), *args]
+    command, path, args, code = CASES[case]
+    argv = [command, path, *args]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert err == ""

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from geoweb import jets, report
+from geoweb import cli, jets, report
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -36,3 +36,17 @@ def test_jet_kernels_run(monkeypatch):
     mul_us, mflops, solve_us = spans.jet_kernels(jets, {(2, 2)}, 0)
     assert np.isfinite([mul_us, mflops, solve_us]).all()
     assert min(mul_us, mflops, solve_us) > 0
+
+
+def test_geodesic_workload_passes_its_checks(monkeypatch):
+    # the measured `geodesic` invocations at seed 1, in this process: exit
+    # code, empty stderr, step count and leaf drift as the benchmark holds
+    # them, so a change that would fail the benchmark fails here first
+    spans = _spans(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(os.path.join(PERFBENCH, os.pardir))
+    invocations = workloads.build("geodesic", 1).invocations
+    assert len(invocations) == 3
+    for inv in invocations:
+        code, out, err = spans.call_main(cli.main, inv.argv)
+        assert workloads.check_output(inv, code, out, err) == [], inv.argv
