@@ -31,13 +31,13 @@ def check_coincidence(u0, v0, i, j, point):
     size, floored at 1.  Index arrays i, j add a leading pair axis to the
     values (floats at a point, (B,) rows for a batch); the first failing
     pair raises."""
-    i, j = np.atleast_1d(i), np.atleast_1d(j)
-    u0, v0 = np.reshape(u0, (len(i), -1)), np.reshape(v0, (len(i), -1))
     scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
     close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
     if close.any():
+        i, j = np.atleast_1d(i), np.atleast_1d(j)
+        close = close.reshape(len(i), -1)
         p = int(np.argmax(close.any(axis=1)))
-        vals = u0[p]
+        vals = np.reshape(u0, (len(i), -1))[p]
         pts = np.reshape(point, (-1, np.shape(point)[-1]))
         raise batch_error(CoincidentInvariants, close[p], lambda b:
                           "basis invariants a_%d and a_%d coincide (%g) at %s"

@@ -1,17 +1,22 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection thousands of times, one
-point at a time, where the tensor-shaped jet route is still 6 to 9 times
-slower (order 2, median of 100 interleaved calls on a 2-core x86-64
-machine: 1.1 / 1.5 / 2.0 ms against 0.18 / 0.20 / 0.21 ms here on the
-benchmark webs xy4 / mixed3 / web4).  `batched_gamma_evaluator` compiles
-the web functions once into an `expr.compile_program` program, the
-evaluation that also gives each per-point `Jet`, so a batch column equals
-the per-point jet bit for bit, and builds its index arrays once.  Each
-call takes the order-2 coefficients of all functions for a whole batch of
-points, derives lambda, the frame, the structure functions and the
-derivatives of the basis invariants by matrix calculus on their values,
-and hands those to the jet route's own checks and formulas
+point at a time, where the tensor-shaped jet route is still 12 to 17
+times slower (order 2, medians of 41 interleaved rounds of 50 points on a
+noisy 2-core x86-64 machine: 2.9 / 3.6 / 4.4 ms against 0.25 / 0.26 /
+0.27 ms here on the benchmark webs xy4 / mixed3 / web4).
+`batched_gamma_evaluator` compiles the web functions once into an
+`expr.compile_program` program, the evaluation that also gives each
+per-point `Jet`, so a batch column equals the per-point jet bit for bit,
+and builds its index arrays once.  Each call takes the order-2
+coefficients of all functions for a whole batch of points and factors one
+matrix, A = (d_a f_i), with one `np.linalg.inv`.  Everything else follows
+from A^-1 by batched matrix products: lambda and its derivative, the frame
+V = A^-T diag(1/lambda), which inverts the coframe W = diag(lambda) A^T,
+the structure functions, and the basis invariants and their derivatives,
+whose matrix W^T has the inverse V^T.  (Five `np.linalg.solve` calls,
+two with A, one with W and two with W^T, took 1.3 to 1.5 times as long.)
+The values go to the jet route's own checks and formulas
 (`web.check_vanishing`, `connection.check_coincidence`,
 `connection.skew_formula`, `connection.frame_christoffels`) with the
 batch axis moved last, so every entry is a (B,) row.
@@ -32,17 +37,6 @@ def batched_values(tree, X) -> np.ndarray:
     return expr.eval_coeffs(tree, X, 0)[0]
 
 
-def _solve(A, rhs, what, X):
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        # LAPACK stops at an exactly zero pivot of the LU factorization,
-        # whose determinant is then exactly zero too
-        singular = np.linalg.det(A) == 0.0
-        raise batch_error(DegenerateWebPoint, singular, lambda b: "%s at %s"
-                          % (what, np.array2string(X[b]))) from None
-
-
 def batched_gamma_evaluator(web: WebChart):
     """Point batch (B, n) -> coordinate Christoffel values (B, n, n, n).
 
@@ -59,11 +53,10 @@ def batched_gamma_evaluator(web: WebChart):
     slot = np.array([[index[tuple(unit[a] + unit[b])] for b in range(n)]
                      for a in range(n)])
     fac = 1.0 + np.eye(n)
-    eye = np.eye(n)
     i, j = np.nonzero(np.less(*jets.grid(n, 2)))
-    singular = "coframe normalization is singular"
-    basis = "basis-invariant system for foliation %d is singular" % (n + 2)
-    pads = {}                  # batch size -> the last row of lamf, dlamf
+    # Da[rows, cols] gathers D_i a_i, D_i a_j, D_j a_i, D_j a_j for
+    # every pair i < j
+    rows, cols = np.array([i, j, i, j]), np.array([i, i, j, j])
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
@@ -73,56 +66,55 @@ def batched_gamma_evaluator(web: WebChart):
         B = X.shape[0]
         # the functions in order, so the first that fails names the error;
         # then one gather of all gradients and Hessians from the (B, n+2,
-        # count) coefficients, grads[b, f, a] = d_a f and hesses[b, f, a, c].
-        # einsum sums in an order that follows the memory layout of its
-        # operands, so the arrays it reads, directly or through W and dW,
-        # are C-contiguous in the axis order shown
+        # count) coefficients, grads[b, f, a] = d_a f and hesses[b, f, a, c];
+        # einsum and matmul sum in an order that follows operand layout, so
+        # the layouts below fix the last bits of a batch
         co = np.ascontiguousarray(program(X, 2).transpose(2, 0, 1))
         grads = co[:, :, 1:1 + n]
         hesses = co[:, :, slot] * fac
 
         A = grads[:, :n].transpose(0, 2, 1)         # A[b,a,i] = d_a f_i
-        lam = _solve(A, -grads[:, n, :, None], singular, X)[:, :, 0]
+        try:
+            Ainv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            # LAPACK stops at an exactly zero pivot of the LU factorization,
+            # whose determinant is then exactly zero too
+            raise batch_error(DegenerateWebPoint, np.linalg.det(A) == 0.0,
+                              lambda b: "coframe normalization is singular "
+                              "at %s" % np.array2string(X[b])) from None
+        lam = -(Ainv @ grads[:, n, :, None])[:, :, 0]
         check_vanishing(lam, X, lambda i: "lambda_%d" % (i + 1))
-        dA = np.ascontiguousarray(hesses[:, :n].transpose(0, 2, 1, 3))
-        rhsd = -hesses[:, n] - np.einsum("baic,bi->bac", dA, lam)
-        dlam = _solve(A, rhsd, singular, X)          # (B, i, c)
+        # rhs[b,a,c] = -d_a d_c f_{n+1} - sum_i lam_i d_a d_c f_i
+        Hn = hesses[:, :n].reshape(B, n, n * n)
+        rhs = -hesses[:, n] - (lam[:, None] @ Hn).reshape(B, n, n)
+        dlam = Ainv @ rhs                            # (B, i, c)
 
-        if B not in pads:
-            pads[B] = np.ones((B, 1)), np.zeros((B, 1, n))
-        one, zero = pads[B]
-        lamf = np.concatenate([lam, one], axis=1)
-        dlamf = np.concatenate([dlam, zero], axis=1)
-        Gall = grads[:, :n + 1]                      # (B, n+1, a)
-        Hall = hesses[:, :n + 1]                     # (B, n+1, a, c)
-        Om = lamf[:, :, None] * Gall
-        dOm = dlamf[:, :, None, :] * Gall[:, :, :, None] \
-            + lamf[:, :, None, None] * Hall
-
-        W = Om[:, :n, :]                             # (B, i, a)
-        dW = dOm[:, :n, :, :]                        # (B, i, a, c)
-        # the frame: E[j][a] = V[a, j]
-        V = _solve(W, eye, "coframe is not invertible", X)
-        dV = -np.einsum("bpi,biqc,bqj->bpjc", V, dW, V)
-        FD = np.einsum("bpi,bajp->bija", V, dV)      # D_i E[j][a]
+        # the coframe W = diag(lam) A^T, row i omega_i = lam_i df_i, and
+        # the frame V = W^-1 = A^-T diag(1/lam): E[j][a] = V[a, j]
+        W = lam[:, :, None] * grads[:, :n]           # (B, i, a)
+        dW = dlam[:, :, None, :] * grads[:, :n, :, None] \
+            + lam[:, :, None, None] * hesses[:, :n]  # (B, i, a, c)
+        V = Ainv.transpose(0, 2, 1) / lam[:, None, :]
+        # dV[b,c] = -V dW[..., c] V, derivative index c first
+        dV = -(V[:, None] @ dW.transpose(0, 3, 1, 2) @ V[:, None])
+        FD = np.einsum("bpi,bpaj->bija", V, dV)      # D_i E[j][a]
         bracket = FD - FD.transpose(0, 2, 1, 3)
         cst = np.einsum("bka,bija->bkij", W, bracket)
 
-        M = W.transpose(0, 2, 1)                     # M[b,a,i] = omega_i[a]
-        av = _solve(M, -grads[:, n + 1, :, None], basis, X)[:, :, 0]
+        # the basis invariants solve W^T a = -g_{n+2}, and W^-T = V^T
+        av = -(grads[:, n + 1, None] @ V)[:, 0]
         check_vanishing(av, X, lambda i: "basis invariant a_%d of "
                         "foliation %d" % (i + 1, n + 2))
-        dM = dW.transpose(0, 2, 1, 3)
-        rhsa = -hesses[:, n + 1] - np.einsum("baic,bi->bac", dM, av)
-        da = _solve(M, rhsa, basis, X)               # (B, i, c)
-        Da = np.einsum("bcj,bic->bij", V, da)        # D_j a_i
+        dWf = dW.reshape(B, n, n * n)
+        rhs = -hesses[:, n + 1] - (av[:, None] @ dWf).reshape(B, n, n)
+        Da = V.transpose(0, 2, 1) @ rhs @ V          # D_j a_i = Da[b, i, j]
 
         # the batch axis last: a[i], Da[i][j] = D_j a_i, c[k][i][j] and
         # theta[i][j] are (B,) rows
         a, Da = av.T, Da.transpose(1, 2, 0)
         ai, aj = a[i], a[j]
         check_coincidence(ai, aj, i, j, X)
-        s = skew_formula(ai, aj, Da[i, i], Da[j, i], Da[i, j], Da[j, j])
+        s = skew_formula(ai, aj, *Da[rows, cols])
         theta = np.zeros((n, n, B))
         theta[i, j] = s
         theta[j, i] = -s
@@ -130,7 +122,7 @@ def batched_gamma_evaluator(web: WebChart):
         fg = np.ascontiguousarray(fg.transpose(3, 0, 1, 2))
 
         H = np.einsum("bkji,bck->bcij", fg, V) - FD.transpose(0, 3, 1, 2)
-        G = np.einsum("bia,bjd,bcij->bcad", W, W, H)
+        G = W.transpose(0, 2, 1)[:, None] @ H @ W[:, None]
         return G[0] if single else G
 
     return evaluate

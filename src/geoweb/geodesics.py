@@ -39,13 +39,16 @@ def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
     """Integrate x'' = -Gamma(x)(x', x') from (x0, v0) over [0, T].
 
     `x0` and `v0` are one point (n,) or a batch (B, n); `gamma_of_x` maps
-    them to Christoffel values (n, n, n) or (B, n, n, n).  The step is
-    adjusted to divide T exactly; T < h still takes one step.  All rows
-    share the time grid, and a degeneracy or blow-up in any row aborts the
-    whole call.
+    them to Christoffel values (n, n, n) or (B, n, n, n).  T must be
+    finite; the step is adjusted to divide T exactly, and T < h still
+    takes one step.  All rows share the time grid, and a degeneracy or
+    blow-up in any row aborts the whole call.
     """
-    if h <= 0 or T <= 0:
-        raise ValueError("time horizon and step must be positive")
+    if not (0 < T < np.inf and h > 0):
+        raise ValueError("time horizon must be positive and finite, "
+                         "and the step positive")
+    if T / h == np.inf:
+        raise ValueError("time horizon over step overflows")
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     steps = max(1, int(round(T / h)))

@@ -121,11 +121,10 @@ def check_vanishing(values, point, name):
     most DEGENERACY_FLOOR times the largest magnitude (floored at 1),
     naming the first such value there by `name(i)`."""
     vals = np.abs(values)
-    k = vals.shape[-1]
     scale = np.maximum(1.0, vals.max(axis=-1))
-    low = (vals <= DEGENERACY_FLOOR * scale[..., None]).reshape(-1, k)
+    low = vals <= DEGENERACY_FLOOR * scale[..., None]
     if low.any():
-        pts = _points(point)
+        low, pts = low.reshape(-1, vals.shape[-1]), _points(point)
         raise batch_error(DegenerateWebPoint, low.any(axis=1), lambda b:
                           "%s vanishes at %s" % (name(int(np.argmax(low[b]))),
                                                  np.array2string(pts[b])))

@@ -90,6 +90,14 @@ def read_report(path):
         (["check", "{d}/lin5.json", "--grid", "0"], 1),
         (["check", "{d}/lin5.json", "--nope"], 1),
         (["nosuchcommand"], 1),
+        (["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+          "--dir", "1,0", "--T", "inf"], 1),
+        (["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+          "--dir", "1,0", "--T", "nan"], 1),
+        (["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+          "--dir", "1,0", "--h", "nan"], 1),
+        (["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+          "--dir", "1,0", "--T", "1e300", "--h", "1e-300"], 1),
     ],
 )
 def test_exit_codes(webdir, capsys, argv, code):

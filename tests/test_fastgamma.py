@@ -1,25 +1,30 @@
 """Batched Christoffel pipeline against the jet route.
 
 `fastgamma` stays beside the tensor-shaped jet route because at one point
-it is 6 to 9 times faster (0.18 / 0.20 / 0.21 ms against 1.1 / 1.5 /
-2.0 ms on xy4 / mixed3 / web4, see its module docstring), and `geodesic`
+it is 12 to 17 times faster (0.25 / 0.26 / 0.27 ms against 2.9 / 3.6 /
+4.4 ms on xy4 / mixed3 / web4, see its module docstring), and `geodesic`
 calls it one point at a time.  Both routes expand the web functions with
 the compiled programs of `expr`, so a batch column must equal the
 per-point jet bit for bit.  They also share the degeneracy checks, the
 skew-invariant formula and the frame-Christoffel mapping; only the linear
 algebra differs (matrix calculus on values here, jet-level solves and
 tensor contractions there), so agreement at round-off checks that part
-alone.  The checks that do not rest on the shared
-formulas are in `test_acceptance.py`: `test_02` (the defining foliations
-are totally geodesic for the jet route's connection), `test_03`
-(hand-derived spot values) and `test_09` (geodesics of this module's
-Christoffels stay on the leaves they start tangent to).
+alone.  `test_christoffels_obey_transformation_law` needs no second
+route: it holds the evaluator to the transformation law of a connection
+under hand-written coordinate changes.  The other checks that do not rest
+on the shared formulas are in `test_acceptance.py`: `test_02` (the
+defining foliations are totally geodesic for the jet route's connection),
+`test_03` (hand-derived spot values) and `test_09` (geodesics of this
+module's Christoffels stay on the leaves they start tangent to).
 """
+
+import json
+import re
 
 import numpy as np
 import pytest
 
-from geoweb import expr, fastgamma
+from geoweb import cli, expr, fastgamma
 from geoweb.connection import canonical_structure
 from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
                            DomainError)
@@ -167,3 +172,100 @@ def test_negative_base_under_variable_exponent():
         half, [False, True, False, False], {1: half})
     fast = fastgamma.batched_gamma_evaluator(web)
     assert _failure(lambda: fast(X)) == expected
+
+
+# Transformation law.  Pulling a web back by x = psi(y) (text substitution
+# in its functions) pulls its canonical connection back:
+#   Gamma'^c_ab(y) = (J^-1)^c_k (Gamma^k_ij(x) J^i_a J^j_b + d_a d_b psi^k)
+# with J^k_a = d_a psi^k.  Each map comes as the substitutes for x1.. and a
+# function of y giving x, J and the second derivatives, written by hand.
+
+PSI2 = ["(x1+0.3*x2^2)", "(x2+0.2*x1*x2)"]
+PSI3 = ["(x1+0.2*x2*x3)", "(x2+0.3*x1^2)", "(x3+0.1*x1*x2+0.2*x3^2)"]
+
+
+def _psi2(y):
+    y1, y2 = y
+    x = np.array([y1 + 0.3 * y2 ** 2, y2 + 0.2 * y1 * y2])
+    jac = np.array([[1.0, 0.6 * y2],
+                    [0.2 * y2, 1.0 + 0.2 * y1]])
+    hess = np.zeros((2, 2, 2))
+    hess[0, 1, 1] = 0.6
+    hess[1, 0, 1] = hess[1, 1, 0] = 0.2
+    return x, jac, hess
+
+
+def _psi3(y):
+    y1, y2, y3 = y
+    x = np.array([y1 + 0.2 * y2 * y3, y2 + 0.3 * y1 ** 2,
+                  y3 + 0.1 * y1 * y2 + 0.2 * y3 ** 2])
+    jac = np.array([[1.0, 0.2 * y3, 0.2 * y2],
+                    [0.6 * y1, 1.0, 0.0],
+                    [0.1 * y2, 0.1 * y1, 1.0 + 0.4 * y3]])
+    hess = np.zeros((3, 3, 3))
+    hess[0, 1, 2] = hess[0, 2, 1] = 0.2
+    hess[1, 0, 0] = 0.6
+    hess[2, 0, 1] = hess[2, 1, 0] = 0.1
+    hess[2, 2, 2] = 0.4
+    return x, jac, hess
+
+
+@pytest.mark.parametrize("n, sources, subst, psi", [
+    (2, ["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"], PSI2, _psi2),
+    (3, CORPUS_SOURCES["mixed3"][1], PSI3, _psi3),
+])
+def test_christoffels_obey_transformation_law(n, sources, subst, psi):
+    pulled = [re.sub(r"x(\d)", lambda m: subst[int(m.group(1)) - 1], s)
+              for s in sources]
+    gamma, pulled_gamma = (fastgamma.batched_gamma_evaluator(
+        WebChart.from_strings(n, f)) for f in (sources, pulled))
+    Y = np.random.default_rng(3).uniform(-0.2, 0.2, size=(8, n))
+    got = pulled_gamma(Y)
+    for b, y in enumerate(Y):
+        x, J, d2psi = psi(y)
+        inner = np.einsum("kij,ia,jb->kab", gamma(x), J, J) + d2psi
+        want = np.einsum("ck,kab->cab", np.linalg.inv(J), inner)
+        assert np.abs(got[b] - want).max() <= 1e-12 * np.abs(want).max(), b
+
+
+def test_one_inverse_and_no_solve_per_call(monkeypatch):
+    fast = fastgamma.batched_gamma_evaluator(make_web("mixed3"))
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    fast(np.array([[0.05, 0.04, 0.03]]))
+    assert calls == {"inv": 1, "solve": 0}
+
+
+# `geodesic` failing at its start point.  The texts were recorded when the
+# evaluator still solved with A, W and W^T in turn; inverting only A must
+# print the same
+GEODESIC_FAILURES = [
+    (["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"], "-1,0.3", "4",
+     "coframe normalization is singular at [-1.   0.3]"),
+    (["x1", "x2", "-(x1+x2+x1*x2)", "x1+2*x2"], "0,-1", "4",
+     "lambda_1 vanishes at [ 0. -1.]"),
+    (["x1", "x2", "-(x1+x2)", "x1+x2^2"], "0.1,0", "1",
+     "basis invariant a_2 of foliation 4 vanishes at [0.1 0. ]"),
+]
+
+
+@pytest.mark.parametrize("functions, start, leaf, text", GEODESIC_FAILURES)
+def test_geodesic_failure_texts(tmp_path, capsys, functions, start, leaf,
+                                text):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"dimension": 2, "functions": functions,
+                                "domain": {"center": [0, 0], "radius": 0.5}}))
+    assert cli.main(["geodesic", str(path), "--from=" + start,
+                     "--leaf", leaf]) == 1
+    assert capsys.readouterr().err == (
+        "geoweb: computation failed: geodesic left the admissible set near "
+        "t=0: %s\n" % text)
