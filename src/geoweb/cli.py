@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,26 @@ class CLIError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIError(message)
+
+
+# argparse reads an argument that starts with "-" as an option unless it is
+# a lone number, so "--from -1,0.05" would miss its value
+_COORD_FLAGS = ("--at", "--from", "--dir")
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _attach_coords(argv):
+    """Write `--from -1,0.05` as `--from=-1,0.05` for each coordinate flag
+    and each abbreviation of one (`--fr`), which argparse also accepts."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and any(f.startswith(flag) for f in _COORD_FLAGS) \
+                and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_coords(text: str, n: int, flag: str) -> np.ndarray:
@@ -301,7 +322,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_coords(
+            sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except CLIError as e:
         sys.stderr.write("geoweb: error: %s\n" % e)

@@ -378,3 +378,34 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "geoweb" in capsys.readouterr().out
+
+
+# a coordinate list that starts with a minus sign, after its flag or
+# attached with "="; the two spellings must give the same report
+NEGATIVE_COORDS = [
+    ("connection", "--at", "-0.1,0.2", ()),
+    ("connection", "--at", "-.1,-0.2", ()),
+    ("geodesic", "--from", "-0.1,0.05",
+     ("--leaf", "4", "--T", "0.01", "--h", "0.005")),
+    ("geodesic", "--dir", "-1,0.5",
+     ("--from", "0.1,0.05", "--leaf", "4", "--T", "0.01", "--h", "0.005")),
+    ("geodesic", "--fr", "-0.1,0.05",
+     ("--leaf", "4", "--T", "0.01", "--h", "0.005")),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, rest", NEGATIVE_COORDS)
+def test_negative_coordinates(webdir, capsys, command, flag, value, rest):
+    web = str(webdir / "xy4.json")
+    assert cli.main([command, web, flag + "=" + value, *rest]) == 0
+    attached = capsys.readouterr()
+    assert cli.main([command, web, flag, value, *rest]) == 0
+    assert capsys.readouterr() == attached
+    assert attached.err == ""
+
+
+def test_missing_coordinate_value_is_one_line_error(webdir, capsys):
+    assert cli.main(["geodesic", str(webdir / "xy4.json"), "--from",
+                     "--leaf", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "geoweb: error: argument --from: expected one argument\n")

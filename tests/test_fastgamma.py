@@ -3,9 +3,10 @@
 `fastgamma` stays beside the tensor-shaped jet route because at one point
 it is 12 to 17 times faster (0.25 / 0.26 / 0.27 ms against 2.9 / 3.6 /
 4.4 ms on xy4 / mixed3 / web4, see its module docstring), and `geodesic`
-calls it one point at a time.  Both routes expand the web functions with
-the compiled programs of `expr`, so a batch column must equal the
-per-point jet bit for bit.  They also share the degeneracy checks, the
+calls it on two RK4 stage points at a time, whose rows
+`test_batch_rows_equal_single_points` holds to the values of the points
+alone.  Both routes expand the web functions with the compiled programs
+of `expr`, so a batch column must equal the per-point jet bit for bit.  They also share the degeneracy checks, the
 skew-invariant formula and the frame-Christoffel mapping; only the linear
 algebra differs (matrix calculus on values here, jet-level solves and
 tensor contractions there), so agreement at round-off checks that part
@@ -19,12 +20,13 @@ module's Christoffels stay on the leaves they start tangent to).
 """
 
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
-from geoweb import cli, expr, fastgamma
+from geoweb import cli, expr, fastgamma, webfile
 from geoweb.connection import canonical_structure
 from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
                            DomainError)
@@ -109,6 +111,26 @@ def test_coincident_invariants_in_batch():
     with pytest.raises(CoincidentInvariants) as alone:
         canonical_structure(web, pts[2], 2)
     assert err.value.detail(2) == str(alone.value)
+
+
+# `geodesics.integrate_geodesic` evaluates two RK4 stages in one call, so
+# every row of a batch must be its point's value alone, bit for bit; the
+# benchmark webs have A = I, nodes.json does not
+HERE = os.path.dirname(__file__)
+ROW_WEBS = [os.path.join(HERE, os.pardir, "perfbench", "webs", name + ".json")
+            for name in ("xy4", "mixed3", "web4")] \
+    + [os.path.join(HERE, "webs", "nodes.json")]
+
+
+@pytest.mark.parametrize("path", ROW_WEBS, ids=os.path.basename)
+def test_batch_rows_equal_single_points(path):
+    web = webfile.load_webfile(path)
+    fast = fastgamma.batched_gamma_evaluator(web)
+    pts = random_points(web, 204, seed=11)
+    for rows in (*pts[:200].reshape(-1, 2, web.dim), pts[-6:]):
+        batch = fast(rows)
+        for b, point in enumerate(rows):
+            assert np.array_equal(batch[b], fast(point)), (point, b)
 
 
 # Error contract of the compiled programs.  Texts and marked rows were

@@ -120,12 +120,77 @@ def test_degenerate_point_stops_integration():
                                      T=1.0, h=1e-3)
 
 
+# trajectories that leave the admissible set mid-run, single and in a
+# batch with an admissible row before or after; the texts were recorded
+# when every RK4 stage was evaluated by a call of its own
+LEAVING = [
+    (["x1", "x2", "-(x1+x2)", "log(1-x1)+x2"], (1.0, 0.0), 0.07,
+     "t=0.428571: basis invariant a_2 of foliation 4 vanishes at [1.  0.2]"),
+    (["x1", "x2", "-(x1+x2)", "sqrt(0.6-x1)+x1*x2"], (1.0, 0.1), 0.03,
+     "t=0.0909091: sqrt of non-positive value -0.0053013"),
+]
+
+
+@pytest.mark.parametrize("functions, direction, h, text", LEAVING)
+@pytest.mark.parametrize("rows", [None, (1, 0), (0, 1)])
+def test_leaving_the_admissible_set_keeps_the_message(functions, direction,
+                                                      h, text, rows):
+    gamma = fastgamma.batched_gamma_evaluator(
+        WebChart.from_strings(2, functions))
+    x0, v0 = np.array([0.5, 0.2]), np.array(direction)
+    if rows is not None:
+        x0 = np.array([[0.1, -0.1], x0])[list(rows)]
+        v0 = np.tile(v0, (2, 1))
+    with pytest.raises(DegenerateWebPoint) as err:
+        geodesics.integrate_geodesic(gamma, x0, v0, T=1.0, h=h)
+    assert str(err.value) == "geodesic left the admissible set near " + text
+
+
+def test_first_failing_stage_names_the_error():
+    # check A fails where x1 > 0.5, check B where x2 < -0.5, A first.
+    # Stage 1 at (0.45, -0.6) fails B alone and stage 2 at (0.55, -0.6)
+    # fails A: a call on both stages together would report A at stage 2
+    def two_checks(x):
+        x = np.asarray(x)
+        rows = x.reshape(-1, 2)
+        for name, bad in (("A", rows[:, 0] > 0.5), ("B", rows[:, 1] < -0.5)):
+            if bad.any():
+                raise DegenerateWebPoint(
+                    "%s at %s" % (name, rows[np.argmax(bad)]))
+        return np.zeros(x.shape[:-1] + (2, 2, 2))
+
+    with pytest.raises(DegenerateWebPoint) as err:
+        geodesics.integrate_geodesic(two_checks, [0.45, -0.6], [1.0, 0.0],
+                                     T=1.0, h=0.2)
+    assert str(err.value) == ("geodesic left the admissible set near t=0: "
+                              "B at [ 0.45 -0.6 ]")
+
+
+@pytest.mark.parametrize("x0, v0", [
+    ([0.05, -0.1], [0.6, -0.45]),
+    ([[0.05, -0.1], [0.2, 0.1], [-0.15, 0.25]],
+     [[0.6, -0.45], [0.1, 0.8], [0.5, 0.5]]),
+])
+def test_two_evaluator_calls_per_step(x0, v0):
+    gamma = fastgamma.batched_gamma_evaluator(make_web("curved4"))
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return gamma(x)
+
+    geodesics.integrate_geodesic(counted, x0, v0, T=0.5, h=0.05)
+    rows = 2 * len(x0) if np.ndim(x0) == 2 else 2
+    assert shapes == [(rows, 2)] * 20
+
+
 def test_blowup_raises_step_too_large():
     web = make_web("parallel2")
 
     def explosive(x):
-        # repulsive connection that blows trajectories up
-        return -40.0 * np.ones((2, 2, 2))
+        # repulsive connection that blows trajectories up, one value per
+        # row as the integrator's evaluator contract asks
+        return -40.0 * np.ones(np.shape(x)[:-1] + (2, 2, 2))
 
     with pytest.raises(StepTooLarge):
         geodesics.integrate_geodesic(explosive, [0.0, 0.0], [1.0, 1.0],
