@@ -196,16 +196,16 @@ def _cmd_linearize(args) -> int:
                            "obstruction", smeta)
 
 
+# huge jets may overflow in terms no printed value reads, as on a sample
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_connection(args) -> int:
     web = webfile.load_webfile(args.webfile)
     point = _parse_coords(args.at, web.dim, "--at")
     work = pointed_chart(web) if args.gauge == "pointed" else web
     struct = connection.canonical_structure(work, point)
-    n = web.dim
     rows = []
-    for k in range(n + 2, work.d + 1):
-        inv = (struct.invariant if k == n + 2
-               else basis_invariants(struct.cof, work, k))
+    for k in range(web.dim + 2, work.d + 1):
+        inv = basis_invariants(struct.cof, work, k)
         for section, values in (("a", inv.a.value),
                                 ("a_class", inv.projective_class())):
             rows.extend([section, k, i + 1, "", float(v)]
@@ -216,6 +216,10 @@ def _cmd_connection(args) -> int:
         for idx, v in np.ndenumerate(values):
             rows.append([section] + [""] * (3 - len(idx))
                         + [i + 1 for i in idx] + [float(v)])
+    bad = next((r[0] for r in rows if not math.isfinite(r[-1])), None)
+    if bad is not None:
+        raise DegenerateWebPoint("non-finite %s value at %s"
+                                 % (bad, np.array2string(point)))
     meta = {**_base_meta(args, web),
             "point": ",".join("%.17g" % x for x in point),
             "gauge": args.gauge}
@@ -336,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except GeowebError as e:
         sys.stderr.write("geoweb: %s\n" % e)
+        return EXIT_ERROR
+    except MemoryError as e:     # numpy names the array it could not allocate
+        sys.stderr.write("geoweb: out of memory: %s\n" % e)
         return EXIT_ERROR
 
 

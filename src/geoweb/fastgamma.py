@@ -2,26 +2,26 @@
 
 Geodesic integration evaluates the connection thousands of times, two
 RK4 stage points a call (2B rows for B geodesics), where the
-tensor-shaped jet route is still 12 to 17 times slower (order 2, medians
-of 41 interleaved rounds of 50 points on a noisy 2-core x86-64 machine:
-2.9 / 3.6 / 4.4 ms against 0.25 / 0.26 / 0.27 ms here on the benchmark
-webs xy4 / mixed3 / web4).  `batched_gamma_evaluator` compiles the web
-functions once into an `expr.compile_program` program, the evaluation
-that also gives each per-point `Jet`, so a batch column equals the
-per-point jet bit for bit, and builds its index arrays once.  Each row of
-a call is also the call at that point alone, bit for bit, which is what
-lets the integrator stack its stages.  Each call takes the order-2
-coefficients of all functions for a whole batch of points and factors one
-matrix, A = (d_a f_i), with one `np.linalg.inv`.  Everything else follows
-from A^-1 by batched matrix products: lambda and its derivative, the frame
-V = A^-T diag(1/lambda), which inverts the coframe W = diag(lambda) A^T,
-the structure functions, and the basis invariants and their derivatives,
-whose matrix W^T has the inverse V^T.  (Five `np.linalg.solve` calls,
-two with A, one with W and two with W^T, took 1.3 to 1.5 times as long.)
-The values go to the jet route's own checks and formulas
-(`web.check_vanishing`, `connection.check_coincidence`,
-`connection.skew_formula`, `connection.frame_christoffels`) with the
-batch axis moved last, so every entry is a (B,) row.
+tensor-shaped jet route is still 9 to 13 times slower (order 2, one
+point a call, medians of 41 interleaved rounds of 50 points in one
+process on a noisy 2-core x86-64 machine: 2.1 / 3.1 / 3.7 ms against
+0.22 / 0.30 / 0.28 ms here on the benchmark webs xy4 / mixed3 / web4).
+`batched_gamma_evaluator` compiles the web functions once into an
+`expr.compile_program` program, the evaluation that also gives each
+per-point `Jet`, so a batch column equals the per-point jet bit for bit,
+and builds its index arrays once.  Each row of a call is also the call at
+that point alone, bit for bit, which is what lets the integrator stack
+its stages.  Each call takes the order-2 coefficients of all functions
+for a whole batch of points and, like the jet route, factors one matrix,
+A = (d_a f_i), here with one `np.linalg.inv`.  Everything else follows
+from A^-1 by batched matrix products: lambda and its derivative, the
+frame V = A^-T diag(1/lambda), which inverts the coframe
+W = diag(lambda) A^T, the structure functions, and the basis invariants
+and their derivatives, whose matrix W^T has the inverse V^T.  The values
+go to the jet route's own checks and formulas (`web.check_vanishing`,
+`connection.check_coincidence`, `connection.skew_formula`,
+`connection.frame_christoffels`) with the batch axis moved last, so
+every entry is a (B,) row.
 """
 
 from __future__ import annotations

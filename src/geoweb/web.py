@@ -20,7 +20,7 @@ from . import expr
 from .errors import (DegenerateWebPoint, OrderExhausted, SingularSystem,
                      batch_error)
 from .jets import (Jet, directional_derivative, jet_linear_solve,
-                   ordered_sum, skew_upper, stack, where)
+                   ordered_sum, skew_upper, stack)
 
 # relative floor below which a lambda or a-coefficient counts as vanishing
 DEGENERACY_FLOOR = 1e-10
@@ -110,11 +110,6 @@ class NormalizedCoframe:
         return directional_derivative(f, self.frame)
 
 
-def _points(point):
-    # a point (n,) or a batch (B, n) as rows
-    return np.reshape(point, (-1, np.shape(point)[-1]))
-
-
 def check_vanishing(values, point, name):
     """Raise DegenerateWebPoint at the points where one of the values (last
     axis of `values`, shape (k,) at a point (n,), (B, k) for a batch) is at
@@ -124,24 +119,21 @@ def check_vanishing(values, point, name):
     scale = np.maximum(1.0, vals.max(axis=-1))
     low = vals <= DEGENERACY_FLOOR * scale[..., None]
     if low.any():
-        low, pts = low.reshape(-1, vals.shape[-1]), _points(point)
+        low = low.reshape(-1, vals.shape[-1])
+        pts = np.reshape(point, (-1, np.shape(point)[-1]))
         raise batch_error(DegenerateWebPoint, low.any(axis=1), lambda b:
                           "%s vanishes at %s" % (name(int(np.argmax(low[b]))),
                                                  np.array2string(pts[b])))
-
-
-def _singular(what, point, e):
-    # a SingularSystem of a jet solve, reported at the points it failed at
-    pts = _points(point)
-    return batch_error(DegenerateWebPoint, e.rows, lambda b: "%s at %s (%s)"
-                       % (what, np.array2string(pts[b]), e.detail(b)))
 
 
 def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe:
     """Gauge-fix the first n+1 foliations at a point (n,) or a batch (B, n).
 
     `order` is the jet order for the web functions; it must be >= 2 so the
-    structure functions (two derivatives of f) survive truncation.
+    structure functions (two derivatives of f) survive truncation.  One
+    solve with A[a][i] = d_a f_i against [-grad f_{n+1} | I] gives lambda,
+    bit for bit as against -grad f_{n+1} alone, and A^-1, whose row j over
+    lambda_j is frame j: the coframe is diag(lambda) A^T.
     """
     n = web.dim
     if order < 2:
@@ -150,21 +142,18 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     point = np.asarray(point, dtype=float)
     f = stack([web.eval_function(i, point, order) for i in range(1, n + 2)])
     grads = f.derivatives()            # grads[i][a] = d_a f_i
+    rhs = stack([-grads[n], *Jet.constant(np.eye(n), n, order - 1)])
     try:
-        lam = jet_linear_solve(grads[:n].transpose(), -grads[n])
+        sol = jet_linear_solve(grads[:n].transpose(), rhs.transpose())
     except SingularSystem as e:
-        raise _singular("coframe normalization is singular", point, e) \
-            from None
-    check_vanishing(lam.value, point, lambda i: "lambda_%d" % (i + 1))
-    i = np.arange(n + 1)
-    lam = where(i < n, lam[np.minimum(i, n - 1)], 1.0)    # lam[n] = 1
+        pts, detail = np.reshape(point, (-1, n)), e.detail
+        raise batch_error(DegenerateWebPoint, e.rows, lambda b:
+                          "coframe normalization is singular at %s (%s)"
+                          % (np.array2string(pts[b]), detail(b))) from None
+    check_vanishing(sol[:, 0].value, point, lambda i: "lambda_%d" % (i + 1))
+    lam = stack([*sol[:, 0], 1.0])     # lam[n] = 1
     omega = lam[:, None] * grads
-    try:
-        # column j of the inverse of omega[i][a] is frame j
-        frame = jet_linear_solve(
-            omega[:n], Jet.constant(np.eye(n), n, order - 1)).transpose()
-    except SingularSystem as e:
-        raise _singular("coframe is not invertible", point, e) from None
+    frame = sol[:, 1:] / lam[:n, None]
     dframe = directional_derivative(frame, frame)
     # c[k][i][j] = omega_k([frame_i, frame_j]), summed over a in order,
     # with [frame_i, frame_j]^a = D_i frame_j^a - D_j frame_i^a
@@ -193,17 +182,13 @@ class BasisInvariant:
 
 def basis_invariants(cof: NormalizedCoframe, web: WebChart,
                      k: int) -> BasisInvariant:
-    """Basis invariants a_k1..a_kn of foliation k (1-based, k >= n+2)."""
+    """Basis invariants a_k1..a_kn of foliation k (1-based, k >= n+2):
+    sum_i a_i omega_i = -df_k on frame j reads a_j = -D_j f_k."""
     n = web.dim
     if not n + 2 <= k <= web.d:
         raise ValueError("foliation index %d outside n+2..d = %d..%d"
                          % (k, n + 2, web.d))
-    fk = web.eval_function(k, cof.point, cof.order + 1)
-    try:
-        a = jet_linear_solve(cof.omega[:n].transpose(), -fk.derivatives())
-    except SingularSystem as e:
-        raise _singular("basis-invariant system for foliation %d is singular"
-                        % k, cof.point, e) from None
+    a = -cof.frame_derivatives(web.eval_function(k, cof.point, cof.order + 1))
     check_vanishing(a.value, cof.point, lambda i:
                     "basis invariant a_%d of foliation %d" % (i + 1, k))
     return BasisInvariant(k, a)

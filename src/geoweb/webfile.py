@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from numbers import Real
 
 import numpy as np
@@ -69,16 +70,19 @@ def parse_webfile(text: str, name: str = "<webfile>") -> WebChart:
         _require(key in _DOMAIN_KEYS, "unknown key %r" % key,
                  "domain.%s" % key)
     _require("center" in dom, "missing key", "domain.center")
-    center = dom["center"]
+    _require("radius" in dom, "missing key", "domain.radius")
+    center, radius = dom["center"], dom["radius"]
+    # the ball and its grid (axes 2 * radius / sqrt(n) long) need finite
+    # float coordinates; the comparisons are exact for huge integers
+    top = sys.float_info.max
+    _require(isinstance(radius, Real) and not isinstance(radius, bool)
+             and 0 < radius <= top / 2,
+             "radius must be a number in (0, %g]" % (top / 2), "domain.radius")
     _require(isinstance(center, list) and len(center) == n
              and all(isinstance(x, Real) and not isinstance(x, bool)
-                     for x in center),
-             "center must be a list of %d numbers" % n, "domain.center")
-    _require("radius" in dom, "missing key", "domain.radius")
-    radius = dom["radius"]
-    _require(isinstance(radius, Real) and not isinstance(radius, bool)
-             and radius > 0, "radius must be a positive number",
-             "domain.radius")
+                     and abs(x) <= top - radius for x in center),
+             "center must be a list of %d numbers, |center| + radius "
+             "finite in each" % n, "domain.center")
 
     labels = data.get("labels")
     if labels is not None:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import geoweb
@@ -263,6 +264,50 @@ def test_overflow_in_the_curvature_code_excludes_the_point(tmp_path):
     assert payload["rows"] and all(
         r[3:] == ["degenerate", "", "", "non-finite obstruction"]
         for r in payload["rows"])
+
+
+# every array these ask for is larger than a 57-bit address space, so the
+# allocation fails at once, whatever the machine
+@pytest.mark.parametrize("argv", [
+    ["linearize", "{d}/xy4.json", "--random", "100000000000000000"],
+    ["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+     "--dir", "1,0", "--T", "1", "--h", "1e-17"],
+])
+def test_allocation_failure_is_one_line_error(webdir, capsys, argv):
+    assert cli.main([a.format(d=webdir) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("geoweb: out of memory: Unable to allocate")
+
+
+def test_connection_overflow_in_unprinted_coefficients(tmp_path, capsys):
+    # the jets overflow past the values the report prints, which numpy
+    # used to warn about on stderr
+    web = tmp_path / "cubic.json"
+    web.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+x1*x2+1e308*x1^3"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5},
+    }))
+    assert cli.main(["connection", str(web), "--at", "1e-160,0.002"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "nan" not in out and "inf" not in out
+
+
+def test_connection_refuses_a_non_finite_value(webdir, capsys, monkeypatch):
+    real = cli.connection.canonical_structure
+
+    def overflowing(*args):
+        struct = real(*args)
+        struct.conn.gamma.coeffs[0, 1, 0, 1] = np.inf
+        return struct
+
+    monkeypatch.setattr(cli.connection, "canonical_structure", overflowing)
+    assert cli.main(["connection", str(webdir / "xy4.json"),
+                     "--at", "0.1,0.2"]) == 1
+    assert capsys.readouterr() == ("", "geoweb: computation failed: "
+                                   "non-finite coord_gamma value at "
+                                   "[0.1 0.2]\n")
 
 
 def test_json_writer_refuses_nan():

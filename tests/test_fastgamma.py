@@ -1,18 +1,21 @@
 """Batched Christoffel pipeline against the jet route.
 
 `fastgamma` stays beside the tensor-shaped jet route because at one point
-it is 12 to 17 times faster (0.25 / 0.26 / 0.27 ms against 2.9 / 3.6 /
-4.4 ms on xy4 / mixed3 / web4, see its module docstring), and `geodesic`
+it is 9 to 13 times faster (0.22 / 0.30 / 0.28 ms against 2.1 / 3.1 /
+3.7 ms on xy4 / mixed3 / web4, see its module docstring), and `geodesic`
 calls it on two RK4 stage points at a time, whose rows
 `test_batch_rows_equal_single_points` holds to the values of the points
 alone.  Both routes expand the web functions with the compiled programs
-of `expr`, so a batch column must equal the per-point jet bit for bit.  They also share the degeneracy checks, the
-skew-invariant formula and the frame-Christoffel mapping; only the linear
-algebra differs (matrix calculus on values here, jet-level solves and
-tensor contractions there), so agreement at round-off checks that part
-alone.  `test_christoffels_obey_transformation_law` needs no second
-route: it holds the evaluator to the transformation law of a connection
-under hand-written coordinate changes.  The other checks that do not rest
+of `expr`, so a batch column must equal the per-point jet bit for bit.
+They also share the degeneracy checks, the skew-invariant formula and the
+frame-Christoffel mapping, and both factor A = (d_a f_i) once and take
+lambda, the frame and the basis invariants from its inverse.  What
+differs is how derivatives are carried (matrix calculus on values here,
+Taylor coefficients through one jet solve and tensor contractions
+there), so agreement at round-off checks that part alone.
+`test_christoffels_obey_transformation_law` needs no second route: it
+holds each route to the transformation law of a connection under
+hand-written coordinate changes.  The other checks that do not rest
 on the shared formulas are in `test_acceptance.py`: `test_02` (the
 defining foliations are totally geodesic for the jet route's connection),
 `test_03` (hand-derived spot values) and `test_09` (geodesics of this
@@ -232,15 +235,23 @@ def _psi3(y):
     return x, jac, hess
 
 
+def _jet_route(web):
+    return lambda X: canonical_structure(web, X, 2).conn.gamma_values()
+
+
+# besides the `nodes` golden, the pulled-back webs are where the jet route
+# meets A = (d_a f_i) other than the identity
+@pytest.mark.parametrize("route", [fastgamma.batched_gamma_evaluator,
+                                   _jet_route], ids=["fastgamma", "jets"])
 @pytest.mark.parametrize("n, sources, subst, psi", [
     (2, ["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"], PSI2, _psi2),
     (3, CORPUS_SOURCES["mixed3"][1], PSI3, _psi3),
 ])
-def test_christoffels_obey_transformation_law(n, sources, subst, psi):
+def test_christoffels_obey_transformation_law(n, sources, subst, psi, route):
     pulled = [re.sub(r"x(\d)", lambda m: subst[int(m.group(1)) - 1], s)
               for s in sources]
-    gamma, pulled_gamma = (fastgamma.batched_gamma_evaluator(
-        WebChart.from_strings(n, f)) for f in (sources, pulled))
+    gamma, pulled_gamma = (route(WebChart.from_strings(n, f))
+                           for f in (sources, pulled))
     Y = np.random.default_rng(3).uniform(-0.2, 0.2, size=(8, n))
     got = pulled_gamma(Y)
     for b, y in enumerate(Y):

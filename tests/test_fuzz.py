@@ -32,9 +32,10 @@ EXPRESSIONS = st.one_of(
 # the web file's other fields, valid or not
 DOMAINS = st.one_of(
     st.fixed_dictionaries({
-        "center": st.lists(st.sampled_from([0.0, 0.1, -0.3, 1e300]),
+        "center": st.lists(st.sampled_from([0.0, 0.1, -0.3, 1e300,
+                                            float("nan"), float("inf")]),
                            min_size=2, max_size=2),
-        "radius": st.sampled_from([0.1, 0.5, 2.0])}),
+        "radius": st.sampled_from([0.1, 0.5, 2.0, 1e308, float("inf")])}),
     st.sampled_from([{"center": [0.0], "radius": 0.5},
                      {"center": [0.0, 0.0], "radius": -1.0},
                      {"center": [0.0, 0.0]}, [], None]))
@@ -84,6 +85,9 @@ def run(argv):
          domain={"center": [0.0, 0.0], "radius": 0.5}, command=1)
 @example(extra=["x1*1e300"], domain={"center": [0.0, 0.0], "radius": 0.5},
          command=4)
+# jets that overflow in the connection code before a check fails
+@example(extra=["x1+2*x2+x1*x2+1e308*x1*x1"],
+         domain={"center": [0.0, 0.0], "radius": 0.5}, command=3)
 def test_error_contract(tmp_path_factory, extra, domain, command):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps({"dimension": 2,

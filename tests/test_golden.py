@@ -58,7 +58,11 @@ CASES["geodesic-nodes"] = ("geodesic", NODES, (
     "--from", "0.05,0.05", "--leaf", "5", "--T", "0.02", "--h", "0.002"), 0)
 
 # sha256 of each case's stdout, recorded before the tensor-shaped jets;
-# the two `nodes` cases before the compiled expression programs
+# `geodesic-nodes` before the compiled expression programs, and
+# `linearize-nodes` when the coframe, the frame and the basis invariants
+# came to be taken from one solve with A = (d_a f_i).  The benchmark webs
+# have f_a = x_a for a <= n, so A = I there and their reports kept every
+# byte; the nodes web has A != I and moved in the last digits
 DIGESTS = {
     "check-cubic6":
         "54229bcf9e9ba7f764fabe8890c1859019afd4052a49f9ee356b99237977f25a",
@@ -93,7 +97,7 @@ DIGESTS = {
     "linearize-mixed3-json":
         "8fade6065fd55eb5dd082f938a637ecdf48eb73bf50f3ecb5bdd3d22c234c289",
     "linearize-nodes":
-        "ce097e964862808db5d7baaab4500fcb757b01c09ee5406e58155ebb30a62dc3",
+        "3dad704cbeb83c8356c871bbfef5e82813a6fe345334a09f599968c737980a89",
     "linearize-web4":
         "2ca3ccdbc57f8195f29f1641a9e4806533c06cd46f89aae7d4cefbaa507dd973",
     "linearize-xy4":

@@ -1,11 +1,18 @@
 """Coframe normalization, frame duality and basis invariants."""
 
+import os
+
 import numpy as np
 import pytest
 
+from geoweb import jets, web as web_module
+from geoweb.connection import canonical_structure
 from geoweb.errors import DegenerateWebPoint, OrderExhausted
+from geoweb.invariants import extra_foliations
+from geoweb.sampling import random_points
 from geoweb.web import (WebChart, basis_invariants, normalize_coframe,
                         pointed_chart, reorder_chart)
+from geoweb.webfile import load_webfile
 
 from conftest import make_web
 
@@ -97,6 +104,35 @@ def test_vanishing_invariant_raises():
     cof = normalize_coframe(web, (0.0, 0.0, 0.0), order=2)
     with pytest.raises(DegenerateWebPoint):
         basis_invariants(cof, web, 5)
+
+
+def test_near_singular_coframe_names_the_pivot():
+    web = WebChart.from_strings(
+        2, ["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"])
+    with pytest.raises(DegenerateWebPoint) as err:
+        normalize_coframe(web, (-1 + 1e-13, 0.3), order=2)
+    assert str(err.value) == (
+        "coframe normalization is singular at [-1.   0.3] "
+        "(pivot 1.00031e-13 below floor 1e-12 in column 1)")
+
+
+def test_one_jet_solve_gives_frame_and_every_invariant(monkeypatch):
+    # lambda, the frame and the basis invariants of every foliation come
+    # from one solve with A = (d_a f_i)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return jets.jet_linear_solve(*args)
+
+    monkeypatch.setattr(web_module, "jet_linear_solve", counted)
+    canonical_structure(make_web("mixed3"), (0.05, 0.04, 0.03), 3)
+    assert len(calls) == 1
+    sin6 = load_webfile(os.path.join(os.path.dirname(__file__), os.pardir,
+                                     "perfbench", "webs", "sin6.json"))
+    calls.clear()
+    extra_foliations(sin6, random_points(sin6, 4, seed=1))
+    assert len(calls) == 1
 
 
 def test_low_order_rejected():

@@ -52,6 +52,15 @@ def test_pointed_and_labels_accepted(tmp_path):
         (lambda p: p.update(domain={"center": [0.0, 0.0], "radius": 0.0}), "domain.radius"),
         (lambda p: p.update(domain={"center": [0.0, 0.0], "radius": -1}), "domain.radius"),
         (lambda p: p.update(domain={"center": [0.0, "a"], "radius": 0.5}), "domain.center"),
+        # NaN, Infinity and integers past the float range pass json.loads
+        (lambda p: p.update(domain={"center": [0.0, 0.0], "radius": float("inf")}), "domain.radius"),
+        (lambda p: p.update(domain={"center": [0.0, 0.0], "radius": float("nan")}), "domain.radius"),
+        (lambda p: p.update(domain={"center": [0.0, 0.0], "radius": 1e308}), "domain.radius"),
+        (lambda p: p.update(domain={"center": [0.0, 0.0], "radius": 10 ** 400}), "domain.radius"),
+        (lambda p: p.update(domain={"center": [float("nan"), 0.0], "radius": 0.5}), "domain.center"),
+        (lambda p: p.update(domain={"center": [0.0, float("-inf")], "radius": 0.5}), "domain.center"),
+        (lambda p: p.update(domain={"center": [1.5e308, 0.0], "radius": 5e307}), "domain.center"),
+        (lambda p: p.update(domain={"center": [10 ** 400, 0.0], "radius": 0.5}), "domain.center"),
         (lambda p: p.update(labels=["a", "b"]), "labels"),
         (lambda p: p.update(extra=1), "extra"),
         (lambda p: p.pop("functions"), "functions"),
@@ -64,6 +73,14 @@ def test_schema_violations_name_the_field(tmp_path, mutate, field):
     with pytest.raises(WebFileError) as err:
         load_webfile(write(tmp_path, payload))
     assert err.value.field == field
+
+
+def test_domain_at_the_float_range_loads(tmp_path):
+    # |center| + radius and 2 * radius are finite, if barely
+    payload = dict(GOOD, domain={"center": [1e308, -1e308],
+                                 "radius": 7e307})
+    web = load_webfile(write(tmp_path, payload))
+    assert web.radius == 7e307
 
 
 def test_bad_expression_reports_slot_and_offset(tmp_path):
