@@ -1,27 +1,31 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
-Geodesic integration evaluates the connection thousands of times, two
-RK4 stage points a call (2B rows for B geodesics), where the
-tensor-shaped jet route is still 9 to 13 times slower (order 2, one
-point a call, medians of 41 interleaved rounds of 50 points in one
-process on a noisy 2-core x86-64 machine: 2.1 / 3.1 / 3.7 ms against
-0.22 / 0.30 / 0.28 ms here on the benchmark webs xy4 / mixed3 / web4).
-`batched_gamma_evaluator` compiles the web functions once into an
-`expr.compile_program` program, the evaluation that also gives each
-per-point `Jet`, so a batch column equals the per-point jet bit for bit,
-and builds its index arrays once.  Each row of a call is also the call at
-that point alone, bit for bit, which is what lets the integrator stack
-its stages.  Each call takes the order-2 coefficients of all functions
-for a whole batch of points and, like the jet route, factors one matrix,
-A = (d_a f_i), here with one `np.linalg.inv`.  Everything else follows
-from A^-1 by batched matrix products: lambda and its derivative, the
-frame V = A^-T diag(1/lambda), which inverts the coframe
-W = diag(lambda) A^T, the structure functions, and the basis invariants
-and their derivatives, whose matrix W^T has the inverse V^T.  The values
-go to the jet route's own checks and formulas (`web.check_vanishing`,
-`connection.check_coincidence`, `connection.skew_formula`,
-`connection.frame_christoffels`) with the batch axis moved last, so
-every entry is a (B,) row.
+Geodesic integration evaluates the connection two RK4 stage points a call,
+thousands of times; the tensor-shaped jet route is 11 to 17 times slower
+(order 2, one point a call, medians of 41 interleaved rounds of 50 points
+in one process on a noisy 2-core x86-64 machine: 1.9 / 2.9 / 3.8 ms
+against 0.16 / 0.23 / 0.23 ms here on the benchmark webs xy4 / mixed3 / web4).
+The web functions are compiled once into the `expr.compile_program`
+program that also gives each per-point `Jet`, so a batch column, and each
+row of a call, is bit for bit its point alone.  Like the jet route, a call
+factors one matrix, A = (d_a f_i), here with one `np.linalg.inv`, and
+takes from A^-1 by batched matrix products lambda and its derivative, the
+frame V = A^-T diag(1/lambda), inverse of the coframe W = diag(lambda) A^T,
+and the basis invariants and their derivatives, for the jet route's checks
+and skew formula with the batch axis last, as (B,) rows.  Then
+
+    Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
+
+with K = Q W, Q = (L - theta) / 2, L_ji = D_i log lambda_j (D_i along
+frame vector i) and theta the skew matrix of the s_ij: the jet route's
+formula made sparse.  As d omega_k = d log lambda_k ^ omega_k, the
+structure functions c^k_ij vanish unless k is i or j, and c^k_kj = L_kj;
+so for t = 0 the frame Christoffels are fg^i_ji = Q_ij and
+fg^j_ji = Q_ji - L_ji (i != j), zero elsewhere.  In
+Gamma^c_ab = W_ia W_jb (fg^k_ji V_ck - D_i V_cj), the -L_ji cancels
+against D_i of 1/lambda_j in V_cj = (A^-1)_jc / lambda_j,
+V_ci W_ia = (A^-1)_ic d_a f_i gives the K terms, and W_ia D_i = d_a with
+sum_j (A^-1)_jc d_b f_j = delta_cb turns the rest into the first term.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, jets
-from .connection import check_coincidence, frame_christoffels, skew_formula
+from .connection import check_coincidence, skew_formula
 from .errors import DegenerateWebPoint, batch_error
 from .web import WebChart, check_vanishing
 
@@ -63,14 +67,12 @@ def batched_gamma_evaluator(web: WebChart):
     def evaluate(X):
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
-        if single:
-            X = X[None, :]
+        X = np.atleast_2d(X)
         B = X.shape[0]
-        # the functions in order, so the first that fails names the error;
-        # then one gather of all gradients and Hessians from the (B, n+2,
-        # count) coefficients, grads[b, f, a] = d_a f and hesses[b, f, a, c];
-        # einsum and matmul sum in an order that follows operand layout, so
-        # the layouts below fix the last bits of a batch
+        # the functions in order, so the first that fails names the error,
+        # then grads[b, f, a] = d_a f and hesses[b, f, a, c] in one gather
+        # from the (B, n+2, count) coefficients; matmul sums in an order
+        # that follows operand layout, so these layouts fix the last bits
         co = np.ascontiguousarray(program(X, 2).transpose(2, 0, 1))
         grads = co[:, :, 1:1 + n]
         hesses = co[:, :, slot] * fac
@@ -97,11 +99,6 @@ def batched_gamma_evaluator(web: WebChart):
         dW = dlam[:, :, None, :] * grads[:, :n, :, None] \
             + lam[:, :, None, None] * hesses[:, :n]  # (B, i, a, c)
         V = Ainv.transpose(0, 2, 1) / lam[:, None, :]
-        # dV[b,c] = -V dW[..., c] V, derivative index c first
-        dV = -(V[:, None] @ dW.transpose(0, 3, 1, 2) @ V[:, None])
-        FD = np.einsum("bpi,bpaj->bija", V, dV)      # D_i E[j][a]
-        bracket = FD - FD.transpose(0, 2, 1, 3)
-        cst = np.einsum("bka,bija->bkij", W, bracket)
 
         # the basis invariants solve W^T a = -g_{n+2}, and W^-T = V^T
         av = -(grads[:, n + 1, None] @ V)[:, 0]
@@ -111,20 +108,22 @@ def batched_gamma_evaluator(web: WebChart):
         rhs = -hesses[:, n + 1] - (av[:, None] @ dWf).reshape(B, n, n)
         Da = V.transpose(0, 2, 1) @ rhs @ V          # D_j a_i = Da[b, i, j]
 
-        # the batch axis last: a[i], Da[i][j] = D_j a_i, c[k][i][j] and
-        # theta[i][j] are (B,) rows
+        # the batch axis last: a[i], Da[i][j] = D_j a_i and s are (B,) rows
         a, Da = av.T, Da.transpose(1, 2, 0)
         ai, aj = a[i], a[j]
         check_coincidence(ai, aj, i, j, X)
-        s = skew_formula(ai, aj, *Da[rows, cols])
-        theta = np.zeros((n, n, B))
-        theta[i, j] = s
-        theta[j, i] = -s
-        fg = frame_christoffels(cst.transpose(1, 2, 3, 0), theta)
-        fg = np.ascontiguousarray(fg.transpose(3, 0, 1, 2))
+        s = skew_formula(ai, aj, *Da[rows, cols]).T
 
-        H = np.einsum("bkji,bck->bcij", fg, V) - FD.transpose(0, 3, 1, 2)
-        G = W.transpose(0, 2, 1)[:, None] @ H @ W[:, None]
+        # the closed form: L[j, i] = D_i log lam_j, Q = (L - theta) / 2,
+        # K = Q W and G = A^-T (Hessians + d f K + (d f K)^T)
+        Q = (dlam @ V) / lam[:, :, None]
+        Q[:, i, j] -= s
+        Q[:, j, i] += s
+        K = (Q * 0.5) @ W
+        P = grads[:, :n, :, None] * K[:, :, None, :]
+        T = hesses[:, :n] + (P + P.transpose(0, 1, 3, 2))
+        G = (Ainv.transpose(0, 2, 1) @ T.reshape(B, n, n * n)).reshape(
+            B, n, n, n)
         return G[0] if single else G
 
     return evaluate

@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from . import expr
-from .connection import ConnectionField, canonical_structure, skew_matrix
+from .connection import ConnectionField, skew_matrix
 from .errors import DegenerateWebPoint, ZeroForm
 from .jets import Jet, n_coeffs, stack
 from .web import WebChart, basis_invariants, normalize_coframe
@@ -95,7 +95,7 @@ def affine_function_residual(conn: ConnectionField, f) -> float:
     n = conn.dim
     if isinstance(f, str):
         f = expr.parse_expression(f, n)
-    if not hasattr(f, "derivative"):
+    if not isinstance(f, Jet):
         f = expr.eval_field(f, conn.point, 2)
     return sym_covariant_differential(conn, f.derivatives()).norm
 
@@ -261,33 +261,3 @@ def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
         rep.notes.append("d = n+2: geodesic by construction, no comparisons")
     return rep
 
-
-def construction_residual_report(web: WebChart, points,
-                                 order: int = 3) -> SampleReport:
-    """Totally-geodesic residuals of the defining n+2 foliations.
-
-    This is the by-construction check of the canonical connection; the
-    verdict is 'geodesic' when every foliation passes at every point.
-    """
-    rows = []
-    verdicts = []
-    for idx, pt in enumerate(points):
-        pt = np.asarray(pt, dtype=float)
-        try:
-            st = canonical_structure(web, pt, order)
-            worst = 0.0
-            status = "pass"
-            for k in range(1, web.dim + 3):
-                _, resid, scale = foliation_residual(web, k, st.conn)
-                worst = max(worst, resid / scale)
-                cls = classify(resid, scale)
-                if cls == "fail":
-                    status = "fail"
-                elif cls == "inconclusive" and status == "pass":
-                    status = "inconclusive"
-            rows.append(PointRow(idx, pt, "ok", worst, 1.0))
-            verdicts.append(status)
-        except DegenerateWebPoint as e:
-            rows.append(PointRow(idx, pt, "degenerate", detail=str(e)))
-    return aggregate_rows("construction", rows, verdicts, "geodesic",
-                          "not_geodesic")

@@ -336,12 +336,6 @@ class Jet:
         return Jet(self.dim, order,
                    self.coeffs[:n_coeffs(self.dim, order)].copy(), self.rank)
 
-    def derivative(self, axis: int) -> "Jet":
-        """Partial derivative along coordinate axis (0-based); drops one order."""
-        if not 0 <= axis < self.dim:
-            raise ValueError("axis %d out of range for dim %d" % (axis, self.dim))
-        return self.derivatives()[..., axis]
-
     def derivatives(self) -> "Jet":
         """All first partials, one order lower, along a new last shape axis
         over the coordinates."""

@@ -5,10 +5,11 @@ import pytest
 
 from geoweb import connection
 from geoweb.errors import CoincidentInvariants
+from geoweb.jets import grid
 from geoweb.sampling import random_points
 from geoweb.web import basis_invariants, normalize_coframe
 
-from conftest import make_web
+from conftest import CORPUS_SOURCES, CURVED_FRAME_WEBS, make_web
 
 
 def structure(name, point, order=3, t=None):
@@ -147,3 +148,45 @@ def test_gamma_values_at_order_two():
     g = connection.canonical_structure(web, (0.0, 0.0), 2).conn.gamma_values()
     assert g.shape == (2, 2, 2)
     assert g[0, 0, 1] == pytest.approx(-1.0, abs=1e-9)
+
+
+# Two identities the closed form of `fastgamma` rests on, checked here on
+# the jet route alone.  dw_k = d log lam_k ^ w_k makes the structure
+# functions c[k][i][j] = w_k([e_i, e_j]) vanish unless k is i or j, with
+# c[k][k][j] = D_j log lam_k; in the gauge t = 0 every frame vector is a
+# geodesic, frame_gamma[k][p][p] = 0.  Each is held to 1e-12 of the
+# largest coefficient of its array, over every coefficient of the jets; c
+# is scaled by the coframe and frame derivatives it is built from too,
+# since on `pulled3` lambda is constant and c is round-off alone.
+SPARSITY_WEBS = sorted(CORPUS_SOURCES) + list(CURVED_FRAME_WEBS)
+
+
+def _small(jet, scale):
+    return np.abs(jet.coeffs).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", SPARSITY_WEBS)
+def test_structure_functions_are_log_lambda_derivatives(name):
+    web = make_web(name)
+    n = web.dim
+    cof = connection.canonical_structure(
+        web, random_points(web, 6, seed=211), 3).cof
+    c = cof.c
+    scale = max(np.abs(c.coeffs).max(), np.abs(cof.omega.coeffs).max()
+                * np.abs(cof.dframe.coeffs).max())
+    k, i, j = grid(n, 3)
+    assert _small(c[np.nonzero((k != i) & (k != j))], scale)
+    # dlog[j][k] = D_j log lam_k
+    dlog = cof.frame_derivatives(cof.lam[:n]) / cof.lam[:n].truncate(
+        cof.order - 1)
+    k, j = np.nonzero(~np.eye(n, dtype=bool))
+    assert _small(c[k, k, j] - dlog[j, k], scale)
+
+
+@pytest.mark.parametrize("name", SPARSITY_WEBS)
+def test_frame_vectors_are_geodesics_in_gauge_zero(name):
+    web = make_web(name)
+    fg = connection.canonical_structure(
+        web, random_points(web, 6, seed=211), 3).conn.frame_gamma
+    k, p = grid(web.dim, 2)
+    assert _small(fg[k, p, p], np.abs(fg.coeffs).max())

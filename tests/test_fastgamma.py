@@ -1,21 +1,22 @@
 """Batched Christoffel pipeline against the jet route.
 
 `fastgamma` stays beside the tensor-shaped jet route because at one point
-it is 9 to 13 times faster (0.22 / 0.30 / 0.28 ms against 2.1 / 3.1 /
-3.7 ms on xy4 / mixed3 / web4, see its module docstring), and `geodesic`
+it is 11 to 17 times faster (see its module docstring), and `geodesic`
 calls it on two RK4 stage points at a time, whose rows
 `test_batch_rows_equal_single_points` holds to the values of the points
 alone.  Both routes expand the web functions with the compiled programs
 of `expr`, so a batch column must equal the per-point jet bit for bit.
-They also share the degeneracy checks, the skew-invariant formula and the
-frame-Christoffel mapping, and both factor A = (d_a f_i) once and take
-lambda, the frame and the basis invariants from its inverse.  What
-differs is how derivatives are carried (matrix calculus on values here,
-Taylor coefficients through one jet solve and tensor contractions
-there), so agreement at round-off checks that part alone.
-`test_christoffels_obey_transformation_law` needs no second route: it
-holds each route to the transformation law of a connection under
-hand-written coordinate changes.  The other checks that do not rest
+They also share the degeneracy checks and the skew-invariant formula, and
+both factor A = (d_a f_i) once and take lambda, the frame and the basis
+invariants from its inverse.  From there they part: the jet route builds
+structure functions and frame Christoffels and carries them to
+coordinates through tensor contractions of Taylor coefficients, while
+`fastgamma` uses a closed form in A^-1, the Hessians and the derivatives
+of lambda.  So `test_matches_jet_route` cross-checks two formulas; its
+curved-frame webs are the ones where every term of the closed form is
+non-zero.  `test_christoffels_obey_transformation_law` needs no second
+route: it holds each route to the transformation law of a connection
+under hand-written coordinate changes.  The other checks that do not rest
 on the shared formulas are in `test_acceptance.py`: `test_02` (the
 defining foliations are totally geodesic for the jet route's connection),
 `test_03` (hand-derived spot values) and `test_09` (geodesics of this
@@ -24,7 +25,6 @@ module's Christoffels stay on the leaves they start tangent to).
 
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -36,7 +36,8 @@ from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
-from conftest import CORPUS_SOURCES, SERIES_SOURCES, make_web
+from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS, NODES, PULLBACKS,
+                      SERIES_SOURCES, make_web, pull_back)
 
 
 @pytest.mark.parametrize("order", range(5))
@@ -52,7 +53,10 @@ def test_batch_column_equals_point_jet(source, point, order):
         assert np.array_equal(batch[:, b], single), (source, order, b)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS_SOURCES))
+# the curved-frame webs are where lambda varies and f_1..f_n have
+# Hessians, so the closed form's L and d_a d_b f_j terms are not zero
+@pytest.mark.parametrize("name", sorted(CORPUS_SOURCES)
+                         + list(CURVED_FRAME_WEBS))
 def test_matches_jet_route(name):
     web = make_web(name)
     fast = fastgamma.batched_gamma_evaluator(web)
@@ -121,8 +125,7 @@ def test_coincident_invariants_in_batch():
 # benchmark webs have A = I, nodes.json does not
 HERE = os.path.dirname(__file__)
 ROW_WEBS = [os.path.join(HERE, os.pardir, "perfbench", "webs", name + ".json")
-            for name in ("xy4", "mixed3", "web4")] \
-    + [os.path.join(HERE, "webs", "nodes.json")]
+            for name in ("xy4", "mixed3", "web4")] + [NODES]
 
 
 @pytest.mark.parametrize("path", ROW_WEBS, ids=os.path.basename)
@@ -202,11 +205,9 @@ def test_negative_base_under_variable_exponent():
 # Transformation law.  Pulling a web back by x = psi(y) (text substitution
 # in its functions) pulls its canonical connection back:
 #   Gamma'^c_ab(y) = (J^-1)^c_k (Gamma^k_ij(x) J^i_a J^j_b + d_a d_b psi^k)
-# with J^k_a = d_a psi^k.  Each map comes as the substitutes for x1.. and a
-# function of y giving x, J and the second derivatives, written by hand.
-
-PSI2 = ["(x1+0.3*x2^2)", "(x2+0.2*x1*x2)"]
-PSI3 = ["(x1+0.2*x2*x3)", "(x2+0.3*x1^2)", "(x3+0.1*x1*x2+0.2*x3^2)"]
+# with J^k_a = d_a psi^k.  Each map comes as the substitutes for x1.. of
+# `conftest.PULLBACKS` and a function of y giving x, J and the second
+# derivatives, written by hand.
 
 
 def _psi2(y):
@@ -244,14 +245,10 @@ def _jet_route(web):
 @pytest.mark.parametrize("route", [fastgamma.batched_gamma_evaluator,
                                    _jet_route], ids=["fastgamma", "jets"])
 @pytest.mark.parametrize("n, sources, subst, psi", [
-    (2, ["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"], PSI2, _psi2),
-    (3, CORPUS_SOURCES["mixed3"][1], PSI3, _psi3),
-])
+    (*PULLBACKS["pulled2"], _psi2), (*PULLBACKS["pulled3"], _psi3)])
 def test_christoffels_obey_transformation_law(n, sources, subst, psi, route):
-    pulled = [re.sub(r"x(\d)", lambda m: subst[int(m.group(1)) - 1], s)
-              for s in sources]
     gamma, pulled_gamma = (route(WebChart.from_strings(n, f))
-                           for f in (sources, pulled))
+                           for f in (sources, pull_back(sources, subst)))
     Y = np.random.default_rng(3).uniform(-0.2, 0.2, size=(8, n))
     got = pulled_gamma(Y)
     for b, y in enumerate(Y):
@@ -262,8 +259,9 @@ def test_christoffels_obey_transformation_law(n, sources, subst, psi, route):
 
 
 def test_one_inverse_and_no_solve_per_call(monkeypatch):
+    # the closed form needs no einsum either
     fast = fastgamma.batched_gamma_evaluator(make_web("mixed3"))
-    calls = {"inv": 0, "solve": 0}
+    calls = {"inv": 0, "solve": 0, "einsum": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -272,10 +270,10 @@ def test_one_inverse_and_no_solve_per_call(monkeypatch):
         return call
 
     for name in calls:
-        monkeypatch.setattr(np.linalg, name,
-                            counted(name, getattr(np.linalg, name)))
+        module = np if name == "einsum" else np.linalg
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     fast(np.array([[0.05, 0.04, 0.03]]))
-    assert calls == {"inv": 1, "solve": 0}
+    assert calls == {"inv": 1, "solve": 0, "einsum": 0}
 
 
 # `geodesic` failing at its start point.  The texts were recorded when the

@@ -213,6 +213,30 @@ def test_overflowing_stages_raise_without_warnings():
                                      T=1.0, h=0.1)
 
 
+def test_nan_christoffels_raise_step_too_large():
+    def nan(x):
+        return np.full(np.shape(x)[:-1] + (2, 2, 2), np.nan)
+
+    with pytest.raises(StepTooLarge, match=r"^geodesic integration diverged "
+                       r"near t=0\.1; reduce the step or the horizon$"):
+        geodesics.integrate_geodesic(nan, [0.0, 0.0], [1.0, 0.0],
+                                     T=1.0, h=0.1)
+
+
+def test_position_overflow_with_finite_velocity_raises():
+    # a flat connection keeps v = v0 finite, and within its cap, while x
+    # runs past the largest float in the first step; the overflow itself
+    # is not under test
+    def flat(x):
+        return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+
+    with np.errstate(over="ignore"), pytest.raises(
+            StepTooLarge, match=r"^geodesic integration diverged near "
+            r"t=0\.5; reduce the step or the horizon$"):
+        geodesics.integrate_geodesic(flat, [np.finfo(float).max, 0.0],
+                                     [1e300, 0.0], T=1.0, h=0.5)
+
+
 def test_invalid_horizon_rejected():
     web = make_web("parallel2")
     gamma = fastgamma.batched_gamma_evaluator(web)

@@ -63,7 +63,7 @@ def test_truncate_is_prefix():
 
 def test_derivative_shifts_coefficients():
     j = jet_of("x1^3*x2", (0.7, 0.4), order=4)
-    d = j.derivative(0)
+    d = j.derivatives()[..., 0]
     assert d.order == 3
     # d/dx1 (x1^3 x2) = 3 x1^2 x2
     assert d.value == pytest.approx(3 * 0.7 ** 2 * 0.4, rel=1e-14)

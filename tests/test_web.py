@@ -88,7 +88,7 @@ def test_basis_invariants_solve_the_expansion():
     n = web.dim
     for a in range(n):
         resid = sum(inv.a[i] * cof.omega[i][a].truncate(inv.a[i].order)
-                    for i in range(n)) + f4.derivative(a)
+                    for i in range(n)) + f4.derivatives()[..., a]
         assert np.allclose(resid.coeffs, 0.0, atol=1e-12)
 
 
