@@ -16,13 +16,7 @@ class OrderExhausted(GeowebError):
 
 
 class SingularSystem(GeowebError):
-    """Linear system pivot fell below the conditioning floor.
-
-    Raised for a batch of systems it carries ``rows`` and ``detail`` as
-    DegenerateWebPoint does.
-    """
-
-    rows = detail = None
+    """The matrix of a linear system over jets is exactly singular."""
 
 
 class DegenerateWebPoint(GeowebError):

@@ -1,17 +1,17 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 11 to 17 times slower
+thousands of times; the tensor-shaped jet route is 8 to 14 times slower
 (order 2, one point a call, medians of 41 interleaved rounds of 50 points
-in one process on a noisy 2-core x86-64 machine: 1.9 / 2.9 / 3.8 ms
-against 0.16 / 0.23 / 0.23 ms here on the benchmark webs xy4 / mixed3 / web4).
+in one process on a noisy 2-core x86-64 machine: 2.5 / 2.9 / 3.9 ms
+against 0.29 / 0.29 / 0.29 ms here on the benchmark webs xy4 / mixed3 / web4).
 The web functions are compiled once into the `expr.compile_program`
 program that also gives each per-point `Jet`, so a batch column, and each
-row of a call, is bit for bit its point alone.  Like the jet route, a call
-factors one matrix, A = (d_a f_i), here with one `np.linalg.inv`, and
-takes from A^-1 by batched matrix products lambda and its derivative, the
-frame V = A^-T diag(1/lambda), inverse of the coframe W = diag(lambda) A^T,
-and the basis invariants and their derivatives, for the jet route's checks
+row of a call, is bit for bit its point alone.  A call inverts A =
+(d_a f_i) once by the jet route's `web.coframe_inverse`, and takes from
+A^-1 by batched matrix products lambda and its derivative, the frame
+V = A^-T diag(1/lambda), inverse of the coframe W = diag(lambda) A^T, and
+the basis invariants and their derivatives, for the jet route's checks
 and skew formula with the batch axis last, as (B,) rows.  Then
 
     Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
@@ -34,8 +34,7 @@ import numpy as np
 
 from . import expr, jets
 from .connection import check_coincidence, skew_formula
-from .errors import DegenerateWebPoint, batch_error
-from .web import WebChart, check_vanishing
+from .web import WebChart, check_vanishing, coframe_inverse
 
 
 def batched_values(tree, X) -> np.ndarray:
@@ -78,14 +77,7 @@ def batched_gamma_evaluator(web: WebChart):
         hesses = co[:, :, slot] * fac
 
         A = grads[:, :n].transpose(0, 2, 1)         # A[b,a,i] = d_a f_i
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            # LAPACK stops at an exactly zero pivot of the LU factorization,
-            # whose determinant is then exactly zero too
-            raise batch_error(DegenerateWebPoint, np.linalg.det(A) == 0.0,
-                              lambda b: "coframe normalization is singular "
-                              "at %s" % np.array2string(X[b])) from None
+        Ainv = coframe_inverse(A, X)
         lam = -(Ainv @ grads[:, n, :, None])[:, :, 0]
         check_vanishing(lam, X, lambda i: "lambda_%d" % (i + 1))
         # rhs[b,a,c] = -d_a d_c f_{n+1} - sum_i lam_i d_a d_c f_i

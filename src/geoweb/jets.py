@@ -282,17 +282,6 @@ class Jet:
         c[0] = value
         return cls(dim, order, c, value.ndim)
 
-    @classmethod
-    def variable(cls, axis: int, value: float, dim: int, order: int) -> "Jet":
-        """Jet of the coordinate function x_{axis+1} at the given value."""
-        if not 0 <= axis < dim:
-            raise ValueError("axis %d out of range for dim %d" % (axis, dim))
-        c = np.zeros(n_coeffs(dim, order))
-        c[0] = value
-        if order >= 1:
-            c[1 + axis] = 1.0
-        return cls(dim, order, c)
-
     @property
     def shape(self) -> tuple:
         return self.coeffs.shape[1:1 + self.rank]
@@ -316,16 +305,6 @@ class Jet:
         if self.order == 0:
             return np.zeros(self.dim)
         return self.coeffs[1:1 + self.dim].copy()
-
-    def coeff(self, alpha):
-        """Coefficient of the monomial with multi-index `alpha`."""
-        tb = _tables(self.dim, self.order)
-        try:
-            c = self.coeffs[tb.index[tuple(alpha)]]
-        except KeyError:
-            raise ValueError("multi-index %r not stored at order %d"
-                             % (tuple(alpha), self.order)) from None
-        return float(c) if self.coeffs.ndim == 1 else c
 
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
@@ -535,60 +514,53 @@ def skew_upper(t: Jet) -> Jet:
     return where(i < j, t, where(i > j, -t.transpose(*swap), 0.0))
 
 
-def jet_linear_solve(A, b):
-    """Solve A x = b by Gaussian elimination over jets.
+def _times_values(R, c):
+    # sum_p R[i, p] c[:, p, j], in the order of p, for value matrices R
+    # (m, m, *batch) and coefficients c (count, m, k, *batch)
+    return ordered_sum(R[None, :, p, None] * c[:, p, None]
+                       for p in range(len(R)))
 
-    `A` is an (m, m) jet and `b` an (m,) or (m, k) jet, the columns of b
-    solved alike; nested lists of scalar jets are stacked on entry.  A
-    point jet broadcasts against a batch.  Each batch column pivots on its
-    own value parts, taking the first largest; a best pivot below 1e-12
-    times the largest entry magnitude of the column's matrix raises
-    SingularSystem (degenerate point upstream).  The loop runs over the
-    elimination columns and updates every row and right-hand side in one
-    product, so each entry goes through the products and sums of a solve
-    of scalar point jets and equals it bit for bit.
+
+def jet_linear_solve(A, b, inv=None):
+    """Solve A x = b over jets by lifting one inverse of A's value part.
+
+    `A` is an (m, m) jet and `b` an (m,) or (m, k) jet; nested lists of
+    scalar jets are stacked on entry, and a point jet broadcasts against a
+    batch.  `inv` is R = A0^-1 for A0 = A.value, as `np.linalg.inv` gives
+    it; taken here when not given, where an exactly singular A0 raises
+    SingularSystem.  N = -R (A - A0) has no value part, so
+    x = sum_{s <= order} N^s R b exactly; Horner's rule x <- R b + N x sums
+    it, step s at order s.  Sums run in a fixed order, so each batch column
+    equals its point solve bit for bit.
     """
     if not isinstance(A, Jet):
         A = stack([stack(row) for row in A])
     if not isinstance(b, Jet):
         b = stack(b)
+    A._coerce(b)
     m = len(A)
     if A.shape != (m, m) or b.shape[:1] != (m,) or b.rank > 2:
         raise ValueError("jet_linear_solve needs a square system")
-    order, tb = A.order, _tables(A.dim, A.order)
-    # the augmented matrix [A | b], (count, m, m + k, *batch)
-    M = stack([*A.transpose(), *(b.transpose() if b.rank == 2 else [b])]
-              ).transpose().coeffs
-    batch = M.shape[3:]
-    floor = 1e-12 * np.abs(A.coeffs[0]).max(axis=(0, 1))
-    for col in range(m):
-        column = M[0, col:, col]
-        piv = col + np.argmax(np.abs(column), axis=0)
-        best = np.take_along_axis(column, (piv - col)[None], axis=0)[0]
-        low = np.abs(best) <= floor
-        if np.any(low):
-            best_b = np.reshape(best, -1)
-            floor_b = np.reshape(np.broadcast_to(floor, np.shape(best)), -1)
-            raise batch_error(SingularSystem, low, lambda b:
-                              "pivot %g below floor %g in column %d"
-                              % (best_b[b], floor_b[b], col))
-        if np.any(piv != col):
-            # swap rows col and piv, in each batch column on its own
-            perm = np.indices((m,) + batch)[0]
-            perm[col] = piv
-            np.put_along_axis(perm, piv[None], col, axis=0)
-            M = np.take_along_axis(M, perm[None, :, None], axis=1)
-        d = M[:, col, col]
-        inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
-        rows = [r for r in range(m) if r != col]
-        f = coeff_mul(M[:, rows, col], inv[:, None], tb)
-        M[:, rows, col:] = M[:, rows, col:] - coeff_mul(
-            f[:, :, None], M[:, col, None, col:], tb)
-    diag = np.arange(m)
-    d = M[:, diag, diag]
-    inv = coeff_compose(d, SERIES["recip"](d[0], order), tb)
-    x = coeff_mul(M[:, :, m:], inv[:, :, None], tb)
-    return Jet(A.dim, order, x if b.rank == 2 else x[:, :, 0], b.rank)
+    if inv is None:
+        try:
+            inv = np.linalg.inv(A.value)
+        except np.linalg.LinAlgError:
+            raise SingularSystem("the matrix is singular") from None
+    batched = A.batched or b.batched
+    # R laid out as A's coefficients, (m, m, *batch), and contiguous: the
+    # products below take its memory order, and a strided one slows them
+    R = (np.ascontiguousarray(np.moveaxis(inv, 0, -1)) if A.batched
+         else np.reshape(inv, (m, m) + (1,) * batched))
+    N = _times_values(-R, _spread(A, 2, batched))
+    N[0] = 0.0
+    x = Rb = _times_values(R, _spread(b if b.rank == 2 else b[:, None], 2,
+                                      batched))
+    for s in range(1, A.order + 1):
+        cs, tb = n_coeffs(A.dim, s), _tables(A.dim, s)
+        x = np.concatenate((Rb[:cs] + ordered_sum(
+            coeff_mul(N[:cs, :, j, None], x[:cs, None, j], tb)
+            for j in range(m)), Rb[cs:]))
+    return Jet(A.dim, A.order, x if b.rank == 2 else x[:, :, 0], b.rank)
 
 
 def directional_derivative(f: Jet, v) -> Jet:

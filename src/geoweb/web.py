@@ -17,13 +17,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import expr
-from .errors import (DegenerateWebPoint, OrderExhausted, SingularSystem,
-                     batch_error)
+from .errors import DegenerateWebPoint, OrderExhausted, batch_error
 from .jets import (Jet, directional_derivative, jet_linear_solve,
                    ordered_sum, skew_upper, stack)
 
 # relative floor below which a lambda or a-coefficient counts as vanishing
 DEGENERACY_FLOOR = 1e-10
+# kappa_inf of A = (d_a f_i) from which a point is out of general position
+CONDITION_LIMIT = 1e12
 
 
 @dataclass
@@ -126,13 +127,36 @@ def check_vanishing(values, point, name):
                                                  np.array2string(pts[b])))
 
 
+def coframe_inverse(A, point):
+    """A^-1 for A[a][i] = d_a f_i, (n, n) at a point (n,) or (B, n, n) for
+    a batch (B, n), by one LAPACK inverse.  Both Christoffel routes decide
+    singularity here: DegenerateWebPoint marks the points where kappa_inf(A)
+    is not below CONDITION_LIMIT (inf if A is singular, NaN if not finite)."""
+    try:
+        inv = np.linalg.inv(A)
+        with np.errstate(over="ignore"):    # kappa is then inf
+            kappa = (np.abs(A).sum(axis=-1).max(axis=-1)
+                     * np.abs(inv).sum(axis=-1).max(axis=-1))
+    except np.linalg.LinAlgError:   # for the whole stack: a row fails below
+        kappa = np.linalg.cond(A, np.inf)   # the same, inf where singular
+    bad = ~np.less(kappa, CONDITION_LIMIT)
+    if bad.any():
+        kappa = np.reshape(kappa, -1)
+        pts = np.reshape(point, (-1, A.shape[-1]))
+        raise batch_error(DegenerateWebPoint, bad, lambda b:
+                          "coframe normalization is singular at %s "
+                          "(condition number %.3g)"
+                          % (np.array2string(pts[b]), kappa[b]))
+    return inv
+
+
 def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe:
     """Gauge-fix the first n+1 foliations at a point (n,) or a batch (B, n).
 
     `order` is the jet order for the web functions; it must be >= 2 so the
-    structure functions (two derivatives of f) survive truncation.  One
-    solve with A[a][i] = d_a f_i against [-grad f_{n+1} | I] gives lambda,
-    bit for bit as against -grad f_{n+1} alone, and A^-1, whose row j over
+    structure functions (two derivatives of f) survive truncation.  The
+    `coframe_inverse` of A[a][i] = d_a f_i, lifted to jets by a solve
+    against [-grad f_{n+1} | I], gives lambda and A^-1, whose row j over
     lambda_j is frame j: the coframe is diag(lambda) A^T.
     """
     n = web.dim
@@ -143,13 +167,9 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     f = stack([web.eval_function(i, point, order) for i in range(1, n + 2)])
     grads = f.derivatives()            # grads[i][a] = d_a f_i
     rhs = stack([-grads[n], *Jet.constant(np.eye(n), n, order - 1)])
-    try:
-        sol = jet_linear_solve(grads[:n].transpose(), rhs.transpose())
-    except SingularSystem as e:
-        pts, detail = np.reshape(point, (-1, n)), e.detail
-        raise batch_error(DegenerateWebPoint, e.rows, lambda b:
-                          "coframe normalization is singular at %s (%s)"
-                          % (np.array2string(pts[b]), detail(b))) from None
+    A = grads[:n].transpose()
+    sol = jet_linear_solve(A, rhs.transpose(),
+                           coframe_inverse(A.value, point))
     check_vanishing(sol[:, 0].value, point, lambda i: "lambda_%d" % (i + 1))
     lam = stack([*sol[:, 0], 1.0])     # lam[n] = 1
     omega = lam[:, None] * grads

@@ -3,9 +3,10 @@
 import os
 import re
 
+import numpy as np
 import pytest
 
-from geoweb import webfile
+from geoweb import jets, webfile
 from geoweb.web import WebChart
 
 # Reference webs.  The first three building blocks of each n = 2 chart are
@@ -59,6 +60,21 @@ PULLBACKS = {
                  "(x3+0.1*x1*x2+0.2*x3^2)"]),
 }
 CURVED_FRAME_WEBS = ("nodes", "pulled2", "pulled3")
+
+
+def variable(axis, value, dim, order):
+    """Jet of the coordinate function x_{axis+1} at the given value."""
+    c = np.zeros(jets.n_coeffs(dim, order))
+    c[0] = value
+    if order >= 1:
+        c[1 + axis] = 1.0
+    return jets.Jet(dim, order, c)
+
+
+def coeff(jet, alpha):
+    """A point jet's coefficient of the monomial with multi-index `alpha`."""
+    return float(jet.coeffs[jets.exponents(jet.dim, jet.order).index(
+        tuple(alpha))])
 
 
 def pull_back(sources, subst):

@@ -22,7 +22,7 @@ from geoweb.expr import eval_field, parse_expression
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
-from conftest import CORPUS_SOURCES, make_web
+from conftest import CORPUS_SOURCES, coeff, make_web
 from fdtools import partial_fd
 
 
@@ -296,7 +296,7 @@ def test_10_jet_derivatives_match_richardson_fd():
             fact = 1.0
             for a in alpha:
                 fact *= math.factorial(a)
-            rel = abs(j.coeff(alpha) * fact - fd) / max(1.0, abs(fd))
+            rel = abs(coeff(j, alpha) * fact - fd) / max(1.0, abs(fd))
             worst = max(worst, rel)
     ok = worst <= 1e-6
     assert verdict_line(10, "jet derivatives (orders 1-4) match FD oracle",

@@ -282,7 +282,8 @@ def test_linear_solve_pivots_each_column_alone():
     A = rng.standard_normal((m, m, count, width))
     b = rng.standard_normal((m, count, width))
     # each column gets its largest first-column entry in another row, and
-    # column 5 a tie that the first maximum must win
+    # column 5 a tie: no pivot choice since the solve inverts each column's
+    # value part alone, but columns still unlike one another
     for col in range(width):
         A[:, 0, 0, col] = [0.1, 0.2, 0.3]
         A[col % m, 0, 0, col] = 5.0

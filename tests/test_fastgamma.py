@@ -1,7 +1,7 @@
 """Batched Christoffel pipeline against the jet route.
 
 `fastgamma` stays beside the tensor-shaped jet route because at one point
-it is 11 to 17 times faster (see its module docstring), and `geodesic`
+it is 8 to 14 times faster (see its module docstring), and `geodesic`
 calls it on two RK4 stage points at a time, whose rows
 `test_batch_rows_equal_single_points` holds to the values of the points
 alone.  Both routes expand the web functions with the compiled programs
@@ -33,8 +33,9 @@ from geoweb import cli, expr, fastgamma, webfile
 from geoweb.connection import canonical_structure
 from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
                            DomainError)
+from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
-from geoweb.web import WebChart
+from geoweb.web import WebChart, normalize_coframe
 
 from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS, NODES, PULLBACKS,
                       SERIES_SOURCES, make_web, pull_back)
@@ -276,12 +277,77 @@ def test_one_inverse_and_no_solve_per_call(monkeypatch):
     assert calls == {"inv": 1, "solve": 0, "einsum": 0}
 
 
-# `geodesic` failing at its start point.  The texts were recorded when the
-# evaluator still solved with A, W and W^T in turn; inverting only A must
-# print the same
+def test_one_inverse_per_jet_route_structure(monkeypatch):
+    # the jet route takes the one inverse of A at the values and lifts it
+    calls = []
+    real = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    canonical_structure(make_web("mixed3"), (0.05, 0.04, 0.03), 3)
+    assert calls == [(3, 3)]
+    sin6 = webfile.load_webfile(os.path.join(
+        os.path.dirname(__file__), os.pardir, "perfbench", "webs",
+        "sin6.json"))
+    calls.clear()
+    extra_foliations(sin6, random_points(sin6, 4, seed=1))
+    assert calls == [(4, 2, 2)]
+
+
+# A = (d_a f_i) of this web is [[1, x2], [0, 1 + x1]]: singular on x1 = -1,
+# with kappa_inf(A) about 1.3 / (1 + x1) at x2 = 0.3 near it
+SINGULAR_WEB = ["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"]
+
+
+@pytest.mark.parametrize("x1, text", [
+    (-1 + 1e-13, "coframe normalization is singular at [-1.   0.3] "
+                 "(condition number 1.3e+13)"),
+    (-1.0, "coframe normalization is singular at [-1.   0.3] "
+           "(condition number inf)"),
+    (-1 + 1e-10, None),
+], ids=["near", "exact", "evaluated"])
+def test_both_routes_exclude_a_singular_coframe_alike(tmp_path, capsys, x1,
+                                                      text):
+    web = WebChart.from_strings(2, SINGULAR_WEB)
+    X = np.array([[0.1, 0.2], [x1, 0.3], [0.2, -0.1]])
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"dimension": 2, "functions": SINGULAR_WEB,
+                                "domain": {"center": [0, 0], "radius": 0.5}}))
+    argv = ["geodesic", str(path), "--from=%r,0.3" % x1, "--leaf", "4"]
+    routes = (lambda P: normalize_coframe(web, P, 2),
+              fastgamma.batched_gamma_evaluator(web))
+    if text is None:
+        for route in routes:
+            route(X[1])
+            route(X)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        return
+    for route in routes:
+        with pytest.raises(DegenerateWebPoint) as err:
+            route(X[1])
+        assert str(err.value) == text
+        with pytest.raises(DegenerateWebPoint) as err:
+            route(X)
+        assert str(err.value) == text
+        assert err.value.rows.tolist() == [False, True, False]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "geoweb: computation failed: geodesic left the admissible set near "
+        "t=0: %s\n" % text)
+
+
+# `geodesic` failing at its start point.  The last two texts were recorded
+# when the evaluator still solved with A, W and W^T in turn; inverting only
+# A must print the same
 GEODESIC_FAILURES = [
-    (["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"], "-1,0.3", "4",
-     "coframe normalization is singular at [-1.   0.3]"),
+    # |A|_inf overflows: kappa is inf, with no overflow warning
+    (["1e308*(x1+x2)", "x2", "-(x1+x2)", "x1+2*x2+x1*x2"], "0.1,0.2", "4",
+     "coframe normalization is singular at [0.1 0.2] (condition number "
+     "inf)"),
     (["x1", "x2", "-(x1+x2+x1*x2)", "x1+2*x2"], "0,-1", "4",
      "lambda_1 vanishes at [ 0. -1.]"),
     (["x1", "x2", "-(x1+x2)", "x1+x2^2"], "0.1,0", "1",

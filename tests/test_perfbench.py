@@ -2,12 +2,15 @@
 
 `perfbench/spans.py` wraps geoweb functions by name and times the jet
 kernels through the public `Jet` API; a rename or a changed signature
-would only show as a failing `perfbench/run.py --trace 1`.  These checks
+would only show as a failing `perfbench/run.py --trace 1`.  `run.py`
+itself probes `jets.backend_name()` before every run.  These checks
 import the harness as it is and hold it to the program here.
 """
 
 import importlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -16,10 +19,14 @@ from geoweb import cli, jets, report
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def _spans(monkeypatch):
-    # spans.py imports its sibling module `workloads` by plain name
+def _perfbench(monkeypatch, name):
+    # the harness modules import their siblings by plain name
     monkeypatch.syspath_prepend(PERFBENCH)
-    return importlib.import_module("spans")
+    return importlib.import_module(name)
+
+
+def _spans(monkeypatch):
+    return _perfbench(monkeypatch, "spans")
 
 
 def test_traced_functions_exist(monkeypatch):
@@ -29,6 +36,18 @@ def test_traced_functions_exist(monkeypatch):
         mod = importlib.import_module("geoweb." + module)
         assert callable(getattr(mod, name, None)), (module, name)
     assert callable(report.Report.render)
+
+
+def test_setup_probe_names_the_backend(monkeypatch):
+    # every benchmark run starts with this probe and exits 2 if it fails
+    run = _perfbench(monkeypatch, "run")
+    probe = subprocess.run([sys.executable, "-c", run._ENV_PROBE],
+                           env=run.program_env(), capture_output=True,
+                           text=True, check=False)
+    assert probe.returncode == 0, probe.stderr
+    numpy_version, backend, path = probe.stdout.split(maxsplit=2)
+    assert (numpy_version, backend) == (np.__version__, "python")
+    assert os.path.abspath(path.strip()).startswith(run.SRC + os.sep)
 
 
 def test_jet_kernels_run(monkeypatch):

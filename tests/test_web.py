@@ -1,6 +1,7 @@
 """Coframe normalization, frame duality and basis invariants."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -106,14 +107,23 @@ def test_vanishing_invariant_raises():
         basis_invariants(cof, web, 5)
 
 
-def test_near_singular_coframe_names_the_pivot():
-    web = WebChart.from_strings(
-        2, ["x1", "x1*x2+x2", "-(x1+x2)", "x1+2*x2+x1*x2+x1^2"])
+def test_singular_rows_of_a_batch_read_as_alone():
+    # an exactly singular matrix makes LAPACK fail the whole batch; every
+    # row still gets the condition number it has at its point alone
+    A = np.array([np.eye(2), [[1, 0.3], [0, 0]], [[1, 0.3], [0, 1e-13]],
+                  np.zeros((2, 2)), [[np.nan, 0], [0, 1]]])
+    X = np.arange(10.0).reshape(5, 2)
     with pytest.raises(DegenerateWebPoint) as err:
-        normalize_coframe(web, (-1 + 1e-13, 0.3), order=2)
-    assert str(err.value) == (
-        "coframe normalization is singular at [-1.   0.3] "
-        "(pivot 1.00031e-13 below floor 1e-12 in column 1)")
+        web_module.coframe_inverse(A, X)
+    assert err.value.rows.tolist() == [False, True, True, True, True]
+    for b, kappa in ((1, "inf"), (2, "1.3e+13"), (3, "inf"), (4, "nan")):
+        text = ("coframe normalization is singular at %s (condition number "
+                "%s)" % (np.array2string(X[b]), kappa))
+        assert err.value.detail(b) == text
+        with pytest.raises(DegenerateWebPoint, match=r"^%s$" % re.escape(
+                text)):
+            web_module.coframe_inverse(A[b], X[b])
+    assert np.array_equal(web_module.coframe_inverse(A[0], X[0]), np.eye(2))
 
 
 def test_one_jet_solve_gives_frame_and_every_invariant(monkeypatch):
