@@ -15,6 +15,7 @@ identical inputs, flags and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -27,7 +28,7 @@ from . import __version__, connection, curvature, fastgamma, geodesics, \
 from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
                      StepTooLarge, WebFileError)
 from .report import Report, write_report
-from .web import basis_invariants, pointed_chart
+from .web import basis_invariants, pointed_order, reorder_chart
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -201,14 +202,17 @@ def _cmd_linearize(args) -> int:
 def _cmd_connection(args) -> int:
     web = webfile.load_webfile(args.webfile)
     point = _parse_coords(args.at, web.dim, "--at")
-    work = pointed_chart(web) if args.gauge == "pointed" else web
+    # the chart's foliations by slot, labelled with the file's indices
+    index = (pointed_order(web) if args.gauge == "pointed"
+             else list(range(1, web.d + 1)))
+    work = reorder_chart(web, index)
     struct = connection.canonical_structure(work, point)
     rows = []
     for k in range(web.dim + 2, work.d + 1):
         inv = basis_invariants(struct.cof, work, k)
         for section, values in (("a", inv.a.value),
                                 ("a_class", inv.projective_class())):
-            rows.extend([section, k, i + 1, "", float(v)]
+            rows.extend([section, index[k - 1], i + 1, "", float(v)]
                         for i, v in enumerate(values))
     for section, values in (("theta", struct.theta.theta.value),
                             ("frame_gamma", struct.conn.frame_gamma.value),
@@ -281,17 +285,11 @@ def invariant_rows(web, points):
         return body
 
     rows = []
-    for idx, res in enumerate(invariants.map_sample(measure, points, order=2)):
-        head = [idx] + [float(x) for x in points[idx]]
-        if isinstance(res, DegenerateWebPoint):
-            rows.append(head + ["degenerate"] + [""] * pad + [str(res)])
-            continue
-        body = [float(c) for c in res]
-        if all(math.isfinite(c) for c in body):
-            rows.append(head + ["ok"] + body + [""])
-        else:
-            rows.append(head + ["degenerate"] + [""] * pad
-                        + ["non-finite invariant"])
+    for idx, (res, detail) in enumerate(invariants.checked_results(
+            measure, points, 2, itertools.repeat("invariant"))):
+        rows.append([idx] + [float(x) for x in points[idx]]
+                    + (["degenerate"] + [""] * pad if res is None
+                       else ["ok"] + res) + [detail])
     return rows
 
 

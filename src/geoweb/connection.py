@@ -1,16 +1,28 @@
 """Canonical connection of a web: theta system, Christoffels, gauge moves.
 
-The skew invariants s_ij derived from the basis invariants of foliation n+2
-fix the antisymmetric part of the theta matrix; the free gauge t fixes the
-symmetric part.  Together with the frame structure functions they determine
-the unique torsion-free connection making every web leaf totally geodesic
-(one connection per gauge; different gauges are projectively equivalent).
+The skew invariants s_ij from the basis invariants of foliation n+2 fix the
+antisymmetric part of the theta matrix, the free gauge t its symmetric
+part; they give the unique torsion-free connection making every web leaf
+totally geodesic (one per gauge, all projectively equivalent).  With the
+coframe W_ja = lambda_j d_a f_j, its frame E_j and L_ji = D_i log lambda_j
+(D_i along E_i), d omega_k = d log lambda_k ^ omega_k makes the structure
+functions c^k_ij = omega_k([E_i, E_j]) vanish unless k is i or j, with
+c^k_kj = L_kj.  So with Q = (L - theta) / 2 the frame symbols
+(nabla_{E_q} E_p = sum_k fg^k_pq E_k) are sparse: fg^k_pk = Q_kp and
+fg^k_kq = Q_kq - L_kq for p, q != k, fg^k_kk = -theta_kk, zero elsewhere.
+In Gamma^c_ab = W_ia W_jb (fg^k_ji E_k^c - D_i E_j^c), W_ia D_i = d_a and
+sum_j W_jb E_j^c = delta_bc make the second term E_j^c d_a W_jb =
+E_j^c (lambda_j d_a d_b f_j + W_ia L_ji W_jb), whose L_ji (i != j) cancel
+the -L_ji of fg^j_ji.  With L_jj - theta_jj = 2 Q_jj and K = Q W, both
+Christoffel routes, `canonical_christoffels` on jets and `fastgamma` on
+values, evaluate
+
+    Gamma^c_ab = sum_j E_j^c (lambda_j d_a d_b f_j + W_ja K_jb + K_ja W_jb)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -105,14 +117,13 @@ class ConnectionField:
 
     gamma[c][a][b] are coordinate symbols (symmetric in a, b);
     frame_gamma[k][p][q] are frame symbols with q the derivative direction
-    (nabla_{e_q} e_p = sum_k frame_gamma[k][p][q] e_k).  frame/frame_gamma
-    are None for connections not built from a web coframe.
+    (nabla_{e_q} e_p = sum_k frame_gamma[k][p][q] e_k).
     """
     point: np.ndarray
     order: int
     gamma: Jet                 # (n, n, n)
-    frame_gamma: Optional[Jet] = None
-    frame: Optional[Jet] = None
+    frame_gamma: Jet           # (n, n, n)
+    frame: Jet                 # (n, n), as in the coframe
 
     @property
     def dim(self) -> int:
@@ -123,73 +134,47 @@ class ConnectionField:
         return self.gamma.value
 
 
-@lru_cache(maxsize=None)
-def _frame_index(n):
-    # for frame_christoffels, cached like `grid`: the index arrays (k, p,
-    # q), the theta column of an entry with q = k or p = k, and the masks
-    # of the entries with one and with both
-    k, p, q = grid(n, 3)
-    return (k, p, q, np.where(q == k, p, q), (p == k) | (q == k),
-            (p == k) & (q == k))
-
-
-def frame_christoffels(c, th):
-    """Frame symbols fg[k][p][q] from the structure functions c[k][i][j]
-    and the theta matrix th[i][j]: jets, or value arrays with the batch
-    axis last."""
-    k, p, q, col, one, both = _frame_index(len(th))
-    cqp = c[k, q, p]
-    # (c[k][k][p] - th[k][p]) / 2 where q = k, (c[k][q][k] - th[k][q]) / 2
-    # where p = k, c[k][q][p] / 2 elsewhere and -th[k][k] where both
-    shifted = (cqp - th[k, col]) * 0.5
-    fg = where(one, shifted, cqp * 0.5)
-    return where(both, -th[k, k], fg)
-
-
 def canonical_christoffels(cof: NormalizedCoframe,
                            theta: ThetaSystem) -> ConnectionField:
-    """Frame Christoffels from the theta system, then coordinate symbols."""
+    """Frame and coordinate symbols from the theta system by the closed
+    form of the module docstring."""
     n = cof.dim
     r = cof.order - 1
-    fg = frame_christoffels(cof.c, theta.theta)
-    Et = cof.frame.truncate(r)
+    lam = cof.lam[:n].truncate(r)
+    th = theta.theta
+    # L[j][i] = D_i log lam_j, Q = (L - theta) / 2 and K[j][a] = Q[j][i] W_ia
+    L = cof.frame_derivatives(cof.lam[:n]).transpose() / lam[:, None]
+    Q = (L - th) * 0.5
     Wt = cof.omega[:n].truncate(r)
-    # H[c][i][j] = sum_k fg[k][j][i] E_k^c - D_i E_j^c
-    H = ordered_sum(fg[k].transpose() * Et[k, :, None, None]
-                    for k in range(n)) - cof.dframe.transpose(2, 0, 1)
-    # gamma[c][a][b] = sum over (i, j) in lexicographic order of
-    # (W_ia W_jb) H[c][i][j]
-    gamma = ordered_sum(Wt[i, :, None] * Wt[j] * H[:, i, j, None, None]
-                        for i in range(n) for j in range(n))
+    K = ordered_sum(Q[:, i, None] * Wt[i] for i in range(n))
+    k, p, q = grid(n, 3)
+    fg = where(q == k, Q[k, p], 0.0)
+    fg = where(p == k, Q[k, q] - L[k, q], fg)
+    fg = where((p == k) & (q == k), -th[k, k], fg)
+    # T[j][a][b] = lam_j d_a d_b f_j + W_ja K_jb + K_ja W_jb, and
+    # gamma[c][a][b] = sum over j in order of E_j^c T[j][a][b]
+    P = K[:, None] * Wt[:, :, None]
+    T = lam[:, None, None] * cof.hess + (P + P.transpose(0, 2, 1))
+    Et = cof.frame.truncate(r)
+    gamma = ordered_sum(Et[j][:, None, None] * T[j] for j in range(n))
     return ConnectionField(cof.point, r, gamma, fg, cof.frame)
 
 
-@dataclass
-class GaugeForm:
-    """1-form values at a point (coordinate components)."""
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-
-
 def projective_gauge_change(conn: ConnectionField, rho) -> ConnectionField:
-    """Shift gamma'^c_ab = gamma^c_ab + delta^c_a rho_b + delta^c_b rho_a."""
+    """Shift gamma'^c_ab = gamma^c_ab + delta^c_a rho_b + delta^c_b rho_a,
+    and the frame symbols alike; rho holds the coordinate components of the
+    1-form, numbers or jets."""
     n = conn.dim
-    comps = rho.rho if isinstance(rho, GaugeForm) else rho
     rj = stack([x.truncate(min(x.order, conn.order)) if isinstance(x, Jet)
-                else Jet.constant(x, n, conn.order) for x in comps])
+                else Jet.constant(x, n, conn.order) for x in rho])
     c, a, b = grid(n, 3)
     gamma = where(c == a, conn.gamma + rj, conn.gamma)
     gamma = where(c == b, gamma + rj[:, None], gamma)
-    frame_gamma = None
-    if conn.frame_gamma is not None and conn.frame is not None:
-        E = conn.frame.truncate(conn.order)
-        rho_frame = ordered_sum(E[:, i] * rj[i] for i in range(n))
-        frame_gamma = where(c == a, conn.frame_gamma + rho_frame,
-                            conn.frame_gamma)
-        frame_gamma = where(c == b, frame_gamma + rho_frame[:, None],
-                            frame_gamma)
+    E = conn.frame.truncate(conn.order)
+    rho_frame = ordered_sum(E[:, i] * rj[i] for i in range(n))
+    frame_gamma = where(c == a, conn.frame_gamma + rho_frame,
+                        conn.frame_gamma)
+    frame_gamma = where(c == b, frame_gamma + rho_frame[:, None], frame_gamma)
     return ConnectionField(conn.point, conn.order, gamma, frame_gamma,
                            conn.frame)
 
@@ -199,8 +184,8 @@ def projective_equivalence_check(conn_a: ConnectionField,
                                  tol: float = 1e-9):
     """Test whether two connections differ by a projective gauge shift.
 
-    Works on value parts at one point; returns (is_equivalent, GaugeForm,
-    residual) with rho_b = (G_B - G_A)^m_mb / (n + 1).
+    Works on value parts at one point; returns (is_equivalent, rho,
+    residual) with the 1-form rho_b = (G_B - G_A)^m_mb / (n + 1).
     """
     if conn_a.point.ndim != 1 or conn_b.point.ndim != 1:
         raise ValueError("projective_equivalence_check takes connections "
@@ -211,7 +196,7 @@ def projective_equivalence_check(conn_a: ConnectionField,
     eye = np.eye(n)
     pred = eye[:, :, None] * rho + eye[:, None, :] * rho[:, None]
     resid = float(np.abs(diff - pred).max())
-    return resid <= tol, GaugeForm(rho), resid
+    return resid <= tol, rho, resid
 
 
 @dataclass

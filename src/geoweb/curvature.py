@@ -14,12 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .connection import ConnectionField, canonical_structure
+from .connection import ConnectionField, canonical_structure, skew_matrix
 from .errors import OrderExhausted
 from .invariants import (FAIL_FACTOR, SampleReport, aggregate_rows, classify,
-                         geodesicity_test, sample_rows)
+                         sample_rows, skew_discrepancy)
 from .jets import Jet, grid, ordered_sum, skew_upper
-from .web import WebChart
+from .web import WebChart, basis_invariants
 
 LINEARIZABLE_PASS_FACTOR = 1e-7
 
@@ -113,24 +113,36 @@ def linearizability_verdict(web: WebChart, points,
     Verdict 'linearizable' when the web is geodesic and the obstruction
     norm stays below 1e-7 times the curvature scale at every admissible
     point; 'not_linearizable' when geodesicity fails or the obstruction
-    exceeds 1e-3 times the scale.
+    exceeds 1e-3 times the scale.  On a web with d > n+2 foliations the
+    geodesicity discrepancy comes from the same structures: one pass, one
+    exclusion list.
     """
     n = web.dim
     if order is None:
         order = 4 if n == 2 else 3
-    geo = geodesicity_test(web, points) if web.d > n + 2 else None
+    extra = web.d > n + 2
 
     def measure(X):
-        pack = projective_pack(canonical_structure(web, X, order).conn)
-        return pack.obstruction_norm(), pack.scale()
+        st = canonical_structure(web, X, order)
+        # foliation n+2's skew matrix is theta's s
+        smats = [st.theta.s.value] + [
+            skew_matrix(st.cof, basis_invariants(st.cof, web, k)).value
+            for k in range(n + 3, web.d + 1)]
+        pack = projective_pack(st.conn)
+        return ((pack.obstruction_norm(), pack.scale())
+                + (skew_discrepancy(smats) if extra else ()))
 
-    rows = sample_rows(measure, points, "obstruction", order)
+    what = ("obstruction", "discrepancy") if extra else ("obstruction",)
+    rows, *geo_rows = sample_rows(measure, points, what, order)
     verdicts = [classify(r.value, r.scale, LINEARIZABLE_PASS_FACTOR,
                          FAIL_FACTOR) for r in rows if r.status == "ok"]
     rep = aggregate_rows("linearizability", rows, verdicts, "linearizable",
                          "not_linearizable")
-    rep.geodesicity = geo
-    if geo is not None:
+    if extra:
+        geo = rep.geodesicity = aggregate_rows(
+            "geodesicity", geo_rows[0], [classify(r.value, r.scale) for r in
+                                         geo_rows[0] if r.status == "ok"],
+            "geodesic", "not_geodesic")
         rep.notes.append("geodesicity: %s" % geo.verdict)
         if geo.verdict == "not_geodesic":
             rep.verdict = "not_linearizable"

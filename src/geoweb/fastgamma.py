@@ -1,31 +1,23 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 8 to 14 times slower
+thousands of times; the tensor-shaped jet route is 8 to 11 times slower
 (order 2, one point a call, medians of 41 interleaved rounds of 50 points
-in one process on a noisy 2-core x86-64 machine: 2.5 / 2.9 / 3.9 ms
-against 0.29 / 0.29 / 0.29 ms here on the benchmark webs xy4 / mixed3 / web4).
-The web functions are compiled once into the `expr.compile_program`
-program that also gives each per-point `Jet`, so a batch column, and each
-row of a call, is bit for bit its point alone.  A call inverts A =
-(d_a f_i) once by the jet route's `web.coframe_inverse`, and takes from
-A^-1 by batched matrix products lambda and its derivative, the frame
-V = A^-T diag(1/lambda), inverse of the coframe W = diag(lambda) A^T, and
-the basis invariants and their derivatives, for the jet route's checks
-and skew formula with the batch axis last, as (B,) rows.  Then
+in one process on a noisy 2-core x86-64 machine, three runs: for example
+1.3 / 1.7 / 1.9 ms against 0.15 / 0.18 / 0.17 ms here on the benchmark
+webs xy4 / mixed3 / web4).  The web functions are compiled once into the
+`expr.compile_program` program that also gives each per-point `Jet`, so a
+batch column, and each row of a call, is bit for bit its point alone.  A
+call inverts A = (d_a f_i) once by the jet route's `web.coframe_inverse`,
+and takes from A^-1 by batched matrix products lambda and its derivative,
+the frame V = A^-T diag(1/lambda), inverse of the coframe
+W = diag(lambda) A^T, and the basis invariants and their derivatives, for
+the jet route's checks and skew formula with the batch axis last, as (B,)
+rows.  Then it evaluates on values the closed form that
+`connection.canonical_christoffels` evaluates on jets (derived in the
+`connection` docstring), with E_j^c lambda_j = (A^-1)_jc and theta = s:
 
     Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
-
-with K = Q W, Q = (L - theta) / 2, L_ji = D_i log lambda_j (D_i along
-frame vector i) and theta the skew matrix of the s_ij: the jet route's
-formula made sparse.  As d omega_k = d log lambda_k ^ omega_k, the
-structure functions c^k_ij vanish unless k is i or j, and c^k_kj = L_kj;
-so for t = 0 the frame Christoffels are fg^i_ji = Q_ij and
-fg^j_ji = Q_ji - L_ji (i != j), zero elsewhere.  In
-Gamma^c_ab = W_ia W_jb (fg^k_ji V_ck - D_i V_cj), the -L_ji cancels
-against D_i of 1/lambda_j in V_cj = (A^-1)_jc / lambda_j,
-V_ci W_ia = (A^-1)_ic d_a f_i gives the K terms, and W_ia D_i = d_a with
-sum_j (A^-1)_jc d_b f_j = delta_cb turns the rest into the first term.
 """
 
 from __future__ import annotations

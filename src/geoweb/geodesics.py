@@ -122,8 +122,7 @@ def tangent_vector(web: WebChart, i: int, point, direction) -> np.ndarray:
     The result is orthogonal to grad f_i, i.e. tangent to the level set;
     foliation indices are 1-based.
     """
-    jet = web.eval_function(i, point, order=1)
-    g = jet.grad
+    g = web.eval_function(i, point, order=1).derivatives().value
     d = np.array(direction, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         gn = float(g @ g)
@@ -155,8 +154,9 @@ def leaf_drift(web: WebChart, i: int, traj: Trajectory):
     dev = np.abs(values - values[0]).max(axis=0)
     # the norm of each 1-D gradient: a row-wise norm over a matrix sums in
     # another order and can differ in the last bit
-    gnorm = np.array([np.linalg.norm(web.eval_function(i, x, order=1).grad)
-                      for x in states[0].reshape(-1, n)])
+    gnorm = np.array([np.linalg.norm(
+        web.eval_function(i, x, order=1).derivatives().value)
+        for x in states[0].reshape(-1, n)])
     gnorm = gnorm.reshape(states.shape[1:-1])
     seglen = np.linalg.norm(np.diff(states, axis=0), axis=-1).sum(axis=0)
     denom = gnorm * seglen

@@ -10,6 +10,7 @@ web is geodesic exactly when they all agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -197,25 +198,35 @@ def map_sample(measure, points, order=0):
     return out
 
 
-def sample_rows(measure, points, what, order):
-    """PointRows from a `measure` returning (value, scale); see map_sample.
-
-    A point whose value or scale is not finite is excluded as degenerate
-    with the detail 'non-finite <what>'.
-    """
-    rows = []
-    for idx, res in enumerate(map_sample(measure, points, order)):
-        pt = np.asarray(points[idx], dtype=float)
+def checked_results(measure, points, order, names):
+    """map_sample with the results made floats: per point, (results, "")
+    or, for a point it excludes, (None, detail).  A point whose result m is
+    not finite is excluded as 'non-finite <names[m]>', for its first such
+    result."""
+    for res in map_sample(measure, points, order):
         if isinstance(res, DegenerateWebPoint):
-            rows.append(PointRow(idx, pt, "degenerate", detail=str(res)))
+            yield None, str(res)
             continue
-        value, scale = float(res[0]), float(res[1])
-        if math.isfinite(value) and math.isfinite(scale):
-            rows.append(PointRow(idx, pt, "ok", value, scale))
-        else:
-            rows.append(PointRow(idx, pt, "degenerate",
-                                 detail="non-finite " + what))
-    return rows
+        res = [float(x) for x in res]
+        bad = next((w for w, x in zip(names, res) if not math.isfinite(x)),
+                   None)
+        yield (res, "") if bad is None else (None, "non-finite " + bad)
+
+
+def sample_rows(measure, points, what, order):
+    """One list of PointRows per name in `what`, from a `measure` returning
+    a (value, scale) pair for each, one after the other; a point is
+    excluded from every list alike (see checked_results)."""
+    lists = [[] for _ in what]
+    names = [w for w in what for _ in range(2)]
+    for idx, (res, detail) in enumerate(checked_results(measure, points,
+                                                        order, names)):
+        pt = np.asarray(points[idx], dtype=float)
+        for m, rows in enumerate(lists):
+            rows.append(PointRow(idx, pt, "degenerate", detail=detail)
+                        if res is None else
+                        PointRow(idx, pt, "ok", *res[2 * m:2 * m + 2]))
+    return lists
 
 
 def extra_foliations(web: WebChart, X, order: int = 2):
@@ -231,6 +242,18 @@ def extra_foliations(web: WebChart, X, order: int = 2):
     return out
 
 
+def skew_discrepancy(smats):
+    """Discrepancy max_{k<l} |s^(k) - s^(l)| and s-scale max(1, |s^(k)|)
+    over the entries of the skew matrices s[b, i, j] of two or more
+    foliations, one value per point."""
+    disc, scale = np.zeros(smats[0].shape[:-2]), np.ones(smats[0].shape[:-2])
+    for sm in smats:
+        scale = np.maximum(scale, np.abs(sm).max(axis=(-2, -1)))
+    for a, b in itertools.combinations(smats, 2):
+        disc = np.maximum(disc, np.abs(a - b).max(axis=(-2, -1)))
+    return disc, scale
+
+
 def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
     """Compare s_ij across all extra foliations at each sample point.
 
@@ -241,23 +264,15 @@ def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
     vacuous = web.d == web.dim + 2
 
     def measure(X):
-        disc, scale = np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
         if vacuous:
-            return disc, scale
-        smats = [smat for _, smat in extra_foliations(web, X, order)]
-        for sm in smats:
-            scale = np.maximum(scale, np.abs(sm).max(axis=(-2, -1)))
-        for a in range(len(smats)):
-            for b in range(a + 1, len(smats)):
-                disc = np.maximum(disc, np.abs(smats[a] - smats[b]).max(
-                    axis=(-2, -1)))
-        return disc, scale
+            return np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
+        return skew_discrepancy([smat for _, smat in
+                                 extra_foliations(web, X, order)])
 
-    rows = sample_rows(measure, points, "discrepancy", order)
+    rows, = sample_rows(measure, points, ("discrepancy",), order)
     verdicts = [classify(r.value, r.scale) for r in rows if r.status == "ok"]
     rep = aggregate_rows("geodesicity", rows, verdicts, "geodesic", "not_geodesic")
     rep.vacuous = vacuous
     if vacuous:
         rep.notes.append("d = n+2: geodesic by construction, no comparisons")
     return rep
-

@@ -299,13 +299,6 @@ class Jet:
             return float(v)
         return np.moveaxis(v, -1, 0) if self.batched else v
 
-    @property
-    def grad(self):
-        """First-derivative vector (zeros when order is 0)."""
-        if self.order == 0:
-            return np.zeros(self.dim)
-        return self.coeffs[1:1 + self.dim].copy()
-
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
             return self
@@ -481,14 +474,10 @@ def stack(items) -> Jet:
                rank + 1)
 
 
-def where(mask, a, b):
+def where(mask, a: Jet, b):
     """Entries of `a` where `mask` holds and of `b` (a jet or a number)
-    elsewhere; `mask` spans the shape axes, or the leading axes of value
-    arrays."""
+    elsewhere; `mask` spans the shape axes."""
     mask = np.asarray(mask)
-    if not isinstance(a, Jet):
-        return np.where(mask.reshape(mask.shape + (1,) * (np.ndim(a)
-                                                         - mask.ndim)), a, b)
     if a._coerce(b) is None:
         b = Jet.constant(b, a.dim, a.order)
     ca, cb, rank = a._operands(b)

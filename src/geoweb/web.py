@@ -4,8 +4,8 @@ A web chart holds d scalar functions on an n-dimensional chart (d >= n+2)
 whose level sets define d foliations by hypersurfaces.  The first n+1
 functions are gauge-fixed so their 1-forms satisfy sum_i omega_i = 0 with
 omega_{n+1} = df_{n+1}; the first n omegas then form a coframe whose dual
-frame and structure functions feed the connection construction.  Every
-remaining foliation is expressed in that coframe through its basis
+frame, with lambda and the Hessians, feeds the connection construction.
+Every remaining foliation is expressed in that coframe through its basis
 invariants a_k1..a_kn.
 """
 
@@ -18,8 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import DegenerateWebPoint, OrderExhausted, batch_error
-from .jets import (Jet, directional_derivative, jet_linear_solve,
-                   ordered_sum, skew_upper, stack)
+from .jets import Jet, directional_derivative, jet_linear_solve, stack
 
 # relative floor below which a lambda or a-coefficient counts as vanishing
 DEGENERACY_FLOOR = 1e-10
@@ -79,11 +78,16 @@ def reorder_chart(web: WebChart, indices) -> WebChart:
                     web.center.copy(), web.radius, labels)
 
 
-def pointed_chart(web: WebChart) -> WebChart:
-    """Move the pointed foliation (default n+1) into slot n+1."""
+def pointed_order(web: WebChart) -> list:
+    """The foliation indices (1-based) by slot of the `pointed_chart`."""
     p = web.pointed if web.pointed is not None else web.dim + 1
     others = [i for i in range(1, web.d + 1) if i != p]
-    return reorder_chart(web, others[:web.dim] + [p] + others[web.dim:])
+    return others[:web.dim] + [p] + others[web.dim:]
+
+
+def pointed_chart(web: WebChart) -> WebChart:
+    """Move the pointed foliation (default n+1) into slot n+1."""
+    return reorder_chart(web, pointed_order(web))
 
 
 @dataclass
@@ -91,16 +95,16 @@ class NormalizedCoframe:
     """Gauge-fixed coframe data at one base point (n,) or a batch (B, n).
 
     `order` is the jet order of omega/frame/lambda (one less than the
-    order the web functions were expanded to); `c` and `dframe` are one
-    order less again.
+    order the web functions were expanded to); `hess`, the Hessians of
+    f_1..f_n that `connection.canonical_christoffels` needs besides them,
+    is one order less again.
     """
     point: np.ndarray
     order: int
     lam: Jet                   # (n+1,), lam[n] == 1
     omega: Jet                 # (n+1, n), omega[i][a] dx_a components
     frame: Jet                 # (n, n), frame[i][a] d/dx_a components
-    c: Jet                     # (n, n, n), c[k][i][j] = -c[k][j][i]
-    dframe: Jet                # (n, n, n), dframe[i][j][a] = D_i frame[j][a]
+    hess: Jet                  # (n, n, n), hess[i][a][b] = d_a d_b f_i
 
     @property
     def dim(self) -> int:
@@ -154,10 +158,10 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     """Gauge-fix the first n+1 foliations at a point (n,) or a batch (B, n).
 
     `order` is the jet order for the web functions; it must be >= 2 so the
-    structure functions (two derivatives of f) survive truncation.  The
-    `coframe_inverse` of A[a][i] = d_a f_i, lifted to jets by a solve
-    against [-grad f_{n+1} | I], gives lambda and A^-1, whose row j over
-    lambda_j is frame j: the coframe is diag(lambda) A^T.
+    Hessians of f survive truncation.  The `coframe_inverse` of
+    A[a][i] = d_a f_i, lifted to jets by a solve against
+    [-grad f_{n+1} | I], gives lambda and A^-1, whose row j over lambda_j
+    is frame j: the coframe is diag(lambda) A^T.
     """
     n = web.dim
     if order < 2:
@@ -174,14 +178,8 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     lam = stack([*sol[:, 0], 1.0])     # lam[n] = 1
     omega = lam[:, None] * grads
     frame = sol[:, 1:] / lam[:n, None]
-    dframe = directional_derivative(frame, frame)
-    # c[k][i][j] = omega_k([frame_i, frame_j]), summed over a in order,
-    # with [frame_i, frame_j]^a = D_i frame_j^a - D_j frame_i^a
-    bracket = dframe - dframe.transpose(1, 0, 2)
-    w = omega[:n].truncate(order - 2)
-    c = ordered_sum(w[:, a, None, None] * bracket[..., a] for a in range(n))
     return NormalizedCoframe(point, order - 1, lam, omega, frame,
-                             skew_upper(c), dframe)
+                             grads[:n].derivatives())
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 import os
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from geoweb import jets, webfile
+from geoweb.jets import directional_derivative, grid, ordered_sum, where
 from geoweb.web import WebChart
 
 # Reference webs.  The first three building blocks of each n = 2 chart are
@@ -75,6 +77,61 @@ def coeff(jet, alpha):
     """A point jet's coefficient of the monomial with multi-index `alpha`."""
     return float(jet.coeffs[jets.exponents(jet.dim, jet.order).index(
         tuple(alpha))])
+
+
+def monomials(n: int):
+    """The texts of 1, x_i and x_i*x_j (i <= j) in n variables."""
+    names = ["1"] + ["x%d" % (i + 1) for i in range(n)]
+    out = list(names)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            out.append("x%d*x%d" % (i, j))
+    return out
+
+
+def poly_text(coefs, monos):
+    return "+".join("(%.17g)*%s" % (c, m) for c, m in zip(coefs, monos))
+
+
+# The frame route to the canonical connection, the reference for the closed
+# form of `connection.canonical_christoffels`: the structure functions from
+# the bracket of the frame, the frame symbols from them and theta, then the
+# coordinate symbols from the frame symbols and the frame derivatives.
+FrameRoute = namedtuple("FrameRoute", "c dframe frame_gamma gamma")
+
+
+def bracket_structure_functions(cof):
+    """c[k][i][j] = omega_k([E_i, E_j]) and dframe[i][j][a] = D_i E_j^a,
+    one order below the coframe."""
+    n = cof.dim
+    dframe = directional_derivative(cof.frame, cof.frame)
+    bracket = dframe - dframe.transpose(1, 0, 2)
+    w = cof.omega[:n].truncate(cof.order - 1)
+    c = ordered_sum(w[:, a, None, None] * bracket[..., a] for a in range(n))
+    return jets.skew_upper(c), dframe
+
+
+def frame_route(struct):
+    """The FrameRoute of a `canonical_structure` result."""
+    cof, th = struct.cof, struct.theta.theta
+    n = cof.dim
+    c, dframe = bracket_structure_functions(cof)
+    # fg[k][p][q]: (c[k][k][p] - th[k][p]) / 2 where q = k,
+    # (c[k][q][k] - th[k][q]) / 2 where p = k, -th[k][k] where both,
+    # c[k][q][p] / 2 elsewhere
+    k, p, q = grid(n, 3)
+    cqp = c[k, q, p]
+    fg = where((p == k) | (q == k),
+               (cqp - th[k, np.where(q == k, p, q)]) * 0.5, cqp * 0.5)
+    fg = where((p == k) & (q == k), -th[k, k], fg)
+    # gamma[c][a][b] = W_ia W_jb (fg[m][j][i] E_m^c - D_i E_j^c)
+    E = cof.frame.truncate(cof.order - 1)
+    W = cof.omega[:n].truncate(cof.order - 1)
+    H = ordered_sum(fg[m].transpose() * E[m, :, None, None]
+                    for m in range(n)) - dframe.transpose(2, 0, 1)
+    gamma = ordered_sum(W[i, :, None] * W[j] * H[:, i, j, None, None]
+                        for i in range(n) for j in range(n))
+    return FrameRoute(c, dframe, fg, gamma)
 
 
 def pull_back(sources, subst):

@@ -22,26 +22,13 @@ from geoweb.expr import eval_field, parse_expression
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
-from conftest import CORPUS_SOURCES, coeff, make_web
+from conftest import CORPUS_SOURCES, coeff, make_web, monomials, poly_text
 from fdtools import partial_fd
 
 
 def verdict_line(num: int, desc: str, ok: bool) -> bool:
     print("ACCEPTANCE %02d  %-58s %s" % (num, desc, "PASS" if ok else "FAIL"))
     return ok
-
-
-def monomials(n: int):
-    names = ["1"] + ["x%d" % (i + 1) for i in range(n)]
-    out = list(names)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            out.append("x%d*x%d" % (i, j))
-    return out
-
-
-def poly_text(coefs, monos):
-    return "+".join("(%.17g)*%s" % (c, m) for c, m in zip(coefs, monos))
 
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,23 @@ def test_excluded_points_cost_one_call_per_check(monkeypatch, name, calls):
     assert len(seen) == calls and all(len(s) == 2 for s in seen), seen
 
 
+def test_linearize_normalizes_each_batch_once(monkeypatch):
+    # on a web with d > n + 2 the geodesicity discrepancy comes from the
+    # structures the obstruction is built from: one coframe a batch
+    calls = []
+    real = connection.normalize_coframe
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(connection, "normalize_coframe", counting)
+    monkeypatch.setattr(invariants, "normalize_coframe", counting)
+    web = make_web("lin5")
+    curvature.linearizability_verdict(web, random_points(web, 20, seed=4))
+    assert len(calls) == 1
+
+
 def test_marked_rows_get_their_detail_without_a_call():
     points = np.arange(64, dtype=float).reshape(32, 2)
     calls = []

@@ -13,6 +13,8 @@ import pytest
 import geoweb
 from geoweb import cli
 from geoweb.report import Report
+from geoweb.web import basis_invariants, normalize_coframe, pointed_chart
+from geoweb.webfile import load_webfile
 
 
 WEBS = {
@@ -335,6 +337,53 @@ def test_connection_report_spot_values(webdir, tmp_path):
     # coordinate symmetry is visible in the report itself
     assert cells[("coord_gamma", "1", "1", "2")] == pytest.approx(
         cells[("coord_gamma", "1", "2", "1")], abs=1e-12)
+
+
+def test_pointed_connection_rows_name_the_file_foliation(tmp_path):
+    # pointing at foliation 4 puts the chart in the order [1, 2, 4, 3, 5]:
+    # chart slot 4 holds foliation 3, and its rows say 3
+    path = tmp_path / "pointed.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "pointed": 4,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2", "x1+3*x2+x1*x2"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5}}))
+    out = tmp_path / "conn.csv"
+    assert cli.main(["connection", str(path), "--at", "0.1,0.2",
+                     "--gauge", "pointed", "--out", str(out)]) == 0
+    _, _, rows = read_report(out)
+    got = {(r[1], r[2]): float(r[4]) for r in rows if r[0] == "a"}
+    web = load_webfile(str(path))
+    chart = pointed_chart(web)
+    cof = normalize_coframe(chart, (0.1, 0.2), 3)
+    for slot, foliation in ((4, "3"), (5, "5")):
+        a = basis_invariants(cof, chart, slot).a.value
+        for i in range(2):
+            assert got.pop((foliation, str(i + 1))) == a[i]
+    assert not got
+
+
+def test_linearize_excludes_points_once_for_both_tests(tmp_path, capsys):
+    # a_1 of foliation 5 vanishes on x1 = 0, a third of the 3 x 3 grid: the
+    # geodesicity discrepancy and the obstruction share one exclusion list
+    path = tmp_path / "vanish5.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+x1*x2", "x1^2+3*x2"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5}}))
+    out = tmp_path / "lin.csv"
+    assert cli.main(["linearize", str(path), "--grid", "3",
+                     "--out", str(out)]) == 3
+    meta, header, rows = read_report(out)
+    assert meta["verdict"] == "inconclusive"
+    assert meta["excluded_fraction"] == "0.33333333333333331"
+    status, detail = header.index("status"), header.index("detail")
+    for r in rows:
+        if r[0] in ("3", "4", "5"):
+            assert r[status] == "degenerate"
+            assert r[detail].startswith(
+                "basis invariant a_1 of foliation 5 vanishes at [")
+        else:
+            assert r[status] == "ok"
 
 
 def test_geodesic_report(webdir, tmp_path):

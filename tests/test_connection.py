@@ -9,7 +9,9 @@ from geoweb.jets import grid
 from geoweb.sampling import random_points
 from geoweb.web import basis_invariants, normalize_coframe
 
-from conftest import CORPUS_SOURCES, CURVED_FRAME_WEBS, make_web
+from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS,
+                      bracket_structure_functions, frame_route, make_web,
+                      monomials, poly_text)
 
 
 def structure(name, point, order=3, t=None):
@@ -65,13 +67,14 @@ def test_frame_torsion_matches_structure_functions():
     web = make_web("curved4")
     point = (0.12, 0.31)
     struct = connection.canonical_structure(web, point)
-    cof, fg = struct.cof, struct.conn.frame_gamma
+    c = bracket_structure_functions(struct.cof)[0]
+    fg = struct.conn.frame_gamma
     n = web.dim
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 tors = fg[k][j][i].value - fg[k][i][j].value
-                assert tors == pytest.approx(cof.c[k][i][j].value, abs=1e-12)
+                assert tors == pytest.approx(c[k][i][j].value, abs=1e-12)
 
 
 def test_flat_web_connection_vanishes():
@@ -89,6 +92,8 @@ def test_gauge_change_round_trip():
     back = connection.projective_gauge_change(shifted, -rho)
     assert np.allclose(back.gamma_values(), struct.conn.gamma_values(),
                        atol=1e-13)
+    assert np.allclose(back.frame_gamma.coeffs,
+                       struct.conn.frame_gamma.coeffs, atol=1e-13)
 
 
 def test_gauge_change_shifts_trace():
@@ -112,7 +117,7 @@ def test_projective_uniqueness_under_t_gauge():
         plain.conn, gauged.conn)
     assert same and resid < 1e-9
     # recovered one-form undoes the difference
-    undone = connection.projective_gauge_change(plain.conn, rho.rho)
+    undone = connection.projective_gauge_change(plain.conn, rho)
     assert np.allclose(undone.gamma_values(), gauged.conn.gamma_values(),
                        atol=1e-12)
 
@@ -150,9 +155,10 @@ def test_gamma_values_at_order_two():
     assert g[0, 0, 1] == pytest.approx(-1.0, abs=1e-9)
 
 
-# Two identities the closed form of `fastgamma` rests on, checked here on
-# the jet route alone.  dw_k = d log lam_k ^ w_k makes the structure
-# functions c[k][i][j] = w_k([e_i, e_j]) vanish unless k is i or j, with
+# Two identities the closed form of both routes rests on, the first on the
+# structure functions of conftest's frame bracket.  dw_k = d log lam_k ^ w_k
+# makes the structure functions c[k][i][j] = w_k([e_i, e_j]) vanish unless
+# k is i or j, with
 # c[k][k][j] = D_j log lam_k; in the gauge t = 0 every frame vector is a
 # geodesic, frame_gamma[k][p][p] = 0.  Each is held to 1e-12 of the
 # largest coefficient of its array, over every coefficient of the jets; c
@@ -171,9 +177,9 @@ def test_structure_functions_are_log_lambda_derivatives(name):
     n = web.dim
     cof = connection.canonical_structure(
         web, random_points(web, 6, seed=211), 3).cof
-    c = cof.c
+    c, dframe = bracket_structure_functions(cof)
     scale = max(np.abs(c.coeffs).max(), np.abs(cof.omega.coeffs).max()
-                * np.abs(cof.dframe.coeffs).max())
+                * np.abs(dframe.coeffs).max())
     k, i, j = grid(n, 3)
     assert _small(c[np.nonzero((k != i) & (k != j))], scale)
     # dlog[j][k] = D_j log lam_k
@@ -190,3 +196,25 @@ def test_frame_vectors_are_geodesics_in_gauge_zero(name):
         web, random_points(web, 6, seed=211), 3).conn.frame_gamma
     k, p = grid(web.dim, 2)
     assert _small(fg[k, p, p], np.abs(fg.coeffs).max())
+
+
+@pytest.mark.parametrize("name", SPARSITY_WEBS)
+@pytest.mark.parametrize("order", (3, 4))
+@pytest.mark.parametrize("gauge", ("zero", "t"))
+def test_closed_form_matches_frame_route(name, order, gauge):
+    # the frame and coordinate symbols of the closed form against the
+    # frame route, in the gauge t = 0 and in gauges drawn as in test_05
+    web = make_web(name)
+    t = None
+    if gauge == "t":
+        monos = monomials(web.dim)
+        coefs = np.random.default_rng(55).uniform(
+            -0.5, 0.5, size=(web.dim, len(monos)))
+        t = [poly_text(row, monos) for row in coefs]
+    struct = connection.canonical_structure(
+        web, random_points(web, 6, seed=211), order, t=t)
+    ref = frame_route(struct)
+    for got, want in ((struct.conn.frame_gamma, ref.frame_gamma),
+                      (struct.conn.gamma, ref.gamma)):
+        scale = max(1.0, np.abs(want.coeffs).max())
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12 * scale

@@ -92,7 +92,7 @@ def test_eval_field_produces_jets():
     tree = expr.parse_expression("x1*x2", 2)
     j = expr.eval_field(tree, (2.0, 5.0), 2)
     assert j.value == 10.0
-    assert np.allclose(j.grad, [5.0, 2.0])
+    assert np.allclose(j.derivatives().value, [5.0, 2.0])
     assert coeff(j, (1, 1)) == 1.0
 
 

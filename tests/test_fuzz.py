@@ -88,6 +88,9 @@ def run(argv):
 # jets that overflow in the connection code before a check fails
 @example(extra=["x1+2*x2+x1*x2+1e308*x1*x1"],
          domain={"center": [0.0, 0.0], "radius": 0.5}, command=3)
+# a fifth foliation whose exclusions the obstruction rows share
+@example(extra=["x1+2*x2+x1*x2", "x1^2+3*x2"],
+         domain={"center": [0.0, 0.0], "radius": 0.5}, command=1)
 def test_error_contract(tmp_path_factory, extra, domain, command):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps({"dimension": 2,

@@ -40,7 +40,7 @@ def test_backend_is_reported():
 def test_variable_and_constant():
     x = variable(0, 1.5, dim=2, order=3)
     assert x.value == 1.5
-    assert np.allclose(x.grad, [1.0, 0.0])
+    assert np.allclose(x.derivatives().value, [1.0, 0.0])
     c = jets.Jet.constant(4.0, dim=2, order=3)
     assert c.value == 4.0
     assert np.all(c.coeffs[1:] == 0.0)

@@ -15,7 +15,7 @@ from geoweb.web import (WebChart, basis_invariants, normalize_coframe,
                         pointed_chart, reorder_chart)
 from geoweb.webfile import load_webfile
 
-from conftest import make_web
+from conftest import bracket_structure_functions, make_web
 
 # nonlinear third slot exercises a nontrivial lambda normalization
 XY_SLOT3 = ["x1", "x2", "-(x1+x2+x1*x2)", "x1+2*x2"]
@@ -53,13 +53,14 @@ def test_frame_coframe_duality():
 def test_structure_functions_antisymmetric_with_spot_value():
     web = WebChart.from_strings(2, XY_SLOT3)
     cof = normalize_coframe(web, (0.0, 0.0), order=3)
+    c = bracket_structure_functions(cof)[0]
     # E1 = d1/(1+x2), E2 = d2/(1+x1): [E1,E2] = E1 - E2 at the origin
-    assert cof.c[0][0][1].value == pytest.approx(1.0, abs=1e-13)
-    assert cof.c[1][0][1].value == pytest.approx(-1.0, abs=1e-13)
+    assert c[0][0][1].value == pytest.approx(1.0, abs=1e-13)
+    assert c[1][0][1].value == pytest.approx(-1.0, abs=1e-13)
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                sym = cof.c[k][i][j].coeffs + cof.c[k][j][i].coeffs
+                sym = c[k][i][j].coeffs + c[k][j][i].coeffs
                 assert np.allclose(sym, 0.0, atol=1e-13)
 
 
