@@ -23,8 +23,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, connection, curvature, fastgamma, geodesics, \
-    invariants, sampling, webfile
+# every command imports the modules only it runs, so a process loads and
+# compiles no more of the package than its command needs
+from . import __version__, webfile
 from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
                      StepTooLarge, WebFileError)
 from .report import Report, write_report
@@ -133,6 +134,8 @@ def build_parser() -> _Parser:
 
 
 def _sample(web, args):
+    from . import sampling
+
     if args.random is not None:
         pts = sampling.random_points(web, args.random, args.seed)
         meta = {"sampling": "random", "count": args.random,
@@ -181,6 +184,8 @@ def _verdict_report(args, web, command, rep, value, meta) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import invariants
+
     web = webfile.load_webfile(args.webfile)
     pts, smeta = _sample(web, args)
     return _verdict_report(args, web, "check",
@@ -189,6 +194,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
+    from . import curvature
+
     web = webfile.load_webfile(args.webfile)
     pts, smeta = _sample(web, args)
     smeta["obstruction"] = "cotton" if web.dim == 2 else "weyl"
@@ -200,6 +207,8 @@ def _cmd_linearize(args) -> int:
 # huge jets may overflow in terms no printed value reads, as on a sample
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_connection(args) -> int:
+    from . import connection
+
     web = webfile.load_webfile(args.webfile)
     point = _parse_coords(args.at, web.dim, "--at")
     # the chart's foliations by slot, labelled with the file's indices
@@ -234,6 +243,8 @@ def _cmd_connection(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from . import fastgamma, geodesics
+
     web = webfile.load_webfile(args.webfile)
     n = web.dim
     x0 = _parse_coords(args.start, n, "--from")
@@ -249,11 +260,7 @@ def _cmd_geodesic(args) -> int:
               for tree in web.functions]
     names = (web.labels if web.labels is not None
              else ["f%d" % (k + 1) for k in range(web.d)])
-    rows = []
-    for s in range(len(traj.times)):
-        rows.append([float(traj.times[s])]
-                    + [float(x) for x in traj.states[s]]
-                    + [float(v[s]) for v in values])
+    rows = np.column_stack((traj.times, traj.states, *values)).tolist()
     meta = {**_base_meta(args, web),
             "from": ",".join("%.17g" % x for x in x0),
             "leaf": args.leaf,
@@ -270,6 +277,8 @@ def invariant_rows(web, points):
     """Rows of the `invariants` table: index, point, status, the projective
     classes and skew invariants of every extra foliation, detail.  The
     sample runs as one batch (see `invariants.map_sample`)."""
+    from . import invariants
+
     n = web.dim
     extras = web.d - n - 1
     pad = extras * n + extras * (n * (n - 1)) // 2

@@ -28,39 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import CoincidentInvariants, batch_error
 from .jets import Jet, grid, ordered_sum, skew_upper, stack, where
 from .web import (BasisInvariant, NormalizedCoframe, WebChart,
-                  basis_invariants, normalize_coframe, pointed_chart)
-
-# relative floor separating a_i = a_j coincidence from round-off
-COINCIDENCE_FLOOR = 1e-10
-
-
-def check_coincidence(u0, v0, i, j, point):
-    """Raise CoincidentInvariants at the points where the values u0 of a_i
-    and v0 of a_j (frame indices) agree to COINCIDENCE_FLOOR times their
-    size, floored at 1.  Index arrays i, j add a leading pair axis to the
-    values (floats at a point, (B,) rows for a batch); the first failing
-    pair raises."""
-    scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
-    close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
-    if close.any():
-        i, j = np.atleast_1d(i), np.atleast_1d(j)
-        close = close.reshape(len(i), -1)
-        p = int(np.argmax(close.any(axis=1)))
-        vals = np.reshape(u0, (len(i), -1))[p]
-        pts = np.reshape(point, (-1, np.shape(point)[-1]))
-        raise batch_error(CoincidentInvariants, close[p], lambda b:
-                          "basis invariants a_%d and a_%d coincide (%g) at %s"
-                          % (i[p] + 1, j[p] + 1, vals[b],
-                             np.array2string(pts[b])))
-
-
-def skew_formula(u, v, di_u, di_v, dj_u, dj_v):
-    """s_ij from u = a_i, v = a_j and their derivatives along frame vectors
-    i and j; jets or value arrays alike."""
-    return (u * (dj_v / v - dj_u / u) - v * (di_v / v - di_u / u)) / (u - v)
+                  basis_invariants, check_coincidence, normalize_coframe,
+                  pointed_chart, skew_formula)
 
 
 def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant, i, j) -> Jet:
@@ -79,8 +50,9 @@ def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant, i, j) -> Jet:
     check_coincidence(a.coeffs[0][i], a.coeffs[0][j], i, j, cof.point)
     r = cof.order - 1
     d = cof.frame_derivatives(a)       # d[p][q] = D_p a_q
-    return skew_formula(a[i].truncate(r), a[j].truncate(r),
-                        d[i, i], d[i, j], d[j, i], d[j, j])
+    u, v = a[i].truncate(r), a[j].truncate(r)
+    return skew_formula(u, v, d[i, i] / u, d[i, j] / v, d[j, i] / u,
+                        d[j, j] / v)
 
 
 def skew_matrix(cof: NormalizedCoframe, inv: BasisInvariant) -> Jet:

@@ -124,10 +124,13 @@ def linearizability_verdict(web: WebChart, points,
 
     def measure(X):
         st = canonical_structure(web, X, order)
-        # foliation n+2's skew matrix is theta's s
-        smats = [st.theta.s.value] + [
-            skew_matrix(st.cof, basis_invariants(st.cof, web, k)).value
-            for k in range(n + 3, web.d + 1)]
+        # foliation n+2's skew matrix is theta's s; the others read only
+        # values, which the coframe at order 1 gives bit for bit
+        smats = [st.theta.s.value]
+        if extra:
+            low = st.cof.truncate(1)
+            smats += [skew_matrix(low, basis_invariants(low, web, k)).value
+                      for k in range(n + 3, web.d + 1)]
         pack = projective_pack(st.conn)
         return ((pack.obstruction_norm(), pack.scale())
                 + (skew_discrepancy(smats) if extra else ()))

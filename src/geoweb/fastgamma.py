@@ -1,10 +1,10 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 8 to 11 times slower
+thousands of times; the tensor-shaped jet route is 10 to 12 times slower
 (order 2, one point a call, medians of 41 interleaved rounds of 50 points
 in one process on a noisy 2-core x86-64 machine, three runs: for example
-1.3 / 1.7 / 1.9 ms against 0.15 / 0.18 / 0.17 ms here on the benchmark
+1.9 / 2.0 / 2.7 ms against 0.18 / 0.20 / 0.23 ms here on the benchmark
 webs xy4 / mixed3 / web4).  The web functions are compiled once into the
 `expr.compile_program` program that also gives each per-point `Jet`, so a
 batch column, and each row of a call, is bit for bit its point alone.  A
@@ -12,8 +12,8 @@ call inverts A = (d_a f_i) once by the jet route's `web.coframe_inverse`,
 and takes from A^-1 by batched matrix products lambda and its derivative,
 the frame V = A^-T diag(1/lambda), inverse of the coframe
 W = diag(lambda) A^T, and the basis invariants and their derivatives, for
-the jet route's checks and skew formula with the batch axis last, as (B,)
-rows.  Then it evaluates on values the closed form that
+the checks and the skew formula of `web` that the jet route calls too.
+Then it evaluates on values the closed form that
 `connection.canonical_christoffels` evaluates on jets (derived in the
 `connection` docstring), with E_j^c lambda_j = (A^-1)_jc and theta = s:
 
@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, jets
-from .connection import check_coincidence, skew_formula
-from .web import WebChart, check_vanishing, coframe_inverse
+from .web import (WebChart, check_coincidence, check_vanishing,
+                  coframe_inverse, skew_formula)
 
 
 def batched_values(tree, X) -> np.ndarray:
@@ -50,15 +50,27 @@ def batched_gamma_evaluator(web: WebChart):
     slot = np.array([[index[tuple(unit[a] + unit[b])] for b in range(n)]
                      for a in range(n)])
     fac = 1.0 + np.eye(n)
+    # the pairs i < j, then the same pairs reversed: s_ji comes out as
+    # -s_ij bit for bit
     i, j = np.nonzero(np.less(*jets.grid(n, 2)))
-    # Da[rows, cols] gathers D_i a_i, D_i a_j, D_j a_i, D_j a_j for
-    # every pair i < j
-    rows, cols = np.array([i, j, i, j]), np.array([i, i, j, j])
+    m = len(i)
+    i, j = np.concatenate((i, j)), np.concatenate((j, i))
+    # a.take(rows) gathers a_i, a_j, a_i, a_j and the flat Da.take(cross)
+    # D_i a_i, D_i a_j, D_j a_i, D_j a_j for every pair; `take` gathers
+    # as fancy indexing does, at a fraction of its overhead
+    rows = np.array([i, j, i, j])
+    cross = rows * n + np.array([i, i, j, j])
+    # theta's skew part as a dense matrix: entry (i, j) of the pair list
+    # reads s_ij, the diagonal the trailing zero
+    skew = np.full((n, n), 2 * m)
+    skew[i, j] = np.arange(2 * m)
+    skew = skew.reshape(-1)
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
-        X = np.atleast_2d(X)
+        if single:
+            X = X[None]
         B = X.shape[0]
         # the functions in order, so the first that fails names the error,
         # then grads[b, f, a] = d_a f and hesses[b, f, a, c] in one gather
@@ -66,7 +78,7 @@ def batched_gamma_evaluator(web: WebChart):
         # that follows operand layout, so these layouts fix the last bits
         co = np.ascontiguousarray(program(X, 2).transpose(2, 0, 1))
         grads = co[:, :, 1:1 + n]
-        hesses = co[:, :, slot] * fac
+        hesses = co.take(slot, 2) * fac
 
         A = grads[:, :n].transpose(0, 2, 1)         # A[b,a,i] = d_a f_i
         Ainv = coframe_inverse(A, X)
@@ -92,17 +104,17 @@ def batched_gamma_evaluator(web: WebChart):
         rhs = -hesses[:, n + 1] - (av[:, None] @ dWf).reshape(B, n, n)
         Da = V.transpose(0, 2, 1) @ rhs @ V          # D_j a_i = Da[b, i, j]
 
-        # the batch axis last: a[i], Da[i][j] = D_j a_i and s are (B,) rows
-        a, Da = av.T, Da.transpose(1, 2, 0)
-        ai, aj = a[i], a[j]
-        check_coincidence(ai, aj, i, j, X)
-        s = skew_formula(ai, aj, *Da[rows, cols]).T
+        # ar[b, :, p] = a_i, a_j, a_i, a_j and q the log derivatives
+        # D_i a_i / a_i, D_i a_j / a_j, D_j a_i / a_i, D_j a_j / a_j
+        ar = av.take(rows, 1)
+        check_coincidence(ar[:, 0, :m].T, ar[:, 1, :m].T, i[:m], j[:m], X)
+        q = Da.reshape(B, n * n).take(cross, 1) / ar
+        s = np.zeros((B, 2 * m + 1))
+        s[:, :-1] = skew_formula(ar[:, 0], ar[:, 1], *q.transpose(1, 0, 2))
 
         # the closed form: L[j, i] = D_i log lam_j, Q = (L - theta) / 2,
         # K = Q W and G = A^-T (Hessians + d f K + (d f K)^T)
-        Q = (dlam @ V) / lam[:, :, None]
-        Q[:, i, j] -= s
-        Q[:, j, i] += s
+        Q = (dlam @ V) / lam[:, :, None] - s.take(skew, 1).reshape(B, n, n)
         K = (Q * 0.5) @ W
         P = grads[:, :n, :, None] * K[:, :, None, :]
         T = hesses[:, :n] + (P + P.transpose(0, 1, 3, 2))

@@ -18,6 +18,7 @@ without the batch axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,13 @@ def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
     maps rows (R, n) to Christoffel values (R, n, n, n), each row's value
     independent of the other rows: it gets two stage positions stacked,
     (2, n) or (2B, n), one call for stages 1 and 2 and one for stages 3
-    and 4 of every step.  Where that call raises DegenerateWebPoint, the
-    two positions are evaluated alone, (n,) or (B, n), in stage order, so
-    the error is the one the first failing stage gives.  T must be
-    finite; the step is adjusted to divide T exactly, and T < h still
-    takes one step.  All rows share the time grid, and a degeneracy or
-    blow-up in any row aborts the whole call.
+    and 4 of every step, in one buffer that each call overwrites.  Where
+    that call raises DegenerateWebPoint, the two positions are evaluated
+    alone, (n,) or (B, n), in stage order, so the error is the one the
+    first failing stage gives.  T must be finite; the step is adjusted to
+    divide T exactly, and T < h still takes one step.  All rows share the
+    time grid, and a degeneracy or blow-up in any row aborts the whole
+    call.
     """
     if not (0 < T < np.inf and h > 0):
         raise ValueError("time horizon must be positive and finite, "
@@ -73,46 +75,56 @@ def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
     states[0] = x
     velocities[0] = v
     vcap = _BLOWUP_FACTOR * (1.0 + np.linalg.norm(v, axis=-1).max())
+    hh, h6 = 0.5 * h, h / 6.0
+    # the two stage positions of one evaluator call, (2, n) or (2, B, n)
+    stages = np.empty((2,) + x.shape)
+    rows = stages.reshape(-1, n)
 
-    def gammas(p, q):
-        # Gamma at stage positions p and q, stacked into one call; on
-        # failure one call each, so the earlier stage names the error
+    def gammas():
+        # Gamma at both stage positions in one call; on failure one call
+        # each, so the earlier stage names the error
         try:
-            G = gamma_of_x(np.concatenate((p, q)).reshape(-1, n))
+            G = gamma_of_x(rows)
         except DegenerateWebPoint:
-            return gamma_of_x(p), gamma_of_x(q)
-        return G.reshape((2,) + p.shape + (n, n))
+            return gamma_of_x(stages[0]), gamma_of_x(stages[1])
+        return G.reshape(stages.shape + (n, n))
 
     def accel(G, u):
-        return -np.einsum("...cab,...a,...b->...c", G, u, u)
+        # Gamma(x)(u, u): the acceleration with its sign flipped, which the
+        # updates subtract, bit for bit as adding its negation
+        return np.einsum("...cab,...a,...b->...c", G, u, u)
 
     for k in range(steps):
         try:
-            x2 = x + 0.5 * h * v
-            G1, G2 = gammas(x, x2)
-            a1 = accel(G1, v)
-            v2 = v + 0.5 * h * a1
-            a2 = accel(G2, v2)
-            v3 = v + 0.5 * h * a2
-            x3, x4 = x + 0.5 * h * v2, x + h * v3
-            G3, G4 = gammas(x3, x4)
-            a3 = accel(G3, v3)
-            v4 = v + h * a3
-            a4 = accel(G4, v4)
+            stages[0] = x
+            np.add(x, hh * v, out=stages[1])
+            G1, G2 = gammas()
+            g1 = accel(G1, v)
+            v2 = v - hh * g1
+            g2 = accel(G2, v2)
+            v3 = v - hh * g2
+            np.add(x, hh * v2, out=stages[0])
+            np.add(x, h * v3, out=stages[1])
+            G3, G4 = gammas()
+            g3 = accel(G3, v3)
+            v4 = v - h * g3
+            g4 = accel(G4, v4)
         except DegenerateWebPoint as e:
             raise DegenerateWebPoint(
                 "geodesic left the admissible set near t=%.6g: %s"
                 % (times[k], e)) from None
-        x = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        # a NaN or inf in v makes the speed fail the comparison too
-        speed = np.sqrt(np.add.reduce(v * v, axis=-1)).max()
-        if not (np.isfinite(x).all() and speed <= vcap):
+        x = np.add(x, h6 * (v + 2.0 * v2 + 2.0 * v3 + v4), out=states[k + 1])
+        v = np.subtract(v, h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4),
+                        out=velocities[k + 1])
+        # a NaN or inf in v makes the speed fail the comparison too; a
+        # finite sum of squares has no inf or nan term
+        speed = math.sqrt(np.maximum.reduce(np.add.reduce(v * v, axis=-1),
+                                            None))
+        if not ((math.isfinite(np.vdot(x, x)) or np.isfinite(x).all())
+                and speed <= vcap):
             raise StepTooLarge(
                 "geodesic integration diverged near t=%.6g; "
                 "reduce the step or the horizon" % times[k + 1])
-        states[k + 1] = x
-        velocities[k + 1] = v
     return Trajectory(times, states, velocities, h)
 
 

@@ -130,7 +130,8 @@ def coeff_mul(a, b, tb):
     if a.ndim != b.ndim:
         # a point's coefficients (count,) against a batch's (count, B)
         a, b = (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
-    prod, right = a[tb.ia], b[tb.ib]
+    # `take` gathers as a[tb.ia] does, without fancy indexing's overhead
+    prod, right = a.take(tb.ia, 0), b.take(tb.ib, 0)
     if prod.shape == right.shape:
         prod *= right               # one product array fewer at the peak
     else:
@@ -163,7 +164,7 @@ def coeff_compose(u, series, tb):
         return out
     utilde = u.copy()
     utilde[0] = 0.0
-    power = utilde.copy()
+    power = utilde
     out += series[1] * power
     for j in range(2, len(series)):
         power = coeff_mul(power, utilde, tb)
@@ -186,11 +187,10 @@ def _recip_series(u0, order):
 
 
 def _exp_series(u0, order):
-    out = []
-    term = np.exp(u0)
-    for j in range(order + 1):
-        out.append(term)
-        term = term / (j + 1)
+    # e^u0 / j!, each term the one before over j; over 1 is exact
+    out = [np.exp(u0)]
+    for j in range(1, order + 1):
+        out.append(out[-1] / j if j > 1 else out[-1])
     return out
 
 

@@ -21,7 +21,7 @@ def format_number(x) -> str:
 
 
 def _csv_quote(s: str) -> str:
-    if any(ch in s for ch in ",\"\n"):
+    if "," in s or '"' in s or "\n" in s:
         return '"' + s.replace('"', '""') + '"'
     return s
 

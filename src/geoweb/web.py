@@ -6,7 +6,9 @@ functions are gauge-fixed so their 1-forms satisfy sum_i omega_i = 0 with
 omega_{n+1} = df_{n+1}; the first n omegas then form a coframe whose dual
 frame, with lambda and the Hessians, feeds the connection construction.
 Every remaining foliation is expressed in that coframe through its basis
-invariants a_k1..a_kn.
+invariants a_k1..a_kn.  The degeneracy checks (a singular coframe, a
+vanishing lambda or a_i, coinciding a_i = a_j) and the skew-invariant
+formula live here too, shared by the jet route and `fastgamma`.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ from typing import List, Optional
 import numpy as np
 
 from . import expr
-from .errors import DegenerateWebPoint, OrderExhausted, batch_error
+from .errors import (CoincidentInvariants, DegenerateWebPoint, OrderExhausted,
+                     batch_error)
 from .jets import Jet, directional_derivative, jet_linear_solve, stack
 
 # relative floor below which a lambda or a-coefficient counts as vanishing
 DEGENERACY_FLOOR = 1e-10
 # kappa_inf of A = (d_a f_i) from which a point is out of general position
 CONDITION_LIMIT = 1e12
+# relative floor separating a_i = a_j coincidence from round-off
+COINCIDENCE_FLOOR = 1e-10
 
 
 @dataclass
@@ -114,6 +119,23 @@ class NormalizedCoframe:
         """D_i f for every frame vector i, along a new first shape axis."""
         return directional_derivative(f, self.frame)
 
+    def truncate(self, order: int) -> "NormalizedCoframe":
+        """The same coframe with jets of order `order` (1 <= order <=
+        self.order); enough where only values of the invariants are read."""
+        return NormalizedCoframe(self.point, order, self.lam.truncate(order),
+                                 self.omega.truncate(order),
+                                 self.frame.truncate(order),
+                                 self.hess.truncate(order - 1))
+
+
+# Every check below first tries one sufficient bound over the whole batch,
+# a few reductions instead of its per-row rule; where the bound does not
+# clear (a NaN, an inf, a row near the limit) the per-row rule decides, so
+# the points a check excludes and its messages do not depend on the screen.
+# The reductions are the ufuncs' own, which ndarray.min and .max call
+# through a Python-level wrapper.
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
 
 def check_vanishing(values, point, name):
     """Raise DegenerateWebPoint at the points where one of the values (last
@@ -121,6 +143,10 @@ def check_vanishing(values, point, name):
     most DEGENERACY_FLOOR times the largest magnitude (floored at 1),
     naming the first such value there by `name(i)`."""
     vals = np.abs(values)
+    # no value of the batch at or below the floor of the largest row
+    if vals.size and float(_min(vals, None)) > DEGENERACY_FLOOR * max(
+            1.0, float(_max(vals, None))):
+        return
     scale = np.maximum(1.0, vals.max(axis=-1))
     low = vals <= DEGENERACY_FLOOR * scale[..., None]
     if low.any():
@@ -138,11 +164,18 @@ def coframe_inverse(A, point):
     is not below CONDITION_LIMIT (inf if A is singular, NaN if not finite)."""
     try:
         inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:   # for the whole stack: a row fails below
+        kappa = np.linalg.cond(A, np.inf)   # the same, inf where singular
+    else:
+        # kappa_inf <= n^2 max|A| max|A^-1| at every point; the factor 2
+        # covers the rounding of the row sums below
+        n = A.shape[-1]
+        if A.size and 2.0 * n * n * float(_max(np.abs(A), None)) * float(
+                _max(np.abs(inv), None)) < CONDITION_LIMIT:
+            return inv
         with np.errstate(over="ignore"):    # kappa is then inf
             kappa = (np.abs(A).sum(axis=-1).max(axis=-1)
                      * np.abs(inv).sum(axis=-1).max(axis=-1))
-    except np.linalg.LinAlgError:   # for the whole stack: a row fails below
-        kappa = np.linalg.cond(A, np.inf)   # the same, inf where singular
     bad = ~np.less(kappa, CONDITION_LIMIT)
     if bad.any():
         kappa = np.reshape(kappa, -1)
@@ -152,6 +185,38 @@ def coframe_inverse(A, point):
                           "(condition number %.3g)"
                           % (np.array2string(pts[b]), kappa[b]))
     return inv
+
+
+def check_coincidence(u0, v0, i, j, point):
+    """Raise CoincidentInvariants at the points where the values u0 of a_i
+    and v0 of a_j (frame indices) agree to COINCIDENCE_FLOOR times their
+    size, floored at 1.  Index arrays i, j add a leading pair axis to the
+    values (floats at a point, (B,) rows for a batch); the first failing
+    pair raises."""
+    gap = np.abs(u0 - v0)
+    # no pair of the batch within the floor of the largest value
+    if gap.size and float(_min(gap, None)) > COINCIDENCE_FLOOR * max(
+            1.0, float(_max(np.abs(u0), None)), float(_max(np.abs(v0), None))):
+        return
+    scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
+    close = gap <= COINCIDENCE_FLOOR * scale
+    if close.any():
+        i, j = np.atleast_1d(i), np.atleast_1d(j)
+        close = close.reshape(len(i), -1)
+        p = int(np.argmax(close.any(axis=1)))
+        vals = np.reshape(u0, (len(i), -1))[p]
+        pts = np.reshape(point, (-1, np.shape(point)[-1]))
+        raise batch_error(CoincidentInvariants, close[p], lambda b:
+                          "basis invariants a_%d and a_%d coincide (%g) at %s"
+                          % (i[p] + 1, j[p] + 1, vals[b],
+                             np.array2string(pts[b])))
+
+
+def skew_formula(u, v, qi_u, qi_v, qj_u, qj_v):
+    """s_ij from u = a_i, v = a_j and their logarithmic derivatives along
+    frame vectors i and j (qi_u = D_i u / u, ...); jets or value arrays
+    alike."""
+    return (u * (qj_v - qj_u) - v * (qi_v - qi_u)) / (u - v)
 
 
 def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe:

@@ -9,10 +9,19 @@ undefined constant subexpression such as 1/0 is rejected at load time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from numbers import Real
+
+# CPython's built-in sha256 (`_sha2` from 3.12 on): hashlib would load
+# OpenSSL's libcrypto for the one digest a run takes
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -119,5 +128,5 @@ def load_webfile(path) -> WebChart:
     except OSError as e:
         raise WebFileError("cannot read %s: %s" % (path, e), "") from None
     web = parse_webfile(data.decode("utf-8"), name=str(path))
-    web.digest = hashlib.sha256(data).hexdigest()
+    web.digest = sha256(data).hexdigest()
     return web

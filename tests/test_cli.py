@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import geoweb
-from geoweb import cli
+from geoweb import cli, connection
 from geoweb.report import Report
 from geoweb.web import basis_invariants, normalize_coframe, pointed_chart
 from geoweb.webfile import load_webfile
@@ -297,14 +298,14 @@ def test_connection_overflow_in_unprinted_coefficients(tmp_path, capsys):
 
 
 def test_connection_refuses_a_non_finite_value(webdir, capsys, monkeypatch):
-    real = cli.connection.canonical_structure
+    real = connection.canonical_structure
 
     def overflowing(*args):
         struct = real(*args)
         struct.conn.gamma.coeffs[0, 1, 0, 1] = np.inf
         return struct
 
-    monkeypatch.setattr(cli.connection, "canonical_structure", overflowing)
+    monkeypatch.setattr(connection, "canonical_structure", overflowing)
     assert cli.main(["connection", str(webdir / "xy4.json"),
                      "--at", "0.1,0.2"]) == 1
     assert capsys.readouterr() == ("", "geoweb: computation failed: "
@@ -472,6 +473,36 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "geoweb" in capsys.readouterr().out
+
+
+def test_geodesic_loads_only_the_modules_it_runs():
+    # the benchmark's geodesic run on mixed3, in a fresh process: no module
+    # of the other commands, and no OpenSSL where CPython has a built-in
+    # SHA-256
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "webs", "mixed3.json")
+    argv = ["geodesic", path, "--from", "0.05,0.05,0.05", "--leaf", "5",
+            "--T", "0.3", "--h", "0.001"]
+    probe = ("import contextlib, io, json, sys\n"
+             "from geoweb import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    status = cli.main(json.loads(sys.argv[1]))\n"
+             "print(json.dumps([status, sorted(sys.modules)]))\n")
+    src = os.path.dirname(os.path.dirname(geoweb.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stderr == ""
+    status, modules = json.loads(proc.stdout)
+    assert status == 0
+    assert "geoweb.geodesics" in modules
+    assert not {"geoweb.connection", "geoweb.curvature", "geoweb.invariants",
+                "geoweb.sampling"} & set(modules)
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        assert "_hashlib" not in modules
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert load_webfile(path).digest == hashlib.sha256(data).hexdigest()
 
 
 # a coordinate list that starts with a minus sign, after its flag or

@@ -1,12 +1,16 @@
 """Curvature tensors, projective obstructions and linearizability."""
 
+import os
+
 import numpy as np
 import pytest
 
 from geoweb import connection, curvature
-from geoweb.errors import OrderExhausted
+from geoweb.errors import DegenerateWebPoint, OrderExhausted
 from geoweb.expr import eval_field, parse_expression
 from geoweb.sampling import random_points
+from geoweb.web import basis_invariants
+from geoweb.webfile import load_webfile
 
 from conftest import make_web
 from fdtools import partial_fd
@@ -141,3 +145,30 @@ def test_non_geodesic_web_records_subtest():
     assert rep.geodesicity is not None
     assert rep.geodesicity.verdict == "not_geodesic"
     assert any("geodesicity" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("name", ["lin5", "sin6", "cubic6", "nodes"])
+def test_extra_skew_matrices_need_only_the_order_one_coframe(name):
+    # linearizability_verdict builds the skew matrices of foliations
+    # n+3..d on the coframe cut to order 1; their values must be those of
+    # the deep coframe the connection is built on, bit for bit
+    web = (make_web(name) if name == "nodes" else load_webfile(os.path.join(
+        os.path.dirname(__file__), os.pardir, "perfbench", "webs",
+        name + ".json")))
+    n = web.dim
+    X = random_points(web, 100, seed=5)
+    while True:
+        try:
+            st = connection.canonical_structure(web, X, 4 if n == 2 else 3)
+            break
+        except DegenerateWebPoint as e:
+            X = X[~e.rows]
+    assert len(X) >= 90 and web.d > n + 2
+    low = st.cof.truncate(1)
+    assert low.order == 1 and low.hess.order == 0
+    for k in range(n + 3, web.d + 1):
+        deep = connection.skew_matrix(st.cof,
+                                      basis_invariants(st.cof, web, k))
+        cut = connection.skew_matrix(low, basis_invariants(low, web, k))
+        assert deep.order > cut.order == 0
+        assert np.array_equal(deep.value, cut.value), (name, k)
