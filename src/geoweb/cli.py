@@ -164,7 +164,11 @@ def _point_columns(web):
 
 def _emit(args, out: Report) -> None:
     """Write the report to --out, or to stdout without one."""
-    text = write_report(out, args.format, args.out)
+    try:
+        text = write_report(out, args.format, args.out)
+    except OSError as e:
+        raise CLIError("cannot write --out %s: %s"
+                       % (args.out, e.strerror or e)) from None
     if args.out is None:
         sys.stdout.write(text)
 

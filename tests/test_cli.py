@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report layout, determinism."""
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import json
@@ -144,6 +145,82 @@ def test_undefined_constant_is_one_line_error(tmp_path, constant):
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert "functions[3]" in err and constant in err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/dir/x.csv"])
+def test_unwritable_out_is_one_line_error(tmp_path, target):
+    out_path = tmp_path / target
+    if target == "directory":
+        out_path.mkdir()
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "webs", "xy4.json")
+    code, out, err = run_geoweb("linearize", path, "--random", "3",
+                                "--seed", "1", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert str(out_path) in err
+
+
+# the entry run in a child as `python -m geoweb --version`; prints the exit
+# code, the freeze count and whether the collector is on afterwards
+_ENTRY_PROBE = (
+    "import gc, json, runpy, sys\n"
+    "if sys.argv[1] == 'off':\n"
+    "    gc.disable()\n"
+    "sys.argv[1:] = ['--version']\n"
+    "try:\n"
+    "    runpy.run_module('geoweb', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as e:\n"
+    "    code = e.code\n"
+    "print(json.dumps([code, gc.get_freeze_count(), gc.isenabled()]))\n")
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_entry_freezes_the_import_heap(collector):
+    src = os.path.dirname(os.path.dirname(geoweb.__file__))
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, collector],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stderr == ""
+    version, result = proc.stdout.splitlines()
+    assert version == "geoweb %s" % geoweb.__version__
+    code, frozen, enabled = json.loads(result)
+    assert code == 0
+    assert frozen > 0
+    assert enabled == (collector == "on")
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_installed_script_runs_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"geoweb": "geoweb.__main__:run"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{d}/lin5.json", "--random", "20", "--seed", "1"],
+    ["connection", "{d}/xy4.json", "--at", "0.1,0.05"],
+    ["linearize", "{d}/curved4.json", "--random", "20", "--seed", "1"],
+    ["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+     "--dir", "1,0", "--T", "0.05", "--h", "0.005"],
+    ["invariants", "{d}/pert5.json", "--random", "10", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_module_entry_matches_main(webdir, capsys, argv):
+    argv = [a.format(d=webdir) for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert run_geoweb(*argv) == (code, captured.out, captured.err)
 
 
 def test_domain_failure_excludes_the_point(tmp_path):
