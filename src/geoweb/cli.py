@@ -83,6 +83,9 @@ def _parse_coords(text: str, n: int, flag: str) -> np.ndarray:
     if len(vals) != n:
         raise CLIError("%s expects %d coordinates, got %d"
                        % (flag, n, len(vals)))
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("%s expects finite coordinates, got %r"
+                         % (flag, text))
     return np.array(vals)
 
 
@@ -256,6 +259,8 @@ def _cmd_geodesic(args) -> int:
         raise CLIError("--leaf must be in 1..%d" % web.d)
     direction = (np.ones(n) if args.dir is None
                  else _parse_coords(args.dir, n, "--dir"))
+    if not direction.any():
+        raise ValueError("--dir must not be the zero vector")
     v0 = geodesics.tangent_vector(web, args.leaf, x0, direction)
     gamma = fastgamma.batched_gamma_evaluator(web)
     traj = geodesics.integrate_geodesic(gamma, x0, v0, args.T, args.h)

@@ -22,7 +22,6 @@ values, evaluate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,12 +64,13 @@ def skew_matrix(cof: NormalizedCoframe, inv: BasisInvariant) -> Jet:
     return skew_upper(skew_invariant(cof, inv, *upper)[pair])
 
 
-@dataclass
 class ThetaSystem:
     """theta_i = sum_j theta[i][j] omega_j; t is the symmetric gauge."""
-    t: Jet                     # (n,)
-    s: Jet                     # (n, n), s[i][j] = -s[j][i]
-    theta: Jet                 # (n, n), theta[i][j] = t[j] + s[i][j]
+
+    def __init__(self, t: Jet, s: Jet, theta: Jet):
+        self.t = t              # (n,)
+        self.s = s              # (n, n), s[i][j] = -s[j][i]
+        self.theta = theta      # (n, n), theta[i][j] = t[j] + s[i][j]
 
 
 def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
@@ -83,7 +83,6 @@ def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
     return ThetaSystem(t, s, t + s)
 
 
-@dataclass
 class ConnectionField:
     """Christoffel data at one point (n,) or a batch of points (B, n), jet-valued.
 
@@ -91,11 +90,14 @@ class ConnectionField:
     frame_gamma[k][p][q] are frame symbols with q the derivative direction
     (nabla_{e_q} e_p = sum_k frame_gamma[k][p][q] e_k).
     """
-    point: np.ndarray
-    order: int
-    gamma: Jet                 # (n, n, n)
-    frame_gamma: Jet           # (n, n, n)
-    frame: Jet                 # (n, n), as in the coframe
+
+    def __init__(self, point: np.ndarray, order: int, gamma: Jet,
+                 frame_gamma: Jet, frame: Jet):
+        self.point = point
+        self.order = order
+        self.gamma = gamma              # (n, n, n)
+        self.frame_gamma = frame_gamma  # (n, n, n)
+        self.frame = frame              # (n, n), as in the coframe
 
     @property
     def dim(self) -> int:
@@ -171,14 +173,16 @@ def projective_equivalence_check(conn_a: ConnectionField,
     return resid <= tol, rho, resid
 
 
-@dataclass
 class CanonicalStructure:
     """Everything built at one point or batch: coframe, invariants, theta,
     connection."""
-    cof: NormalizedCoframe
-    invariant: BasisInvariant
-    theta: ThetaSystem
-    conn: ConnectionField
+
+    def __init__(self, cof: NormalizedCoframe, invariant: BasisInvariant,
+                 theta: ThetaSystem, conn: ConnectionField):
+        self.cof = cof
+        self.invariant = invariant
+        self.theta = theta
+        self.conn = conn
 
 
 def canonical_structure(web: WebChart, point, order: int = 3,

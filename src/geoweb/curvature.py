@@ -9,7 +9,6 @@ connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,19 +39,22 @@ def riemann(conn: ConnectionField) -> Jet:
     return skew_upper(R)
 
 
-@dataclass
 class CurvaturePack:
     """Curvature values at a point; weyl for n >= 3, cotton for n = 2.
 
     For a batch of points (B, n) every array gains a leading batch axis and
     `obstruction_norm` and `scale` give one value per row.
     """
-    point: np.ndarray
-    riemann: np.ndarray         # (n, n, n, n)
-    ricci: np.ndarray           # (n, n)
-    schouten: np.ndarray        # (n, n)
-    weyl: Optional[np.ndarray]
-    cotton: Optional[np.ndarray]
+
+    def __init__(self, point: np.ndarray, riemann: np.ndarray,
+                 ricci: np.ndarray, schouten: np.ndarray,
+                 weyl: Optional[np.ndarray], cotton: Optional[np.ndarray]):
+        self.point = point
+        self.riemann = riemann      # (n, n, n, n)
+        self.ricci = ricci          # (n, n)
+        self.schouten = schouten    # (n, n)
+        self.weyl = weyl
+        self.cotton = cotton
 
     def _row_max(self, arr, axes, floor=0.0):
         # max(floor, |entries|) over the trailing `axes` axes: a float at a

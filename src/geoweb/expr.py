@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -31,32 +30,56 @@ from .errors import (ArityError, DomainError, ExpressionSyntaxError,
 from .jets import Jet
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class _Node:
+    """Immutable tree node, equal to a node of its own type with equal
+    fields (so Const(1.0) != Var(1)) and hashed alike."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError("%s takes %d fields, got %d" % (
+                type(self).__name__, len(self.__slots__), len(fields)))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("expression nodes are immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self).__name__,) + self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._fields())))
 
 
-@dataclass(frozen=True)
-class Var:
-    axis: int  # 0-based; prints as x{axis+1}
+class Const(_Node):
+    __slots__ = ("value",)      # float
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+class Var(_Node):
+    __slots__ = ("axis",)       # 0-based; prints as x{axis+1}
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
+class Neg(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")     # op: one of + - * / ^
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")
 
 
 Node = Union[Const, Var, Neg, BinOp, Call]

@@ -1,37 +1,77 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 10 to 12 times slower
-(order 2, one point a call, medians of 41 interleaved rounds of 50 points
-in one process on a noisy 2-core x86-64 machine, three runs: for example
-1.9 / 2.0 / 2.7 ms against 0.18 / 0.20 / 0.23 ms here on the benchmark
-webs xy4 / mixed3 / web4).  The web functions are compiled once into the
+thousands of times; the tensor-shaped jet route is 12 to 14 times slower
+(order 2, one point a call, medians of 21 interleaved rounds of 50 points
+in one process on a noisy 2-core x86-64 machine: 1.90 / 2.30 / 2.58 ms
+against 0.16 / 0.20 / 0.18 ms here on the benchmark webs xy4 / mixed3 /
+web4).  The web functions are compiled once into the
 `expr.compile_program` program that also gives each per-point `Jet`, so a
 batch column, and each row of a call, is bit for bit its point alone.  A
-call inverts A = (d_a f_i) once by the jet route's `web.coframe_inverse`,
-and takes from A^-1 by batched matrix products lambda and its derivative,
-the frame V = A^-T diag(1/lambda), inverse of the coframe
-W = diag(lambda) A^T, and the basis invariants and their derivatives, for
-the checks and the skew formula of `web` that the jet route calls too.
+call inverts A = (d_a f_i) once, by the LAPACK gufunc behind
+`np.linalg.inv`, and takes from A^-1 by batched matrix products lambda
+and its derivative, the frame V = A^-T diag(1/lambda), inverse of the
+coframe W = diag(lambda) A^T, and the basis invariants and their
+derivatives, for the skew formula of `web` that the jet route calls too.
 Then it evaluates on values the closed form that
 `connection.canonical_christoffels` evaluates on jets (derived in the
 `connection` docstring), with E_j^c lambda_j = (A^-1)_jc and theta = s:
 
     Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
+
+With two points a call, the time goes to the fixed cost of each numpy
+operation, so a call runs under one `np.errstate` and checks admissibility
+once: after G is formed, one bound over the batch (`_screen`) clears the
+four checks of the jet route at once.  Only where it does not clear (a
+NaN, an inf, an empty batch, a point near a limit) do `coframe_inverse`,
+`check_vanishing` on lambda and on a, and `check_coincidence` run, in that
+order, so the points excluded and the texts are those of the jet route.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import expr, jets
-from .web import (WebChart, check_coincidence, check_vanishing,
+from .web import (COINCIDENCE_FLOOR, CONDITION_LIMIT, DEGENERACY_FLOOR,
+                  WebChart, check_coincidence, check_vanishing,
                   coframe_inverse, skew_formula)
 
 
 def batched_values(tree, X) -> np.ndarray:
     """Function values over a batch of points (order-0 evaluation)."""
     return expr.eval_coeffs(tree, X, 0)[0]
+
+
+def _screen(A, Ainv, lam, av, gap) -> bool:
+    """True when one bound over the whole batch shows that no point fails
+    `coframe_inverse`, `check_vanishing` on lambda or on a, or
+    `check_coincidence` on the differences `gap` of a_i and a_j (i < j).
+
+    The bound is each check's own screen with one scale for the three
+    value checks: 2 n^2 max|A| max|A^-1| below CONDITION_LIMIT, as in
+    `coframe_inverse`, and every |lambda_i|, |a_i| and |a_i - a_j| above
+    its floor times the largest |lambda_i| or |a_i| (floored at 1), which
+    is at least the scale each check gives that value.  False on a NaN,
+    an inf or an empty batch.
+    """
+    if not len(A):
+        return False
+    n = A.shape[-1]
+    # |A|, |A^-1|, |lambda|, |a| and |gap| in one buffer, whose maxima and
+    # minima over those runs take one call each; a NaN makes every
+    # reduction over its run NaN, and a comparison with NaN fails
+    x = np.abs(np.concatenate((A.ravel(), Ainv.ravel(), lam.ravel(),
+                               av.ravel(), gap.ravel())))
+    k = A.size
+    v = 2 * k + lam.size + av.size
+    amax, imax, vmax, _ = np.maximum.reduceat(x, (0, k, 2 * k, v)).tolist()
+    vmin, gmin = np.minimum.reduceat(x, (2 * k, v)).tolist()
+    scale = max(1.0, vmax)
+    return (2.0 * n * n * amax * imax < CONDITION_LIMIT
+            and vmin > DEGENERACY_FLOOR * scale
+            and gmin > COINCIDENCE_FLOOR * scale)
 
 
 def batched_gamma_evaluator(web: WebChart):
@@ -66,6 +106,11 @@ def batched_gamma_evaluator(web: WebChart):
     skew[i, j] = np.arange(2 * m)
     skew = skew.reshape(-1)
 
+    # the program runs inside this call's errstate, so not inside its own
+    # too: `np.errstate` decorates it by `functools.wraps`
+    run = program.__wrapped__
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(X):
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
@@ -76,14 +121,16 @@ def batched_gamma_evaluator(web: WebChart):
         # then grads[b, f, a] = d_a f and hesses[b, f, a, c] in one gather
         # from the (B, n+2, count) coefficients; matmul sums in an order
         # that follows operand layout, so these layouts fix the last bits
-        co = np.ascontiguousarray(program(X, 2).transpose(2, 0, 1))
+        co = np.ascontiguousarray(run(X, 2).transpose(2, 0, 1))
         grads = co[:, :, 1:1 + n]
         hesses = co.take(slot, 2) * fac
 
         A = grads[:, :n].transpose(0, 2, 1)         # A[b,a,i] = d_a f_i
-        Ainv = coframe_inverse(A, X)
+        # the LAPACK gufunc np.linalg.inv calls, without its type checks;
+        # a singular row comes out NaN, which the screen below sends to
+        # `coframe_inverse`
+        Ainv = _umath_linalg.inv(A, signature="d->d")
         lam = -(Ainv @ grads[:, n, :, None])[:, :, 0]
-        check_vanishing(lam, X, lambda i: "lambda_%d" % (i + 1))
         # rhs[b,a,c] = -d_a d_c f_{n+1} - sum_i lam_i d_a d_c f_i
         Hn = hesses[:, :n].reshape(B, n, n * n)
         rhs = -hesses[:, n] - (lam[:, None] @ Hn).reshape(B, n, n)
@@ -98,8 +145,6 @@ def batched_gamma_evaluator(web: WebChart):
 
         # the basis invariants solve W^T a = -g_{n+2}, and W^-T = V^T
         av = -(grads[:, n + 1, None] @ V)[:, 0]
-        check_vanishing(av, X, lambda i: "basis invariant a_%d of "
-                        "foliation %d" % (i + 1, n + 2))
         dWf = dW.reshape(B, n, n * n)
         rhs = -hesses[:, n + 1] - (av[:, None] @ dWf).reshape(B, n, n)
         Da = V.transpose(0, 2, 1) @ rhs @ V          # D_j a_i = Da[b, i, j]
@@ -107,7 +152,6 @@ def batched_gamma_evaluator(web: WebChart):
         # ar[b, :, p] = a_i, a_j, a_i, a_j and q the log derivatives
         # D_i a_i / a_i, D_i a_j / a_j, D_j a_i / a_i, D_j a_j / a_j
         ar = av.take(rows, 1)
-        check_coincidence(ar[:, 0, :m].T, ar[:, 1, :m].T, i[:m], j[:m], X)
         q = Da.reshape(B, n * n).take(cross, 1) / ar
         s = np.zeros((B, 2 * m + 1))
         s[:, :-1] = skew_formula(ar[:, 0], ar[:, 1], *q.transpose(1, 0, 2))
@@ -120,6 +164,16 @@ def batched_gamma_evaluator(web: WebChart):
         T = hesses[:, :n] + (P + P.transpose(0, 1, 3, 2))
         G = (Ainv.transpose(0, 2, 1) @ T.reshape(B, n, n * n)).reshape(
             B, n, n, n)
+
+        u, v = ar[:, 0, :m], ar[:, 1, :m]            # a_i, a_j for i < j
+        if not _screen(A, Ainv, lam, av, u - v):
+            # the checks in the order their values arise; the first that
+            # fails raises, as it did before G was formed
+            coframe_inverse(A, X)
+            check_vanishing(lam, X, lambda i: "lambda_%d" % (i + 1))
+            check_vanishing(av, X, lambda i: "basis invariant a_%d of "
+                            "foliation %d" % (i + 1, n + 2))
+            check_coincidence(u.T, v.T, i[:m], j[:m], X)
         return G[0] if single else G
 
     return evaluate

@@ -19,7 +19,6 @@ without the batch axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,15 @@ from .web import WebChart
 _BLOWUP_FACTOR = 1e6
 
 
-@dataclass
 class Trajectory:
     """Sampled solution of the geodesic equation."""
 
-    times: np.ndarray
-    states: np.ndarray        # (steps+1, n), or (steps+1, B, n) for a batch
-    velocities: np.ndarray    # same shape as states
-    step: float
+    def __init__(self, times: np.ndarray, states: np.ndarray,
+                 velocities: np.ndarray, step: float):
+        self.times = times
+        self.states = states    # (steps+1, n), or (steps+1, B, n) for a batch
+        self.velocities = velocities    # same shape as states
+        self.step = step
 
     @property
     def endpoint(self) -> np.ndarray:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,10 +33,11 @@ MAX_EXCLUDED_FRACTION = 0.2
 MAX_BATCH = 8192
 
 
-@dataclass
 class SymResidual:
     """Value of a symmetrized (0,2)-tensor at a point."""
-    matrix: np.ndarray
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
 
     @property
     def norm(self) -> float:
@@ -121,26 +121,29 @@ def classify(residual: float, scale: float, pass_factor: float = PASS_FACTOR,
     return "inconclusive"
 
 
-@dataclass
 class PointRow:
-    index: int
-    point: np.ndarray
-    status: str                 # ok | degenerate
-    value: float = float("nan")  # discrepancy or obstruction norm
-    scale: float = 1.0
-    detail: str = ""
+    def __init__(self, index: int, point: np.ndarray, status: str,
+                 value: float = float("nan"), scale: float = 1.0,
+                 detail: str = ""):
+        self.index = index
+        self.point = point
+        self.status = status    # ok | degenerate
+        self.value = value      # discrepancy or obstruction norm
+        self.scale = scale
+        self.detail = detail
 
 
-@dataclass
 class SampleReport:
-    kind: str
-    verdict: str                # geodesic/not_geodesic/... | inconclusive
-    rows: List[PointRow]
-    max_value: float
-    excluded_fraction: float
-    vacuous: bool = False
-    notes: List[str] = field(default_factory=list)
-    geodesicity: "SampleReport" = None
+    def __init__(self, kind: str, verdict: str, rows: List[PointRow],
+                 max_value: float, excluded_fraction: float):
+        self.kind = kind
+        self.verdict = verdict  # geodesic/not_geodesic/... | inconclusive
+        self.rows = rows
+        self.max_value = max_value
+        self.excluded_fraction = excluded_fraction
+        self.vacuous = False
+        self.notes: List[str] = []
+        self.geodesicity: Optional[SampleReport] = None
 
 
 def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 
@@ -26,16 +25,18 @@ def _csv_quote(s: str) -> str:
     return s
 
 
-@dataclass
 class Report:
     """Tabular result of one CLI command."""
 
-    command: str
-    meta: dict                      # ordered key -> scalar metadata
-    columns: List[str]
-    rows: List[list]                # cells: str, int or float
-    verdict: Optional[str] = None
-    notes: List[str] = field(default_factory=list)
+    def __init__(self, command: str, meta: dict, columns: List[str],
+                 rows: List[list], verdict: Optional[str] = None,
+                 notes: Optional[List[str]] = None):
+        self.command = command
+        self.meta = meta            # ordered key -> scalar metadata
+        self.columns = columns
+        self.rows = rows            # cells: str, int or float
+        self.verdict = verdict
+        self.notes = [] if notes is None else notes
 
     def to_csv(self) -> str:
         out = io.StringIO()

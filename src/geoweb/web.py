@@ -13,7 +13,6 @@ formula live here too, shared by the jet route and `fastgamma`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -31,18 +30,20 @@ CONDITION_LIMIT = 1e12
 COINCIDENCE_FLOOR = 1e-10
 
 
-@dataclass
 class WebChart:
-    dim: int
-    functions: list            # parsed expression trees
-    sources: List[str]         # original expression text, same order
-    pointed: Optional[int] = None   # 1-based foliation index
-    center: Optional[np.ndarray] = None
-    radius: float = 1.0
-    labels: Optional[List[str]] = None
-    digest: Optional[str] = None    # sha256 of the web file bytes parsed
-
-    def __post_init__(self):
+    def __init__(self, dim: int, functions: list, sources: List[str],
+                 pointed: Optional[int] = None,
+                 center: Optional[np.ndarray] = None, radius: float = 1.0,
+                 labels: Optional[List[str]] = None,
+                 digest: Optional[str] = None):
+        self.dim = dim
+        self.functions = functions      # parsed expression trees
+        self.sources = sources          # original expression text, same order
+        self.pointed = pointed          # 1-based foliation index
+        self.center = center
+        self.radius = radius
+        self.labels = labels
+        self.digest = digest            # sha256 of the web file bytes parsed
         n, d = self.dim, len(self.functions)
         if n < 2:
             raise ValueError("web dimension must be >= 2, got %d" % n)
@@ -95,7 +96,6 @@ def pointed_chart(web: WebChart) -> WebChart:
     return reorder_chart(web, pointed_order(web))
 
 
-@dataclass
 class NormalizedCoframe:
     """Gauge-fixed coframe data at one base point (n,) or a batch (B, n).
 
@@ -104,12 +104,15 @@ class NormalizedCoframe:
     f_1..f_n that `connection.canonical_christoffels` needs besides them,
     is one order less again.
     """
-    point: np.ndarray
-    order: int
-    lam: Jet                   # (n+1,), lam[n] == 1
-    omega: Jet                 # (n+1, n), omega[i][a] dx_a components
-    frame: Jet                 # (n, n), frame[i][a] d/dx_a components
-    hess: Jet                  # (n, n, n), hess[i][a][b] = d_a d_b f_i
+
+    def __init__(self, point: np.ndarray, order: int, lam: Jet, omega: Jet,
+                 frame: Jet, hess: Jet):
+        self.point = point
+        self.order = order
+        self.lam = lam          # (n+1,), lam[n] == 1
+        self.omega = omega      # (n+1, n), omega[i][a] dx_a components
+        self.frame = frame      # (n, n), frame[i][a] d/dx_a components
+        self.hess = hess        # (n, n, n), hess[i][a][b] = d_a d_b f_i
 
     @property
     def dim(self) -> int:
@@ -247,11 +250,12 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
                              grads[:n].derivatives())
 
 
-@dataclass
 class BasisInvariant:
     """Coefficients of foliation k in the basis coframe: sum a_i omega_i = -df_k."""
-    foliation: int             # 1-based index into the chart
-    a: Jet                     # (n,), order matching the coframe
+
+    def __init__(self, foliation: int, a: Jet):
+        self.foliation = foliation  # 1-based index into the chart
+        self.a = a                  # (n,), order matching the coframe
 
     def projective_class(self) -> np.ndarray:
         """Representative of [a_1 : ... : a_n], largest component scaled to 1.

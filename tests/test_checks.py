@@ -1,5 +1,5 @@
-"""The degeneracy checks of `web`: their batch-wide screens never change an
-exclusion.
+"""The degeneracy checks of `web`: their batch-wide screens, and the one
+screen of `fastgamma` for all four, never change an exclusion.
 
 Each check first tries one sufficient bound over the whole batch and runs
 its per-row rule only where that bound does not clear.  The per-row rules
@@ -11,10 +11,12 @@ every bound, the checks must raise or pass as the copies do, with the same
 import numpy as np
 import pytest
 
+from geoweb import fastgamma
 from geoweb.errors import CoincidentInvariants, DegenerateWebPoint, \
     batch_error
 from geoweb.web import (COINCIDENCE_FLOOR, CONDITION_LIMIT, DEGENERACY_FLOOR,
-                        check_coincidence, check_vanishing, coframe_inverse)
+                        WebChart, check_coincidence, check_vanishing,
+                        coframe_inverse)
 
 
 def rule_vanishing(values, point, name):
@@ -261,3 +263,144 @@ def test_coincidence_cases_straddle_the_bound():
                        points(c[0].shape[-1], 3) if np.ndim(c[0]) == 2
                        else np.zeros(2))[0] for _, c in COINCIDENCE]
     assert "returned" in results and CoincidentInvariants in results
+
+
+# -- fastgamma's one screen: the four checks, with one bound for all -------
+#
+# The evaluator forms G first and then tries one bound over the whole batch
+# for all four checks; where it does not clear, the checks run in their
+# order.  Its outcome must be that of the same evaluator with no screen and
+# the rule copies above in place of the checks: raise or return, the rows,
+# the texts, and the bits of G.  The webs below are n-webs whose A, lambda
+# and basis invariants a are exact functions of x_n, so rows can be put a
+# few units in the last place from each check's limit.
+
+
+def _web(n, fn, fn1, fn2):
+    """The n-web x_1, .., x_{n-1}, fn, -(x_1 + .. + x_{n-1} + fn1) and
+    2 x_1 + .. + n x_{n-1} + fn2, with fn, fn1 and fn2 in x_n alone."""
+    head = ["x%d" % (k + 1) for k in range(n - 1)]
+    lin = "+".join("%d*x%d" % (k + 2, k + 1) for k in range(n - 1))
+    return WebChart.from_strings(n, head + [
+        fn, "-(%s+%s)" % ("+".join(head), fn1), "%s+%s" % (lin, fn2)])
+
+
+def _rows(n, last):
+    """Points (0.1, .., 0.1, x_n) for each x_n."""
+    X = np.full((len(last), n), 0.1)
+    X[:, -1] = last
+    return X
+
+
+def _screen_cases():
+    f, g = DEGENERACY_FLOOR, COINCIDENCE_FLOOR
+    out = []
+    for n in (2, 3):
+        # A = diag(1, .., 1, x_n): kappa_inf(A) = 1 / x_n; lambda = 1 and
+        # a = -(2, .., n + 1) whatever x_n
+        web = _web(n, "0.5*x%d*x%d" % (n, n), "0.5*x%d*x%d" % (n, n),
+                   "%g*x%d*x%d" % (0.5 * (n + 1), n, n))
+        edges = [CONDITION_LIMIT, CONDITION_LIMIT / (2 * n * n)]
+        last = [1.0 / step(c, k) for c in edges for k in (-3, -1, 0, 1, 3)]
+        out += [("n%d-kappa-%.17g" % (n, x), web, _rows(n, [x]))
+                for x in last]
+        out.append(("n%d-kappa-all" % n, web, _rows(n, [0.2] + last)))
+        out.append(("n%d-singular" % n, web, _rows(n, [0.2, 0.0, 0.3])))
+        # lambda = (1, .., 1, 2 x_n) and a = -(2, .., n, n + 1): the rule
+        # scales lambda by 1, the screen by n + 1
+        web = _web(n, "x%d" % n, "x%d*x%d" % (n, n),
+                   "%d*x%d*x%d" % (n + 1, n, n))
+        last = [sign * step(f, k) / 2 for k in (-2, -1, 0, 1, 2)
+                for sign in (1.0, -1.0)]
+        out += [("n%d-lambda-%.17g" % (n, x), web, _rows(n, [x]))
+                for x in last]
+        # lambda_n = 0 makes a inf or NaN; the lambda check comes first
+        out.append(("n%d-lambda-zero" % n, web, _rows(n, [0.2, 0.0])))
+        # every check passes, but not the screen's one scale
+        out.append(("n%d-union" % n, web,
+                    _rows(n, [0.2, f, 2.0 * f])))
+        # lambda = 1 and a = -(2, .., n, 2 x_n): a_n at the rule's floor
+        # n DEGENERACY_FLOOR, and close to a_{n-1} = -n
+        web = _web(n, "x%d" % n, "x%d" % n, "x%d*x%d" % (n, n))
+        low = DEGENERACY_FLOOR * float(n)
+        last = [sign * step(low, k) / 2 for k in (-2, -1, 0, 1, 2)
+                for sign in (1.0, -1.0)]
+        out += [("n%d-a-%.17g" % (n, x), web, _rows(n, [x])) for x in last]
+        # |a_n - a_{n-1}| = n - 2 x_n, exact, the nearest gaps on either
+        # side of n COINCIDENCE_FLOOR
+        ulp = np.spacing(float(n) / 2)
+        below = np.floor(g * n / ulp) * ulp
+        last = [(n - gap) / 2 for gap in (below - ulp, below, below + ulp,
+                                          below + 2 * ulp)]
+        out += [("n%d-coincide-%.17g" % (n, x), web, _rows(n, [x]))
+                for x in last]
+        out.append(("n%d-coincide-all" % n, web, _rows(n, [0.2] + last)))
+        # rows fine alone, past the screen together: one row's scale is
+        # the other's floor
+        out.append(("n%d-mixed" % n, web, _rows(n, [500.0, 1e-8])))
+        out.append(("n%d-clear" % n, web, _rows(n, [0.2, 0.3])))
+        out.append(("n%d-point" % n, web, _rows(n, [0.2])[0]))
+        out.append(("n%d-point-low" % n, web, _rows(n, [1e-11])[0]))
+        # non-finite input, which the compiled program rejects first
+        for tag, bad in (("nan", np.nan), ("inf", np.inf)):
+            out.append(("n%d-%s" % (n, tag), web, _rows(n, [0.2, bad])))
+        out.append(("n%d-empty" % n, web, np.empty((0, n))))
+    return out
+
+
+SCREEN = _screen_cases()
+
+
+def _unscreened(fast, X):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastgamma, "_screen", lambda *args: False)
+        mp.setattr(fastgamma, "coframe_inverse", rule_inverse)
+        mp.setattr(fastgamma, "check_vanishing", rule_vanishing)
+        mp.setattr(fastgamma, "check_coincidence", rule_coincidence)
+        return fast(X)
+
+
+def _screened(fast, X, said):
+    real = fastgamma._screen
+
+    def spy(*args):
+        said.append(real(*args))
+        return said[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastgamma, "_screen", spy)
+        return fast(X)
+
+
+@pytest.mark.parametrize("web, X", [c[1:] for c in SCREEN],
+                         ids=[c[0] for c in SCREEN])
+def test_evaluator_excludes_as_the_rules(web, X):
+    fast = fastgamma.batched_gamma_evaluator(web)
+    assert_same(fast, lambda X: _unscreened(fast, X), X)
+
+
+def test_screen_cases_straddle_every_check():
+    seen = set()
+    for name, web, X in SCREEN:
+        said = []
+        fast = fastgamma.batched_gamma_evaluator(web)
+        result = outcome(lambda X: _screened(fast, X, said), X)[0]
+        seen.add((name.split("-")[1], said[-1] if said else None,
+                  result if result == "returned" else result.__name__))
+    # each limit is met from both sides
+    for check, error in (("kappa", "DegenerateWebPoint"),
+                         ("lambda", "DegenerateWebPoint"),
+                         ("a", "DegenerateWebPoint"),
+                         ("coincide", "CoincidentInvariants")):
+        assert (check, False, error) in seen, check
+        assert {(check, True, "returned"),
+                (check, False, "returned")} & seen, check
+    # the screen clears a row at the a and coincidence floors
+    for check in ("a", "coincide", "clear"):
+        assert (check, True, "returned") in seen, check
+    # the screen's own bound: every check passes where it does not clear
+    for check in ("kappa", "lambda", "union", "mixed"):
+        assert (check, False, "returned") in seen, check
+    assert ("singular", False, "DegenerateWebPoint") in seen
+    assert ("nan", None, "DomainError") in seen
+    assert ("empty", False, "returned") in seen

@@ -164,17 +164,23 @@ def test_unwritable_out_is_one_line_error(tmp_path, target):
 
 
 # the entry run in a child as `python -m geoweb --version`; prints the exit
-# code, the freeze count and whether the collector is on afterwards
+# code, the freeze count and whether the collector is on afterwards, and
+# the number of collections that started before anything was frozen
 _ENTRY_PROBE = (
     "import gc, json, runpy, sys\n"
     "if sys.argv[1] == 'off':\n"
     "    gc.disable()\n"
     "sys.argv[1:] = ['--version']\n"
+    "early = []\n"
+    "gc.collect()\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+    "                    and not gc.get_freeze_count() and early.append(1))\n"
     "try:\n"
     "    runpy.run_module('geoweb', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as e:\n"
     "    code = e.code\n"
-    "print(json.dumps([code, gc.get_freeze_count(), gc.isenabled()]))\n")
+    "print(json.dumps([code, gc.get_freeze_count(), gc.isenabled(),\n"
+    "                  len(early)]))\n")
 
 
 @pytest.mark.parametrize("collector", ["on", "off"])
@@ -186,10 +192,12 @@ def test_entry_freezes_the_import_heap(collector):
     assert proc.stderr == ""
     version, result = proc.stdout.splitlines()
     assert version == "geoweb %s" % geoweb.__version__
-    code, frozen, enabled = json.loads(result)
+    code, frozen, enabled, early = json.loads(result)
     assert code == 0
     assert frozen > 0
     assert enabled == (collector == "on")
+    # the imports ran with the collector off
+    assert early == 0
 
 
 def test_main_leaves_the_collector_alone(capsys):
@@ -554,8 +562,8 @@ def test_version_flag(capsys):
 
 def test_geodesic_loads_only_the_modules_it_runs():
     # the benchmark's geodesic run on mixed3, in a fresh process: no module
-    # of the other commands, and no OpenSSL where CPython has a built-in
-    # SHA-256
+    # of the other commands, no `dataclasses`, and no OpenSSL where CPython
+    # has a built-in SHA-256
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "webs", "mixed3.json")
     argv = ["geodesic", path, "--from", "0.05,0.05,0.05", "--leaf", "5",
@@ -574,7 +582,7 @@ def test_geodesic_loads_only_the_modules_it_runs():
     assert status == 0
     assert "geoweb.geodesics" in modules
     assert not {"geoweb.connection", "geoweb.curvature", "geoweb.invariants",
-                "geoweb.sampling"} & set(modules)
+                "geoweb.sampling", "dataclasses"} & set(modules)
     if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         assert "_hashlib" not in modules
     with open(path, "rb") as fh:
@@ -611,3 +619,29 @@ def test_missing_coordinate_value_is_one_line_error(webdir, capsys):
                      "--leaf", "4"]) == 1
     assert capsys.readouterr().err == (
         "geoweb: error: argument --from: expected one argument\n")
+
+
+@pytest.mark.parametrize("command, flag, value, rest, text", [
+    ("connection", "--at", "nan,0.1", (), "--at expects finite coordinates, "
+     "got 'nan,0.1'"),
+    ("connection", "--at", "0.1,-inf", (), "--at expects finite "
+     "coordinates, got '0.1,-inf'"),
+    ("geodesic", "--from", "inf,0.05", ("--leaf", "4"), "--from expects "
+     "finite coordinates, got 'inf,0.05'"),
+    ("geodesic", "--dir", "nan,0", ("--from", "0.1,0.05", "--leaf", "4"),
+     "--dir expects finite coordinates, got 'nan,0'"),
+    ("geodesic", "--dir", "1e400,0", ("--from", "0.1,0.05", "--leaf", "4"),
+     "--dir expects finite coordinates, got '1e400,0'"),
+    ("geodesic", "--dir", "0,0", ("--from", "0.1,0.05", "--leaf", "4"),
+     "--dir must not be the zero vector"),
+    ("geodesic", "--dir", "-0.0,0", ("--from", "0.1,0.05", "--leaf", "4"),
+     "--dir must not be the zero vector"),
+], ids=["at-nan", "at-inf", "from-inf", "dir-nan", "dir-overflow",
+        "dir-zero", "dir-negative-zero"])
+def test_bad_coordinates_are_one_line_invalid_input(webdir, capsys, command,
+                                                    flag, value, rest, text):
+    assert cli.main([command, str(webdir / "xy4.json"), flag, value,
+                     *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geoweb: invalid input: %s\n" % text

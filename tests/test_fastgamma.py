@@ -28,6 +28,7 @@ import os
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from geoweb import cli, expr, fastgamma, webfile
 from geoweb.connection import canonical_structure
@@ -260,21 +261,41 @@ def test_christoffels_obey_transformation_law(n, sources, subst, psi, route):
 
 
 def test_one_inverse_and_no_solve_per_call(monkeypatch):
+    # every LAPACK gufunc of numpy.linalg is counted where np.linalg's
+    # wrappers call it too, so an inverse or a solve by any entry counts;
     # the closed form needs no einsum either
     fast = fastgamma.batched_gamma_evaluator(make_web("mixed3"))
-    calls = {"inv": 0, "solve": 0, "einsum": 0}
+    calls = {}
 
     def counted(name, real):
         def call(*args, **kwargs):
-            calls[name] += 1
+            calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
         return call
 
-    for name in calls:
-        module = np if name == "einsum" else np.linalg
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    gufuncs = [name for name, value in vars(_umath_linalg).items()
+               if isinstance(value, np.ufunc)]
+    assert {"inv", "solve", "solve1"} <= set(gufuncs)
+    for module, names in ((_umath_linalg, gufuncs),
+                          (np.linalg, ("inv", "solve")), (np, ("einsum",))):
+        for name in names:
+            monkeypatch.setattr(module, name, counted(
+                "%s.%s" % (module.__name__, name), getattr(module, name)))
     fast(np.array([[0.05, 0.04, 0.03]]))
-    assert calls == {"inv": 1, "solve": 0, "einsum": 0}
+    assert calls == {"numpy.linalg._umath_linalg.inv": 1}
+
+
+def test_lapack_inverse_is_np_linalg_inv():
+    # the evaluator calls the gufunc behind np.linalg.inv directly; on the
+    # strided stacks it passes, as on contiguous ones, the bits agree
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for B in (0, 1, 2, 7):
+            co = rng.standard_normal((B, n + 2, n)) * rng.choice(
+                [1e-3, 1.0, 1e3], size=(B, 1, 1))
+            for A in (co[:, :n].transpose(0, 2, 1), co[:, :n]):
+                assert np.array_equal(_umath_linalg.inv(A, signature="d->d"),
+                                      np.linalg.inv(A)), (n, B)
 
 
 def test_one_inverse_per_jet_route_structure(monkeypatch):
