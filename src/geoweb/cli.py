@@ -262,6 +262,13 @@ def _cmd_geodesic(args) -> int:
     if not direction.any():
         raise ValueError("--dir must not be the zero vector")
     v0 = geodesics.tangent_vector(web, args.leaf, x0, direction)
+    # numpy refuses an array past its index range with a bare "Maximum
+    # allowed size exceeded"; name what asked for it
+    steps = args.T / args.h if args.h > 0 else 0.0
+    if 0 < steps < np.inf and (round(steps) + 1) * n * 8 > np.iinfo(
+            np.intp).max:
+        raise ValueError("--T / --h asks for %.3g RK4 steps, more than an "
+                         "array can hold" % steps)
     gamma = fastgamma.batched_gamma_evaluator(web)
     traj = geodesics.integrate_geodesic(gamma, x0, v0, args.T, args.h)
     drift = geodesics.leaf_drift(web, args.leaf, traj)

@@ -1,4 +1,4 @@
-"""Canonical connection of a web: theta system, Christoffels, gauge moves.
+"""Canonical connection of a web: theta system and Christoffels.
 
 The skew invariants s_ij from the basis invariants of foliation n+2 fix the
 antisymmetric part of the theta matrix, the free gauge t its symmetric
@@ -30,7 +30,7 @@ from . import expr
 from .jets import Jet, grid, ordered_sum, skew_upper, stack, where
 from .web import (BasisInvariant, NormalizedCoframe, WebChart,
                   basis_invariants, check_coincidence, normalize_coframe,
-                  pointed_chart, skew_formula)
+                  skew_formula)
 
 
 def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant, i, j) -> Jet:
@@ -134,45 +134,6 @@ def canonical_christoffels(cof: NormalizedCoframe,
     return ConnectionField(cof.point, r, gamma, fg, cof.frame)
 
 
-def projective_gauge_change(conn: ConnectionField, rho) -> ConnectionField:
-    """Shift gamma'^c_ab = gamma^c_ab + delta^c_a rho_b + delta^c_b rho_a,
-    and the frame symbols alike; rho holds the coordinate components of the
-    1-form, numbers or jets."""
-    n = conn.dim
-    rj = stack([x.truncate(min(x.order, conn.order)) if isinstance(x, Jet)
-                else Jet.constant(x, n, conn.order) for x in rho])
-    c, a, b = grid(n, 3)
-    gamma = where(c == a, conn.gamma + rj, conn.gamma)
-    gamma = where(c == b, gamma + rj[:, None], gamma)
-    E = conn.frame.truncate(conn.order)
-    rho_frame = ordered_sum(E[:, i] * rj[i] for i in range(n))
-    frame_gamma = where(c == a, conn.frame_gamma + rho_frame,
-                        conn.frame_gamma)
-    frame_gamma = where(c == b, frame_gamma + rho_frame[:, None], frame_gamma)
-    return ConnectionField(conn.point, conn.order, gamma, frame_gamma,
-                           conn.frame)
-
-
-def projective_equivalence_check(conn_a: ConnectionField,
-                                 conn_b: ConnectionField,
-                                 tol: float = 1e-9):
-    """Test whether two connections differ by a projective gauge shift.
-
-    Works on value parts at one point; returns (is_equivalent, rho,
-    residual) with the 1-form rho_b = (G_B - G_A)^m_mb / (n + 1).
-    """
-    if conn_a.point.ndim != 1 or conn_b.point.ndim != 1:
-        raise ValueError("projective_equivalence_check takes connections "
-                         "at one point, not a batch")
-    n = conn_a.dim
-    diff = conn_b.gamma_values() - conn_a.gamma_values()
-    rho = np.einsum("mmb->b", diff) / (n + 1)
-    eye = np.eye(n)
-    pred = eye[:, :, None] * rho + eye[:, None, :] * rho[:, None]
-    resid = float(np.abs(diff - pred).max())
-    return resid <= tol, rho, resid
-
-
 class CanonicalStructure:
     """Everything built at one point or batch: coframe, invariants, theta,
     connection."""
@@ -205,13 +166,3 @@ def canonical_structure(web: WebChart, point, order: int = 3,
     theta = theta_system(cof, inv, t)
     conn = canonical_christoffels(cof, theta)
     return CanonicalStructure(cof, inv, theta, conn)
-
-
-def pointed_affine_connection(web: WebChart, point,
-                              order: int = 3) -> CanonicalStructure:
-    """Affine connection of the web pointed at web.pointed (default n+1).
-
-    Re-indexes the pointed foliation into slot n+1 and uses the gauge
-    t = 0, which keeps the pointed function affine for the result.
-    """
-    return canonical_structure(pointed_chart(web), point, order, t=None)

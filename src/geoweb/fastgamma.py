@@ -1,21 +1,31 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 12 to 14 times slower
+thousands of times; the tensor-shaped jet route is 15 to 19 times slower
 (order 2, one point a call, medians of 21 interleaved rounds of 50 points
-in one process on a noisy 2-core x86-64 machine: 1.90 / 2.30 / 2.58 ms
-against 0.16 / 0.20 / 0.18 ms here on the benchmark webs xy4 / mixed3 /
+in one process on a noisy 2-core x86-64 machine: 1.62 / 2.56 / 2.77 ms
+against 0.11 / 0.16 / 0.15 ms here on the benchmark webs xy4 / mixed3 /
 web4).  The web functions are compiled once into the
 `expr.compile_program` program that also gives each per-point `Jet`, so a
-batch column, and each row of a call, is bit for bit its point alone.  A
-call inverts A = (d_a f_i) once, by the LAPACK gufunc behind
-`np.linalg.inv`, and takes from A^-1 by batched matrix products lambda
-and its derivative, the frame V = A^-T diag(1/lambda), inverse of the
-coframe W = diag(lambda) A^T, and the basis invariants and their
-derivatives, for the skew formula of `web` that the jet route calls too.
-Then it evaluates on values the closed form that
-`connection.canonical_christoffels` evaluates on jets (derived in the
-`connection` docstring), with E_j^c lambda_j = (A^-1)_jc and theta = s:
+batch column, and each row of a call, is bit for bit its point alone.
+
+`_frame` inverts A = (d_a f_i) by the LAPACK gufunc behind
+`np.linalg.inv` and takes from A^-1 by batched matrix products lambda and
+its derivative, the frame V = A^-T diag(1/lambda), inverse of the coframe
+W = diag(lambda) A^T, and L = D log lambda.  Where f_1..f_{n+1} are
+affine by form (`_affine`: all benchmark webs), their gradients and
+Hessians are the same bits at every point, so is that frame, and the
+evaluator computes it once, when it is built, at the chart center, as a
+batch of one that broadcasts over any call.  Elsewhere (a curved frame,
+an empty batch, or a center frame that raises or fails the screen's kappa
+or lambda bound) each call computes it from its own expansion.  Either
+way a call runs the program over all n + 2 functions, so its
+`DomainError`s stay as they were, and takes from the frame by matrix
+products the basis invariants and their derivatives, for the skew formula
+of `web` that the jet route calls too.  Then it evaluates on values the
+closed form that `connection.canonical_christoffels` evaluates on jets
+(derived in the `connection` docstring), with E_j^c lambda_j = (A^-1)_jc
+and theta = s:
 
     Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
 
@@ -25,7 +35,15 @@ once: after G is formed, one bound over the batch (`_screen`) clears the
 four checks of the jet route at once.  Only where it does not clear (a
 NaN, an inf, an empty batch, a point near a limit) do `coframe_inverse`,
 `check_vanishing` on lambda and on a, and `check_coincidence` run, in that
-order, so the points excluded and the texts are those of the jet route.
+order, on the frame of every row, so the points excluded and the texts
+are those of the jet route.
+
+One call on a 2-row stage pair takes 72 / 90 / 85 us on xy4 / mixed3 /
+web4 with the frame built once, against 106 / 122 / 116 us when every
+call built it (0.68 to 0.74 times; medians of 41 interleaved rounds of 200
+calls in one process, same machine); at 512 rows it is about half.  On
+the curved-frame test webs, which build it per call, the time stays
+within noise (0.91 to 1.05 times over seven such runs).
 """
 
 from __future__ import annotations
@@ -34,6 +52,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import expr, jets
+from .errors import DegenerateWebPoint
 from .web import (COINCIDENCE_FLOOR, CONDITION_LIMIT, DEGENERACY_FLOOR,
                   WebChart, check_coincidence, check_vanishing,
                   coframe_inverse, skew_formula)
@@ -44,13 +63,13 @@ def batched_values(tree, X) -> np.ndarray:
     return expr.eval_coeffs(tree, X, 0)[0]
 
 
-def _screen(A, Ainv, lam, av, gap) -> bool:
+def _screen(A, AinvT, lam, av, gap) -> bool:
     """True when one bound over the whole batch shows that no point fails
     `coframe_inverse`, `check_vanishing` on lambda or on a, or
     `check_coincidence` on the differences `gap` of a_i and a_j (i < j).
 
     The bound is each check's own screen with one scale for the three
-    value checks: 2 n^2 max|A| max|A^-1| below CONDITION_LIMIT, as in
+    value checks: 2 n^2 max|A| max|A^-T| below CONDITION_LIMIT, as in
     `coframe_inverse`, and every |lambda_i|, |a_i| and |a_i - a_j| above
     its floor times the largest |lambda_i| or |a_i| (floored at 1), which
     is at least the scale each check gives that value.  False on a NaN,
@@ -59,11 +78,10 @@ def _screen(A, Ainv, lam, av, gap) -> bool:
     if not len(A):
         return False
     n = A.shape[-1]
-    # |A|, |A^-1|, |lambda|, |a| and |gap| in one buffer, whose maxima and
+    # |A|, |A^-T|, |lambda|, |a| and |gap| in one buffer, whose maxima and
     # minima over those runs take one call each; a NaN makes every
     # reduction over its run NaN, and a comparison with NaN fails
-    x = np.abs(np.concatenate((A.ravel(), Ainv.ravel(), lam.ravel(),
-                               av.ravel(), gap.ravel())))
+    x = np.abs(np.concatenate((A, AinvT, lam, av, gap), axis=None))
     k = A.size
     v = 2 * k + lam.size + av.size
     amax, imax, vmax, _ = np.maximum.reduceat(x, (0, k, 2 * k, v)).tolist()
@@ -74,13 +92,76 @@ def _screen(A, Ainv, lam, av, gap) -> bool:
             and gmin > COINCIDENCE_FLOOR * scale)
 
 
+def _constant(node) -> bool:
+    """True for a tree without variables, which the compiled program
+    folds to a float (or to a node that raises when run)."""
+    if isinstance(node, expr.Var):
+        return False
+    if isinstance(node, expr.BinOp):
+        return _constant(node.left) and _constant(node.right)
+    if isinstance(node, (expr.Neg, expr.Call)):
+        return _constant(node.arg)
+    return True
+
+
+def _affine(node) -> bool:
+    """True when the tree is affine in x by its form: variables, folded
+    constants, +, -, negation, and products with or quotients by a folded
+    constant.  Its compiled program then gives derivative coefficients
+    that do not depend on the point, bit for bit: every operation on them
+    is a sum, a negation, or a product or quotient by a float."""
+    if isinstance(node, expr.Var) or _constant(node):
+        return True
+    if isinstance(node, expr.Neg):
+        return _affine(node.arg)
+    if not isinstance(node, expr.BinOp):
+        return False
+    left, right = node.left, node.right
+    if node.op in "+-":
+        return _affine(left) and _affine(right)
+    if node.op == "*":
+        return (_constant(left) and _affine(right)
+                or _affine(left) and _constant(right))
+    return node.op == "/" and _affine(left) and _constant(right)
+
+
+def _frame(grads, hesses):
+    """The normalized frame of f_1..f_{n+1} over a batch, from gradients
+    grads[b, f, a] = d_a f and Hessians hesses[b, f, a, c] of f_1..f_{n+1}
+    (later functions ignored): A[b, a, i] = d_a f_i, the transpose of its
+    inverse A^-T, lambda, the coframe W = diag(lambda) A^T with its
+    derivative dW flattened to (B, n, n^2), the frame V = W^-1 =
+    A^-T diag(1/lambda) and V^T, and L[b, j, i] = D_i log lambda_j."""
+    B, n = len(grads), grads.shape[-1]
+    A = grads[:, :n].transpose(0, 2, 1)
+    # the LAPACK gufunc np.linalg.inv calls, without its type checks; a
+    # singular row comes out NaN, which the screen sends to
+    # `coframe_inverse`
+    Ainv = _umath_linalg.inv(A, signature="d->d")
+    lam = -(Ainv @ grads[:, n, :, None])[:, :, 0]
+    # rhs[b,a,c] = -d_a d_c f_{n+1} - sum_i lam_i d_a d_c f_i
+    Hn = hesses[:, :n].reshape(B, n, n * n)
+    rhs = -hesses[:, n] - (lam[:, None] @ Hn).reshape(B, n, n)
+    dlam = Ainv @ rhs                                # (B, i, c)
+    # row i of W is omega_i = lam_i df_i, and E[j][a] = V[a, j]
+    W = lam[:, :, None] * grads[:, :n]               # (B, i, a)
+    dW = dlam[:, :, None, :] * grads[:, :n, :, None] \
+        + lam[:, :, None, None] * hesses[:, :n]      # (B, i, a, c)
+    AinvT = Ainv.transpose(0, 2, 1)
+    V = AinvT / lam[:, None, :]
+    L = (dlam @ V) / lam[:, :, None]
+    return (A, AinvT, lam, W, dW.reshape(B, n, n * n), V,
+            V.transpose(0, 2, 1), L)
+
+
 def batched_gamma_evaluator(web: WebChart):
     """Point batch (B, n) -> coordinate Christoffel values (B, n, n, n).
 
     Implements the canonical connection with gauge t = 0 for the subweb
     f_1..f_{n+2}; raises DegenerateWebPoint, whose `rows` mark the
     inadmissible points, when any point in the batch is inadmissible.
-    The web functions are compiled, and the index arrays built, once here.
+    The web functions are compiled, and the index arrays built, once here;
+    so is the frame, where f_1..f_{n+1} are affine (see `_affine`).
     """
     n = web.dim
     program = expr.compile_program(web.functions[:n + 2])
@@ -110,6 +191,33 @@ def batched_gamma_evaluator(web: WebChart):
     # too: `np.errstate` decorates it by `functools.wraps`
     run = program.__wrapped__
 
+    def expand(prog, X):
+        # the functions in order, so the first that fails names the error,
+        # then grads[b, f, a] = d_a f and hesses[b, f, a, c] in one gather
+        # from the (B, functions, count) coefficients; matmul sums in an
+        # order that follows operand layout, so these layouts fix the
+        # last bits
+        co = np.ascontiguousarray(prog(X, 2).transpose(2, 0, 1))
+        return co[:, :, 1:1 + n], co.take(slot, 2) * fac
+
+    # Where f_1..f_{n+1} are affine their gradients and Hessians, so the
+    # frame, are the same bits at every point: one row of it, taken at the
+    # center, broadcasts over any batch.  It is kept only if it clears the
+    # screen's kappa and lambda bounds (lambda standing in for a, with no
+    # pair of a near), so a call's screen decides on the same values.
+    fixed = None
+    if all(map(_affine, web.functions[:n + 1])):
+        head = expr.compile_program(web.functions[:n + 1]).__wrapped__
+        try:
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                frame = _frame(*expand(head, web.center[None]))
+                A, AinvT, lam = frame[:3]
+                if _screen(A, AinvT, lam, lam, np.array([np.inf])):
+                    fixed = frame
+        except DegenerateWebPoint:      # DomainError among them
+            pass
+
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(X):
         X = np.asarray(X, dtype=float)
@@ -117,37 +225,14 @@ def batched_gamma_evaluator(web: WebChart):
         if single:
             X = X[None]
         B = X.shape[0]
-        # the functions in order, so the first that fails names the error,
-        # then grads[b, f, a] = d_a f and hesses[b, f, a, c] in one gather
-        # from the (B, n+2, count) coefficients; matmul sums in an order
-        # that follows operand layout, so these layouts fix the last bits
-        co = np.ascontiguousarray(run(X, 2).transpose(2, 0, 1))
-        grads = co[:, :, 1:1 + n]
-        hesses = co.take(slot, 2) * fac
-
-        A = grads[:, :n].transpose(0, 2, 1)         # A[b,a,i] = d_a f_i
-        # the LAPACK gufunc np.linalg.inv calls, without its type checks;
-        # a singular row comes out NaN, which the screen below sends to
-        # `coframe_inverse`
-        Ainv = _umath_linalg.inv(A, signature="d->d")
-        lam = -(Ainv @ grads[:, n, :, None])[:, :, 0]
-        # rhs[b,a,c] = -d_a d_c f_{n+1} - sum_i lam_i d_a d_c f_i
-        Hn = hesses[:, :n].reshape(B, n, n * n)
-        rhs = -hesses[:, n] - (lam[:, None] @ Hn).reshape(B, n, n)
-        dlam = Ainv @ rhs                            # (B, i, c)
-
-        # the coframe W = diag(lam) A^T, row i omega_i = lam_i df_i, and
-        # the frame V = W^-1 = A^-T diag(1/lam): E[j][a] = V[a, j]
-        W = lam[:, :, None] * grads[:, :n]           # (B, i, a)
-        dW = dlam[:, :, None, :] * grads[:, :n, :, None] \
-            + lam[:, :, None, None] * hesses[:, :n]  # (B, i, a, c)
-        V = Ainv.transpose(0, 2, 1) / lam[:, None, :]
+        grads, hesses = expand(run, X)
+        A, AinvT, lam, W, dWf, V, VT, L = (
+            fixed if fixed is not None and B else _frame(grads, hesses))
 
         # the basis invariants solve W^T a = -g_{n+2}, and W^-T = V^T
         av = -(grads[:, n + 1, None] @ V)[:, 0]
-        dWf = dW.reshape(B, n, n * n)
         rhs = -hesses[:, n + 1] - (av[:, None] @ dWf).reshape(B, n, n)
-        Da = V.transpose(0, 2, 1) @ rhs @ V          # D_j a_i = Da[b, i, j]
+        Da = VT @ rhs @ V                            # D_j a_i = Da[b, i, j]
 
         # ar[b, :, p] = a_i, a_j, a_i, a_j and q the log derivatives
         # D_i a_i / a_i, D_i a_j / a_j, D_j a_i / a_i, D_j a_j / a_j
@@ -156,21 +241,22 @@ def batched_gamma_evaluator(web: WebChart):
         s = np.zeros((B, 2 * m + 1))
         s[:, :-1] = skew_formula(ar[:, 0], ar[:, 1], *q.transpose(1, 0, 2))
 
-        # the closed form: L[j, i] = D_i log lam_j, Q = (L - theta) / 2,
-        # K = Q W and G = A^-T (Hessians + d f K + (d f K)^T)
-        Q = (dlam @ V) / lam[:, :, None] - s.take(skew, 1).reshape(B, n, n)
+        # the closed form: Q = (L - theta) / 2, K = Q W and
+        # G = A^-T (Hessians + d f K + (d f K)^T)
+        Q = L - s.take(skew, 1).reshape(B, n, n)
         K = (Q * 0.5) @ W
         P = grads[:, :n, :, None] * K[:, :, None, :]
         T = hesses[:, :n] + (P + P.transpose(0, 1, 3, 2))
-        G = (Ainv.transpose(0, 2, 1) @ T.reshape(B, n, n * n)).reshape(
-            B, n, n, n)
+        G = (AinvT @ T.reshape(B, n, n * n)).reshape(B, n, n, n)
 
         u, v = ar[:, 0, :m], ar[:, 1, :m]            # a_i, a_j for i < j
-        if not _screen(A, Ainv, lam, av, u - v):
-            # the checks in the order their values arise; the first that
-            # fails raises, as it did before G was formed
-            coframe_inverse(A, X)
-            check_vanishing(lam, X, lambda i: "lambda_%d" % (i + 1))
+        if not _screen(A, AinvT, lam, av, u - v):
+            # the checks in the order their values arise, on the frame of
+            # every row; the first that fails raises, as it did before G
+            # was formed
+            coframe_inverse(np.broadcast_to(A, (B, n, n)), X)
+            check_vanishing(np.broadcast_to(lam, (B, n)), X,
+                            lambda i: "lambda_%d" % (i + 1))
             check_vanishing(av, X, lambda i: "basis invariant a_%d of "
                             "foliation %d" % (i + 1, n + 2))
             check_coincidence(u.T, v.T, i[:m], j[:m], X)

@@ -379,6 +379,20 @@ def test_evaluator_excludes_as_the_rules(web, X):
     assert_same(fast, lambda X: _unscreened(fast, X), X)
 
 
+@pytest.mark.parametrize("web, X", [c[1:] for c in SCREEN],
+                         ids=[c[0] for c in SCREEN])
+def test_frame_per_call_excludes_as_hoisted(web, X):
+    # the frame built per call, as it is where f_1..f_{n+1} are not
+    # affine, against the rules and against the frame built once (the
+    # webs whose A and lambda do not depend on x_n)
+    fast = fastgamma.batched_gamma_evaluator(web)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastgamma, "_affine", lambda node: False)
+        per_call = fastgamma.batched_gamma_evaluator(web)
+    assert_same(per_call, lambda X: _unscreened(per_call, X), X)
+    assert_same(fast, per_call, X)
+
+
 def test_screen_cases_straddle_every_check():
     seen = set()
     for name, web, X in SCREEN:

@@ -368,6 +368,20 @@ def test_allocation_failure_is_one_line_error(webdir, capsys, argv):
     assert err.startswith("geoweb: out of memory: Unable to allocate")
 
 
+# past numpy's index range the allocation fails before any memory is asked
+# for, with numpy's "Maximum allowed size exceeded"
+@pytest.mark.parametrize("T, h, steps", [("1", "1e-300", "1e+300"),
+                                         ("1e3", "1e-16", "1e+19")])
+def test_step_count_past_array_range_names_options(webdir, capsys, T, h,
+                                                   steps):
+    argv = ["geodesic", "%s/xy4.json" % webdir, "--from", "0.1,0.1",
+            "--leaf", "4", "--dir", "1,0", "--T", T, "--h", h]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", (
+        "geoweb: invalid input: --T / --h asks for %s RK4 steps, more than "
+        "an array can hold\n" % steps))
+
+
 def test_connection_overflow_in_unprinted_coefficients(tmp_path, capsys):
     # the jets overflow past the values the report prints, which numpy
     # used to warn about on stderr

@@ -12,6 +12,7 @@ from geoweb.sampling import random_points
 from geoweb.web import basis_invariants
 from geoweb.webfile import load_webfile
 
+import oracles
 from conftest import make_web
 from fdtools import partial_fd
 
@@ -110,7 +111,7 @@ def test_obstruction_is_projectively_invariant(name, point):
            for s in rho_sources[:web.dim]] \
         + [eval_field(parse_expression("0.1", web.dim), point, order - 2)
            for _ in range(web.dim - 2)]
-    gauged = connection.projective_gauge_change(struct.conn, rho)
+    gauged = oracles.projective_gauge_change(struct.conn, rho)
     moved = curvature.projective_pack(gauged)
     obs_a = base.weyl if base.weyl is not None else base.cotton
     obs_b = moved.weyl if moved.weyl is not None else moved.cotton

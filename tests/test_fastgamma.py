@@ -23,6 +23,7 @@ defining foliations are totally geodesic for the jet route's connection),
 module's Christoffels stay on the leaves they start tangent to).
 """
 
+import glob
 import json
 import os
 
@@ -264,7 +265,6 @@ def test_one_inverse_and_no_solve_per_call(monkeypatch):
     # every LAPACK gufunc of numpy.linalg is counted where np.linalg's
     # wrappers call it too, so an inverse or a solve by any entry counts;
     # the closed form needs no einsum either
-    fast = fastgamma.batched_gamma_evaluator(make_web("mixed3"))
     calls = {}
 
     def counted(name, real):
@@ -281,8 +281,22 @@ def test_one_inverse_and_no_solve_per_call(monkeypatch):
         for name in names:
             monkeypatch.setattr(module, name, counted(
                 "%s.%s" % (module.__name__, name), getattr(module, name)))
+    one = {"numpy.linalg._umath_linalg.inv": 1}
+    # mixed3's f_1..f_4 are affine: its frame is inverted once, when the
+    # evaluator is built, and no call inverts or solves
+    fast = fastgamma.batched_gamma_evaluator(make_web("mixed3"))
+    assert calls == one
+    calls.clear()
     fast(np.array([[0.05, 0.04, 0.03]]))
-    assert calls == {"numpy.linalg._umath_linalg.inv": 1}
+    fast(np.array([0.05, 0.04, 0.03]))
+    assert calls == {}
+    # a curved frame is inverted once per call
+    for name in ("nodes", "pulled2"):
+        fast = fastgamma.batched_gamma_evaluator(make_web(name))
+        assert calls == {}
+        fast(np.full((2, 2), 0.05))
+        assert calls == one, name
+        calls.clear()
 
 
 def test_lapack_inverse_is_np_linalg_inv():
@@ -387,3 +401,110 @@ def test_geodesic_failure_texts(tmp_path, capsys, functions, start, leaf,
     assert capsys.readouterr().err == (
         "geoweb: computation failed: geodesic left the admissible set near "
         "t=0: %s\n" % text)
+
+
+# The frame of f_1..f_{n+1} (A, its inverse, lambda, the coframe, the
+# frame and L) is computed once, when the evaluator is built, where those
+# functions are affine, and per call elsewhere.  Both must give the same
+# bits, raise the same errors with the same rows and texts, and take the
+# same path through the checks.
+
+PERF_WEBS = sorted(glob.glob(os.path.join(HERE, os.pardir, "perfbench",
+                                          "webs", "*.json")))
+FRAME_WEBS = {**{"perfbench-" + os.path.basename(p)[:-5]: p
+                 for p in PERF_WEBS},
+              **{name: name for name in [*sorted(CORPUS_SOURCES),
+                                         *CURVED_FRAME_WEBS]}}
+
+
+def _per_call(web):
+    # the predicate sees nothing affine, so the frame is built per call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastgamma, "_affine", lambda node: False)
+        return fastgamma.batched_gamma_evaluator(web)
+
+
+def _outcome(fast, X):
+    try:
+        return "returned", fast(X)
+    except DegenerateWebPoint as e:
+        rows = np.atleast_1d(e.rows)
+        return (type(e), str(e), rows.tolist(),
+                [e.detail(b) for b in np.flatnonzero(rows)])
+
+
+def _inverses_per_call(fast, X):
+    calls = []
+    real = _umath_linalg.inv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_umath_linalg, "inv",
+                   lambda *a, **k: calls.append(1) or real(*a, **k))
+        try:
+            fast(X)
+        except DegenerateWebPoint:
+            pass
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", list(FRAME_WEBS))
+def test_hoisted_frame_equals_per_call_frame(name):
+    source = FRAME_WEBS[name]
+    web = (webfile.load_webfile(source) if source.endswith(".json")
+           else make_web(source))
+    fast, per_call = fastgamma.batched_gamma_evaluator(web), _per_call(web)
+    # every web of the benchmark and the corpus has an affine frame
+    curved = name in CURVED_FRAME_WEBS
+    assert _inverses_per_call(fast, web.center) == curved
+    # points near the domain ball, then far out, where some webs fail
+    pts = np.concatenate((random_points(web, 7, seed=19),
+                          web.center + 3.0 * np.eye(web.dim)[:2]))
+    batches = [pts[:0], pts[:1], pts[:2], pts[:7], pts[5:9], *pts]
+    for X in batches:
+        got, want = _outcome(fast, X), _outcome(per_call, X)
+        if want[0] == "returned":
+            assert got[0] == "returned"
+            assert got[1].shape == want[1].shape
+            assert np.array_equal(got[1], want[1]), X
+        else:
+            assert got == want, X
+
+
+@pytest.mark.parametrize("source", ["x1", "-(x1+x2)", "2*x1/3", "exp(0)*x1",
+                                    "x1 - 3 + x2/2", "-(2^3)*(x1 - x2)"])
+def test_affine_by_form(source):
+    assert fastgamma._affine(expr.parse_expression(source, 2))
+
+
+@pytest.mark.parametrize("source", ["x1*x2", "x1^1", "x1*x2 - x1*x2",
+                                    "2/x1", "exp(x1)", "x1 + log(x2)"])
+def test_not_affine_by_form(source):
+    assert not fastgamma._affine(expr.parse_expression(source, 2))
+
+
+def test_failing_frame_is_not_hoisted():
+    # affine, but kappa_inf(A) overflows: each call inverts A, and the
+    # singularity check inverts it again to name the singular coframe
+    functions, start, _, text = GEODESIC_FAILURES[0]
+    web = WebChart.from_strings(2, functions)
+    assert all(map(fastgamma._affine, web.functions[:3]))
+    fast = fastgamma.batched_gamma_evaluator(web)
+    X = np.array([float(x) for x in start.split(",")])
+    assert _inverses_per_call(fast, X) == 2
+    for _ in range(2):
+        with pytest.raises(DegenerateWebPoint) as err:
+            fast(X)
+        assert str(err.value) == text
+    X = np.array([X, [0.3, -0.1]])
+    assert _outcome(fast, X)[1:] == (text, [True, True], [
+        text, text.replace("[0.1 0.2]", "[ 0.3 -0.1]")])
+
+
+def test_frame_that_raises_is_not_hoisted():
+    # building the frame raises at the center; every call raises the same
+    web = WebChart.from_strings(2, ["x1/(2-2)", "x2", "-(x1+x2)", "x1+2*x2"])
+    assert fastgamma._affine(web.functions[0])
+    fast = fastgamma.batched_gamma_evaluator(web)
+    text = "division by zero in x1/(2 - 2)"
+    X = np.array(ORDER_POINTS)
+    for batch in (X, X[:1], X[0], X):
+        assert _failure(lambda: fast(batch))[0] == text
