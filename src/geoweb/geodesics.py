@@ -8,12 +8,14 @@ early: x_1 = x and x_2 = x + h/2 v at the start of a step, and
 x_3 = x + h/2 v_2 and x_4 = x + h v_3 once a_2 is known.  The Christoffel
 values are therefore evaluated two stages at a time, two calls a step
 instead of four; at a few points, most of an evaluation is the fixed cost
-of each numpy operation, not arithmetic.  Leaves of the defining
-foliations give an independent check: along a geodesic started tangent to
-a leaf of a totally geodesic foliation the function value must stay
-constant up to discretization error, which `leaf_drift` quantifies.  Both
-functions take one point or a batch of rows; a single point is a batch
-without the batch axis.
+of each numpy operation, not arithmetic.  For the same reason the four
+accelerations Gamma(x)(v, v) of a step go to `c_einsum`, the C kernel
+that `np.einsum` calls, without its Python wrapper and with its bits.
+Leaves of the defining foliations give an independent check: along a
+geodesic started tangent to a leaf of a totally geodesic foliation the
+function value must stay constant up to discretization error, which
+`leaf_drift` quantifies.  Both functions take one point or a batch of
+rows; a single point is a batch without the batch axis.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:     # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 from . import fastgamma
 from .errors import DegenerateWebPoint, StepTooLarge
@@ -89,26 +96,26 @@ def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
             return gamma_of_x(stages[0]), gamma_of_x(stages[1])
         return G.reshape(stages.shape + (n, n))
 
-    def accel(G, u):
-        # Gamma(x)(u, u): the acceleration with its sign flipped, which the
-        # updates subtract, bit for bit as adding its negation
-        return np.einsum("...cab,...a,...b->...c", G, u, u)
+    # Gamma(x)(u, u): the acceleration with its sign flipped, which the
+    # updates subtract, bit for bit as adding its negation; c_einsum is the
+    # kernel np.einsum calls, here without its Python wrapper
+    accel = "...cab,...a,...b->...c"
 
     for k in range(steps):
         try:
             stages[0] = x
             np.add(x, hh * v, out=stages[1])
             G1, G2 = gammas()
-            g1 = accel(G1, v)
+            g1 = c_einsum(accel, G1, v, v)
             v2 = v - hh * g1
-            g2 = accel(G2, v2)
+            g2 = c_einsum(accel, G2, v2, v2)
             v3 = v - hh * g2
             np.add(x, hh * v2, out=stages[0])
             np.add(x, h * v3, out=stages[1])
             G3, G4 = gammas()
-            g3 = accel(G3, v3)
+            g3 = c_einsum(accel, G3, v3, v3)
             v4 = v - h * g3
-            g4 = accel(G4, v4)
+            g4 = c_einsum(accel, G4, v4, v4)
         except DegenerateWebPoint as e:
             raise DegenerateWebPoint(
                 "geodesic left the admissible set near t=%.6g: %s"

@@ -85,15 +85,11 @@ def reorder_chart(web: WebChart, indices) -> WebChart:
 
 
 def pointed_order(web: WebChart) -> list:
-    """The foliation indices (1-based) by slot of the `pointed_chart`."""
+    """The foliation indices (1-based) by slot, with the pointed foliation
+    (default n+1) in slot n+1 and the others in file order around it."""
     p = web.pointed if web.pointed is not None else web.dim + 1
     others = [i for i in range(1, web.d + 1) if i != p]
     return others[:web.dim] + [p] + others[web.dim:]
-
-
-def pointed_chart(web: WebChart) -> WebChart:
-    """Move the pointed foliation (default n+1) into slot n+1."""
-    return reorder_chart(web, pointed_order(web))
 
 
 class NormalizedCoframe:

@@ -16,7 +16,12 @@ from geoweb.connection import (CanonicalStructure, ConnectionField,
                                canonical_structure)
 from geoweb.errors import ZeroForm
 from geoweb.jets import Jet, grid, ordered_sum, stack, where
-from geoweb.web import WebChart, pointed_chart
+from geoweb.web import WebChart, pointed_order, reorder_chart
+
+
+def pointed_chart(web: WebChart) -> WebChart:
+    """Move the pointed foliation (default n+1) into slot n+1."""
+    return reorder_chart(web, pointed_order(web))
 
 
 def projective_gauge_change(conn: ConnectionField, rho) -> ConnectionField:

@@ -15,8 +15,10 @@ import pytest
 import geoweb
 from geoweb import cli, connection
 from geoweb.report import Report
-from geoweb.web import basis_invariants, normalize_coframe, pointed_chart
+from geoweb.web import basis_invariants, normalize_coframe
 from geoweb.webfile import load_webfile
+
+from oracles import pointed_chart
 
 
 WEBS = {

@@ -143,8 +143,8 @@ def test_pointed_connection_matches_pointed_chart():
     web.pointed = 5
     point = (0.11, 0.07)
     struct = oracles.pointed_affine_connection(web, point)
-    from geoweb.web import pointed_chart
-    direct = connection.canonical_structure(pointed_chart(web), point)
+    direct = connection.canonical_structure(oracles.pointed_chart(web),
+                                            point)
     assert np.allclose(struct.conn.gamma_values(),
                        direct.conn.gamma_values(), atol=1e-14)
 

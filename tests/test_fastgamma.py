@@ -24,14 +24,17 @@ module's Christoffels stay on the leaves they start tangent to).
 """
 
 import glob
+import importlib.util
 import json
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from geoweb import cli, expr, fastgamma, webfile
+from geoweb import cli, expr, fastgamma, geodesics, webfile
 from geoweb.connection import canonical_structure
 from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
                            DomainError)
@@ -312,6 +315,47 @@ def test_lapack_inverse_is_np_linalg_inv():
                                       np.linalg.inv(A)), (n, B)
 
 
+ACCEL = "...cab,...a,...b->...c"
+
+
+def test_integrator_kernel_is_np_einsum_kernel():
+    # the integrator calls the C kernel that np.einsum calls, without its
+    # Python wrapper; on the stacks of a step, and on each stage, the bits
+    # agree
+    assert geodesics.c_einsum is np.einsum.__wrapped__.__globals__[
+        "c_einsum"]
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4):
+        for shape in ((2,), (2, 5)):
+            G = rng.standard_normal(shape + (n, n, n)) * rng.choice(
+                [1e-3, 1.0, 1e3], size=shape + (1, 1, 1))
+            u = rng.standard_normal(shape + (n,))
+            for args in ((G, u, u), (G[0], u[0], u[0]), (G[1], u[1], u[1])):
+                assert np.array_equal(geodesics.c_einsum(ACCEL, *args),
+                                      np.einsum(ACCEL, *args)), (n, shape)
+
+
+def _fresh_geodesics():
+    # a second copy of the module, run from its source in the package
+    spec = importlib.util.spec_from_file_location(
+        "geoweb._geodesics_copy", geodesics.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with warnings.catch_warnings():
+        # numpy 2 keeps numpy.core as a deprecated alias of numpy._core
+        warnings.simplefilter("ignore", DeprecationWarning)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_integrator_kernel_falls_back_to_numpy_1_path(monkeypatch):
+    # numpy 1.x has the kernel in numpy.core.multiarray only
+    monkeypatch.setitem(sys.modules, "numpy._core.multiarray", None)
+    assert _fresh_geodesics().c_einsum is geodesics.c_einsum
+    monkeypatch.setitem(sys.modules, "numpy.core.multiarray", None)
+    with pytest.raises(ImportError):
+        _fresh_geodesics()
+
+
 def test_one_inverse_per_jet_route_structure(monkeypatch):
     # the jet route takes the one inverse of A at the values and lifts it
     calls = []
@@ -508,3 +552,123 @@ def test_frame_that_raises_is_not_hoisted():
     X = np.array(ORDER_POINTS)
     for batch in (X, X[:1], X[0], X):
         assert _failure(lambda: fast(batch))[0] == text
+
+
+# Where the frame is built once, a call whose coordinates stay within the
+# reach of f_1..f_{n+1} (below it none of their values overflows) runs the
+# program over f_{n+2} alone; past it, or on a NaN or an inf, over all
+# n + 2 functions, so the errors of f_1..f_{n+1} come first, as they do
+# where the frame is built per call.
+
+def _frame_web(name):
+    source = FRAME_WEBS[name]
+    return (webfile.load_webfile(source) if source.endswith(".json")
+            else make_web(source))
+
+
+def _trees_per_call(web, X):
+    """The number of trees each program run of one call evaluates."""
+    ran = []
+    real = expr.compile_program
+
+    def counting(nodes):
+        nodes = tuple(nodes)
+        program = real(nodes)
+
+        def counted(X, order):
+            ran.append(len(nodes))
+            return program(X, order)
+
+        def bare(X, order):
+            ran.append(len(nodes))
+            return program.__wrapped__(X, order)
+
+        counted.__wrapped__ = bare
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "compile_program", counting)
+        fast = fastgamma.batched_gamma_evaluator(web)
+    ran.clear()
+    try:
+        fast(X)
+    except DegenerateWebPoint:
+        pass
+    return ran
+
+
+@pytest.mark.parametrize("name", list(FRAME_WEBS))
+def test_hoisted_call_runs_f_n_plus_2_alone(name):
+    web = _frame_web(name)
+    trees = [web.dim + 2] if name in CURVED_FRAME_WEBS else [1]
+    for X in (web.center, random_points(web, 2, seed=29)):
+        assert _trees_per_call(web, X) == trees
+
+
+# |x| about 1e150 is within the reach of every web here, 1e155 and beyond
+# are not: their squares overflow
+FAR = [1e150, 1e155, 1e200, 1e308]
+
+
+def _far_rows(n):
+    rows = [s * d for s in FAR for d in (np.eye(n)[0], -np.ones(n) / n)]
+    for bad in (np.inf, -np.inf, np.nan):
+        x = np.zeros(n)
+        x[-1] = bad
+        rows.append(x)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(FRAME_WEBS))
+def test_hoisted_frame_equals_per_call_frame_past_the_guard(name):
+    web = _frame_web(name)
+    fast, per_call = fastgamma.batched_gamma_evaluator(web), _per_call(web)
+    near = random_points(web, 3, seed=31)
+    for x in _far_rows(web.dim):
+        x = web.center + x
+        for X in (x, x[None], np.insert(near, 2, x, axis=0)):
+            got, want = _outcome(fast, X), _outcome(per_call, X)
+            if want[0] == "returned":
+                assert got[0] == "returned"
+                assert got[1].shape == want[1].shape
+                assert np.array_equal(got[1], want[1]), X
+            else:
+                assert got == want, X
+
+
+# f_1 is x1 up to 1e-200 x2, but its program computes 1e200 x1 on the
+# way, which overflows from |x1| about 1.8e108; its reach is 2^1000 / 1e200,
+# about 1.07e101
+STEEP_WEB = ["(1e200*x1 + x2)/1e200", "x2", "-(x1+x2)", "x1+2*x2+x1*x2"]
+
+
+@pytest.mark.parametrize("x1, trees", [(1e100, 1), (1.1e101, 4), (1e108, 4),
+                                       (1e109, 4)])
+def test_guard_stops_at_the_reach(x1, trees):
+    web = WebChart.from_strings(2, STEEP_WEB)
+    fast, per_call = fastgamma.batched_gamma_evaluator(web), _per_call(web)
+    assert _inverses_per_call(fast, web.center) == 0
+    X = np.array([[0.1, 0.2], [x1, 0.1]])
+    assert _trees_per_call(web, X) == [trees]
+    got, want = _outcome(fast, X), _outcome(per_call, X)
+    assert got == want
+    if x1 > 1e108:
+        text = ("non-finite value of "
+                + expr.print_expression(web.functions[0]))
+        assert want[1:] == (text, [False, True], [text])
+
+
+def test_only_the_head_overflows():
+    # at (1e308, 1e308) only f_3 overflows; f_4 is finite, so the program
+    # over f_4 alone would return
+    web = WebChart.from_strings(
+        2, ["x1", "x2", "-(x1+x2)", "atan(x1)+2*atan(x2)"])
+    fast = fastgamma.batched_gamma_evaluator(web)
+    assert _inverses_per_call(fast, web.center) == 0
+    text = "non-finite value of -(x1 + x2)"
+    x = np.array([1e308, 1e308])
+    assert _failure(lambda: fast(x)) == (text, [True], {0: text})
+    X = np.array([[0.1, 0.2], x, [0.2, -0.1]])
+    assert _failure(lambda: fast(X)) == (text, [False, True, False],
+                                         {1: text})
+    assert _failure(lambda: _per_call(web)(X)) == _failure(lambda: fast(X))

@@ -6,7 +6,7 @@ import pytest
 from geoweb import connection, invariants
 from geoweb.errors import DegenerateWebPoint, ZeroForm
 from geoweb.sampling import random_points
-from geoweb.web import WebChart, pointed_chart
+from geoweb.web import WebChart
 
 import oracles
 from conftest import make_web

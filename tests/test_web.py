@@ -12,10 +12,11 @@ from geoweb.errors import DegenerateWebPoint, OrderExhausted
 from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
 from geoweb.web import (WebChart, basis_invariants, normalize_coframe,
-                        pointed_chart, reorder_chart)
+                        reorder_chart)
 from geoweb.webfile import load_webfile
 
 from conftest import bracket_structure_functions, make_web
+from oracles import pointed_chart
 
 # nonlinear third slot exercises a nontrivial lambda normalization
 XY_SLOT3 = ["x1", "x2", "-(x1+x2+x1*x2)", "x1+2*x2"]
