@@ -1,39 +1,53 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 15 to 19 times slower
-(order 2, one point a call, medians of 21 interleaved rounds of 50 points
-in one process on a noisy 2-core x86-64 machine: 1.62 / 2.56 / 2.77 ms
-against 0.11 / 0.16 / 0.15 ms here on the benchmark webs xy4 / mixed3 /
-web4).  The web functions are compiled once into the
+thousands of times; the tensor-shaped jet route is 24 to 34 times slower
+(order 2, one point a call, medians of 11 interleaved rounds of 50 points
+in one process on a noisy 2-core x86-64 machine: 1.73 / 2.08 / 1.45 ms
+against 0.061 / 0.088 / 0.044 ms here on the benchmark webs xy4 / mixed3
+/ web4).  The web functions are compiled once into the
 `expr.compile_program` program that also gives each per-point `Jet`, so a
 batch column, and each row of a call, is bit for bit its point alone.
 
 `_frame` inverts A = (d_a f_i) by the LAPACK gufunc behind
 `np.linalg.inv` and takes from A^-1 by batched matrix products lambda and
 its derivative, the frame V = A^-T diag(1/lambda), inverse of the coframe
-W = diag(lambda) A^T, and L = D log lambda.  Where f_1..f_{n+1} are
-affine by form (`_affine`: all benchmark webs), their gradients and
-Hessians are the same bits at every point, so is that frame, and the
-evaluator computes both once, when it is built, at the chart center, as a
-batch of one that broadcasts over any call.  A call then expands f_{n+2}
-alone, by a program of its own, where its coordinates are within the
-reach of f_1..f_{n+1} (`_reach`): there none of their values overflows
-and nothing else of theirs can fail, so that program raises the
-`DomainError`s the program over all n + 2 functions would raise.  A call
-past the reach (a NaN, an inf, or on the benchmark webs a batch whose
-sum of squares overflows) runs the program over all n + 2 functions with the frame built
-once; so does every call elsewhere (a curved frame, an empty batch, or a
-center frame that raises or fails the screen's kappa or lambda bound),
-which computes the frame from its own expansion.  From either source, the
-gradients and Hessians of f_1..f_n and of f_{n+2} feed one closed form.
-A call takes from the frame by matrix products the basis invariants and
-their derivatives, for the skew formula of `web` that the jet route calls
-too.  Then it evaluates on values the closed form that
-`connection.canonical_christoffels` evaluates on jets (derived in the
-`connection` docstring), with E_j^c lambda_j = (A^-1)_jc and theta = s:
+W = diag(lambda) A^T, and L = D log lambda.  A call takes from the frame
+by matrix products the basis invariants and their derivatives, for the
+skew formula of `web` that the jet route calls too.  Then it evaluates on
+values the closed form that `connection.canonical_christoffels` evaluates
+on jets (derived in the `connection` docstring), with
+E_j^c lambda_j = (A^-1)_jc and theta = s:
 
     Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
+
+The chain is written as two halves on either side of the skew formula:
+`invariants` takes f_{n+2}'s order-2 coefficients to a, and to a and D a
+at the entries the formula reads; `christoffels` takes the skew entries s
+to Gamma.  Where f_1..f_{n+1} are affine by form (`_affine`: all
+benchmark webs), their gradients and Hessians are the same bits at every
+point, so is the frame, and L, dW and the Hessians of f_1..f_n are 0.
+Each half is then a linear map with constant coefficients, and the
+evaluator computes both matrices when it is built, at the chart center,
+as the images of the unit inputs (Jacobian preaccumulation: Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  It keeps them
+if the frame clears the screen's kappa and lambda bounds and both halves
+map 0 to 0.  A call then runs the program over f_{n+2} alone, one
+product with the first map, the skew formula and one product with the
+second map.  Each row is its own (1, k) @ (k, l) product, so its bits do
+not depend on the batch.  Where A = I, as on every benchmark and corpus
+web, the entries of the maps are 0, -1/2, -1 and -2, one nonzero entry in
+a column, so each product is one rounded term, the bits of the chain; on
+a sheared frame (A not I) the products sum several terms and agree with
+the chain to round-off.  The program over f_{n+2} alone runs where the
+coordinates are within the reach of f_1..f_{n+1} (`_reach`): there none
+of their values overflows and nothing else of theirs can fail, so it
+raises the `DomainError`s the program over all n + 2 functions would
+raise.  A call past the reach (a NaN, an inf, or on the benchmark webs a
+batch whose sum of squares overflows) runs the program over all n + 2
+functions and reads f_{n+2} from it.  Every call elsewhere (a curved
+frame, or a center frame that raises or fails the screen) expands all
+n + 2 functions, computes the frame from them and runs both halves.
 
 With two points a call, the time goes to the fixed cost of each numpy
 operation, so a call runs under one `np.errstate` and checks admissibility
@@ -45,16 +59,13 @@ does not clear (a NaN, an inf, an empty batch, a point near a limit) do
 `check_coincidence` run, in that order, on the frame of every row, so the
 points excluded and the texts are those of the jet route.
 
-One call on a 2-row stage pair takes 53 / 71 / 63 us on xy4 / mixed3 /
-web4 with the frame built once and f_{n+2} expanded alone, against
-61 / 82 / 75 us when such a call expanded all n + 2 functions (0.84 to
-0.87 times over three runs; medians of 41 interleaved rounds of 200 calls
-in one process, same machine).  Of that, the rows-last layout of the skew
-formula's operands gives about 5 % and the frame part of the screen
-reduced once 2.5 to 4 %; at 512 rows a call takes 0.55 to 0.71 times as
-long.  On the curved-frame test webs, which build the frame per call and
-reduce it in the screen's second pass, a call takes 1.00 to 1.05 times as
-long, and their RK4 runs stay within noise.
+One call on a 2-row stage pair takes 30 / 48 / 45 us on xy4 / mixed3 /
+web4 with the two maps, against 48 / 69 / 61 us when such a call ran the
+chain on the frame built once (best of 21 interleaved rounds of 1,000
+calls in one process, same machine; the medians of the per-round ratios
+are 0.66 to 0.69), and 0.43 to 0.53 times as long at 512 rows; the three
+benchmark RK4 runs take 0.73 to 0.77 times as long.  Curved-frame calls,
+which run both halves, stay within noise (0.91 to 1.02 times).
 """
 
 from __future__ import annotations
@@ -225,15 +236,16 @@ def batched_gamma_evaluator(web: WebChart):
     f_1..f_{n+2}; raises DegenerateWebPoint, whose `rows` mark the
     inadmissible points, when any point in the batch is inadmissible.
     The web functions are compiled, and the index arrays built, once here;
-    so is the frame, where f_1..f_{n+1} are affine (see `_affine`).
+    so is the frame, where f_1..f_{n+1} are affine (see `_affine`), and
+    with it the two linear maps that then stand for the closed form.
     """
     n = web.dim
     program = expr.compile_program(web.functions[:n + 2])
     # slot[a][b]: where an order-2 jet stores the x_a x_b coefficient,
     # which is the Hessian entry over 2 on the diagonal and 1 off it
-    index, unit = jets._tables(n, 2).index, np.eye(n, dtype=int)
-    slot = np.array([[index[tuple(unit[a] + unit[b])] for b in range(n)]
-                     for a in range(n)])
+    tables, unit = jets._tables(n, 2), np.eye(n, dtype=int)
+    slot = np.array([[tables.index[tuple(unit[a] + unit[b])]
+                      for b in range(n)] for a in range(n)])
     fac = 1.0 + np.eye(n)
     # the pairs i < j, then the same pairs reversed: s_ji comes out as
     # -s_ij bit for bit
@@ -255,34 +267,76 @@ def batched_gamma_evaluator(web: WebChart):
     # too: `np.errstate` decorates it by `functools.wraps`
     run = program.__wrapped__
 
-    def expand(prog, X):
+    def coefficients(prog, X):
         # the functions in order, so the first that fails names the error,
-        # then grads[b, f, a] = d_a f and hesses[b, f, a, c] in one gather
-        # from the (B, functions, count) coefficients; matmul sums in an
-        # order that follows operand layout, so these layouts fix the
-        # last bits
-        co = np.ascontiguousarray(prog(X, 2).transpose(2, 0, 1))
-        return co[:, :, 1:1 + n], co.take(slot, 2) * fac
+        # as (B, functions, count); matmul sums in an order that follows
+        # operand layout, so this layout fixes the last bits
+        return np.ascontiguousarray(prog(X, 2).transpose(2, 0, 1))
+
+    def invariants(g, H, V, VT, dWf):
+        # the first half, linear in the gradient g (B, n) and Hessian H
+        # (B, n, n) of f_{n+2}: a, then a_i, a_j, a_i, a_j and D_i a_i,
+        # D_i a_j, D_j a_i, D_j a_j of every pair as (4, 2 m, B), rows
+        # last: the skew formula then runs on contiguous operands, which
+        # cost less to dispatch than strided ones, for the same bits.  The
+        # basis invariants solve W^T a = -g, and W^-T = V^T
+        B = len(g)
+        av = -(g[:, None] @ V)[:, 0]
+        rhs = -H - (av[:, None] @ dWf).reshape(B, n, n)
+        Da = VT @ rhs @ V                            # D_j a_i = Da[b, i, j]
+        return (av, av.T.take(rows, 0),
+                Da.reshape(B, n * n).T.take(cross, 0))
+
+    def christoffels(s, AinvT, W, L, gf, Hf):
+        # the second half, affine in the skew entries s (2 m, B): the
+        # closed form with Q = (L - theta) / 2, K = Q W and
+        # G = A^-T (Hessians + d f K + (d f K)^T)
+        B = s.shape[1]
+        theta = np.concatenate((s, np.zeros((1, B)))).take(skew, 0).T
+        K = ((L - theta.reshape(B, n, n)) * 0.5) @ W
+        P = gf[:, :, :, None] * K[:, :, None, :]
+        T = Hf + (P + P.transpose(0, 1, 3, 2))
+        return (AinvT @ T.reshape(B, n, n * n)).reshape(B, n, n, n)
 
     # Where f_1..f_{n+1} are affine their gradients and Hessians, so the
-    # frame, are the same bits at every point: one row of them, taken at
-    # the center, broadcasts over any batch.  It is kept only if it clears
-    # the screen's kappa and lambda bounds (lambda standing in for a, with
-    # no pair of a near), so a call's screen decides on the same values.
-    fixed = None
+    # frame, are the same bits at every point: they are taken once, at the
+    # center.  The frame is used only if it clears the screen's kappa and
+    # lambda bounds (lambda standing in for a, with no pair of a near), so
+    # a call's screen decides on the same values.  With it the first half
+    # is linear in f_{n+2}'s coefficients and the second linear in s (L
+    # and the Hessians of f_1..f_n are 0), so each is one matrix, its
+    # image of the unit inputs; both are kept only if both halves map 0
+    # to 0.
+    maps = None
     if all(map(_affine, web.functions[:n + 1])):
         head = expr.compile_program(web.functions[:n + 1]).__wrapped__
         try:
             with np.errstate(over="ignore", divide="ignore",
                              invalid="ignore"):
-                grads, hesses = expand(head, web.center[None])
-                frame = _frame(grads, hesses)
-                bounds = _frame_bounds(*frame[:3])
-                if _screen(bounds, frame[2], np.array([np.inf])):
-                    fixed = frame, bounds, grads[:, :n], hesses[:, :n]
+                co = coefficients(head, web.center[None])
+                grads, hesses = co[:, :, 1:1 + n], co.take(slot, 2) * fac
+                A, AinvT, lam, W, dWf, V, VT, L = _frame(grads, hesses)
+                bounds = _frame_bounds(A, AinvT, lam)
+                if _screen(bounds, lam, np.array([np.inf])):
+                    # each half on a zero input, then on the unit inputs,
+                    # the first on f_{n+2}'s coefficients
+                    count, k = tables.count, 2 * m
+                    basis = np.eye(count + 1, count, -1)
+                    av, ar, dar = invariants(basis[:, 1:1 + n],
+                                             basis.take(slot, 1) * fac,
+                                             V, VT, dWf)
+                    first = np.concatenate((av.T, ar, dar), None).reshape(
+                        -1, count + 1).T
+                    second = christoffels(
+                        np.eye(k, k + 1, 1), AinvT, W, L, grads[:, :n],
+                        hesses[:, :n]).reshape(k + 1, -1)
+                    if not (first[0].any() or second[0].any()):
+                        maps = (np.ascontiguousarray(first[1:]),
+                                np.ascontiguousarray(second[1:]), bounds, A,
+                                lam)
         except DegenerateWebPoint:      # DomainError among them
             pass
-    if fixed is not None:
+    if maps is not None:
         # Within the reach no value of f_1..f_{n+1} overflows, and nothing
         # else in them can fail at a point, so the program over f_{n+2}
         # alone raises what the program over all n + 2 functions would
@@ -297,44 +351,32 @@ def batched_gamma_evaluator(web: WebChart):
         if single:
             X = X[None]
         B = X.shape[0]
-        # grads[:, k] and hesses[:, k] are those of f_{n+2}
-        if fixed is None or not B:
-            grads, hesses = expand(run, X)
-            frame = _frame(grads, hesses)
-            bounds = _frame_bounds(*frame[:3])
-            gf, Hf, k = grads[:, :n], hesses[:, :n], n + 1
+        if maps is None:
+            co = coefficients(run, X)
+            grads, hesses = co[:, :, 1:1 + n], co.take(slot, 2) * fac
+            A, AinvT, lam, W, dWf, V, VT, L = _frame(grads, hesses)
+            bounds = _frame_bounds(A, AinvT, lam)
+            av, ar, dar = invariants(grads[:, n + 1], hesses[:, n + 1], V,
+                                     VT, dWf)
         else:
-            frame, bounds, gf, Hf = fixed
+            first, second, bounds, A, lam = maps
             # every |x_a| is at most |X|, and the sum of squares is NaN or
-            # inf where a coordinate is
-            if np.vdot(X, X) < reach2:
-                (grads, hesses), k = expand(tail, X), 0
-            else:
-                (grads, hesses), k = expand(run, X), n + 1
-        A, AinvT, lam, W, dWf, V, VT, L = frame
-
-        # the basis invariants solve W^T a = -g_{n+2}, and W^-T = V^T
-        av = -(grads[:, k, None] @ V)[:, 0]
-        rhs = -hesses[:, k] - (av[:, None] @ dWf).reshape(B, n, n)
-        Da = VT @ rhs @ V                            # D_j a_i = Da[b, i, j]
-
-        # ar[:, p, b] = a_i, a_j, a_i, a_j at row b and q the log
-        # derivatives D_i a_i / a_i, D_i a_j / a_j, D_j a_i / a_i,
-        # D_j a_j / a_j, with the rows last: the skew formula then runs on
-        # contiguous operands, which cost less to dispatch than the
-        # strided ones of the rows-first layout, for the same bits
-        ar = av.T.take(rows, 0)
-        q = Da.reshape(B, n * n).T.take(cross, 0) / ar
-        s = np.zeros((2 * m + 1, B))
-        s[:-1] = skew_formula(ar[0], ar[1], *q)
-
-        # the closed form: Q = (L - theta) / 2, K = Q W and
-        # G = A^-T (Hessians + d f K + (d f K)^T)
-        Q = L - s.take(skew, 0).T.reshape(B, n, n)
-        K = (Q * 0.5) @ W
-        P = gf[:, :, :, None] * K[:, :, None, :]
-        T = Hf + (P + P.transpose(0, 1, 3, 2))
-        G = (AinvT @ T.reshape(B, n, n * n)).reshape(B, n, n, n)
+            # inf where a coordinate is; f_{n+2} is the last function of
+            # either program.  Each row is its own (1, count) @ (count, k)
+            # product, so its bits do not depend on the batch
+            prog = tail if np.vdot(X, X) < reach2 else run
+            r = (coefficients(prog, X)[:, -1:] @ first)[:, 0]
+            av = r[:, :n]
+            ar, dar = np.ascontiguousarray(r[:, n:].T).reshape(2, 4, 2 * m, B)
+        q = dar / ar
+        s = skew_formula(ar[0], ar[1], *q)
+        if maps is None:
+            G = christoffels(s, AinvT, W, L, grads[:, :n], hesses[:, :n])
+        else:
+            # rows contiguous, as in the first product: BLAS sums a strided
+            # row in another order
+            G = (np.ascontiguousarray(s.T)[:, None] @ second).reshape(
+                B, n, n, n)
 
         u, v = ar[0, :m], ar[1, :m]                  # a_i, a_j for i < j
         if not _screen(bounds, av, u - v):

@@ -139,10 +139,15 @@ def tangent_vector(web: WebChart, i: int, point, direction) -> np.ndarray:
     """Project `direction` onto the leaf of foliation i through `point`.
 
     The result is orthogonal to grad f_i, i.e. tangent to the level set;
-    foliation indices are 1-based.
+    foliation indices are 1-based.  `direction` is first scaled by the
+    power of two that brings its largest entry into [1/2, 1), so no finite
+    direction overflows or vanishes in the projection.  The scaling is
+    exact unless an entry falls below the normal range, so directions
+    that differ by a power of two give the same bits.
     """
     g = web.eval_function(i, point, order=1).derivatives().value
     d = np.array(direction, dtype=float)
+    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
     with np.errstate(over="ignore", invalid="ignore"):
         gn = float(g @ g)
         t = d - (float(g @ d) / gn) * g if gn else d

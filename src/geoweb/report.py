@@ -19,6 +19,9 @@ def format_number(x) -> str:
     return str(x)
 
 
+_FLOAT = frozenset((float,))
+
+
 def _csv_quote(s: str) -> str:
     if "," in s or '"' in s or "\n" in s:
         return '"' + s.replace('"', '""') + '"'
@@ -48,9 +51,18 @@ class Report:
         for note in self.notes:
             out.write("# note=%s\n" % note)
         out.write(",".join(_csv_quote(c) for c in self.columns) + "\n")
+        # a row of floats takes one format, whose fields `format_number`
+        # gives and none of which needs quoting; other rows go cell by cell
+        formats = {}
         for row in self.rows:
-            out.write(",".join(_csv_quote(format_number(cell))
-                               for cell in row) + "\n")
+            if _FLOAT.issuperset(map(type, row)):
+                width = len(row)
+                if width not in formats:
+                    formats[width] = ",".join(("%.17g",) * width) + "\n"
+                out.write(formats[width] % tuple(row))
+            else:
+                out.write(",".join(_csv_quote(format_number(cell))
+                                   for cell in row) + "\n")
         return out.getvalue()
 
     def to_json(self) -> str:

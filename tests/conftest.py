@@ -140,15 +140,33 @@ def pull_back(sources, subst):
             for s in sources]
 
 
+# Webs whose f_1..f_{n+1} are affine but A = (d_a f_i) is not I, so each
+# entry of the constant maps `fastgamma` builds for such a frame sums
+# several nonzero terms: one written out, and mixed3 and the benchmark's
+# web4 pulled back by a shear.
+WEB4 = ["x1", "x2", "x3", "x4", "-(x1+x2+x3+x4)",
+        "x1+2*x2+3*x3+4*x4+x1*x4+x2^2"]
+SHEARED = {
+    "sheared2": (2, ["x1+0.3*x2", "0.7*x1-x2", "-(x1+x2)/3",
+                     "x1+2*x2+x1*x2"]),
+    "sheared-mixed3": (3, pull_back(CORPUS_SOURCES["mixed3"][1], [
+        "(x1+0.3*x2)", "(x2-0.2*x3)", "(x3+0.4*x1)"])),
+    "sheared-web4": (4, pull_back(WEB4, [
+        "(x1+0.3*x2)", "(x2-0.2*x3)", "(x3+0.4*x4)", "(x4+0.1*x1)"])),
+}
+
+
 def make_web(name: str) -> WebChart:
-    """A corpus web, the nodes web, or a pulled-back web on the ball of
-    radius 0.2 about the origin."""
+    """A corpus web, the nodes web, or a pulled-back or sheared web on the
+    ball of radius 0.2 about the origin."""
     if name == "nodes":
         return webfile.load_webfile(NODES)
     if name in PULLBACKS:
         dim, sources, subst = PULLBACKS[name]
         return WebChart.from_strings(dim, pull_back(sources, subst),
                                      radius=0.2)
+    if name in SHEARED:
+        return WebChart.from_strings(*SHEARED[name], radius=0.2)
     dim, sources = CORPUS_SOURCES[name]
     return WebChart.from_strings(dim, sources, radius=_RADII.get(name, 0.5))
 

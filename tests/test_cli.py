@@ -14,7 +14,7 @@ import pytest
 
 import geoweb
 from geoweb import cli, connection
-from geoweb.report import Report
+from geoweb.report import Report, _csv_quote, format_number
 from geoweb.web import basis_invariants, normalize_coframe
 from geoweb.webfile import load_webfile
 
@@ -420,6 +420,18 @@ def test_json_writer_refuses_nan():
         report.to_json()
 
 
+def test_csv_rows_of_floats_read_as_cell_by_cell():
+    # a row of floats is written with one format; every row must still read
+    # as the cells formatted and quoted one by one
+    rows = [[0.0, -0.0, 5e-324, float("nan")],
+            [float("inf"), -1.5, 2.0 ** 70, 1 / 3],
+            [1, "a,b", 2.5, np.float64(0.1)], [True, 'say "x"', 3.0, 10 ** 20],
+            [], [0.1]]
+    lines = Report("x", {}, list("abcd"), rows).to_csv().split("\n")
+    assert lines[2:] == [",".join(_csv_quote(format_number(cell))
+                                  for cell in row) for row in rows] + [""]
+
+
 def test_connection_report_spot_values(webdir, tmp_path):
     out = tmp_path / "conn.csv"
     code = cli.main(["connection", str(webdir / "xy4.json"),
@@ -506,6 +518,40 @@ def test_geodesic_report(webdir, tmp_path):
     col = header.index("f5")
     values = [float(r[col]) for r in rows]
     assert max(values) - min(values) < 1e-8
+
+
+def _geodesic_along(webdir, capsys, direction):
+    code = cli.main(["geodesic", str(webdir / "xy4.json"), "--from",
+                     "0.1,0.05", "--leaf", "4", "--dir", direction,
+                     "--T", "0.05", "--h", "0.005"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, ""), direction
+    return captured.out
+
+
+def _tangent(report):
+    line, = (x for x in report.splitlines() if x.startswith("# tangent="))
+    return np.array([float(x) for x in line.split("=")[1].split(",")])
+
+
+@pytest.mark.parametrize("direction, like", [("1e308,1e308", "1,1"),
+                                             ("1e-320,0", "1,0")])
+def test_geodesic_takes_huge_and_tiny_directions(webdir, capsys, direction,
+                                                 like):
+    # the direction is scaled by a power of two before it is projected, so
+    # the huge one does not overflow and the tiny one does not vanish
+    tangent = _tangent(_geodesic_along(webdir, capsys, direction))
+    assert np.abs(tangent - _tangent(_geodesic_along(webdir, capsys, like))
+                  ).max() <= 1e-15
+    # unit length, along the level set of f4 = x1 + 2 x2 + x1 x2
+    assert np.linalg.norm(tangent) == pytest.approx(1.0, abs=1e-15)
+    assert abs(tangent @ [1.05, 2.1]) <= 1e-15
+
+
+def test_direction_scaled_by_a_power_of_two_keeps_the_bits(webdir, capsys):
+    # 2^1023 in each entry, the largest power of two below the float range
+    huge = _geodesic_along(webdir, capsys, "%r,%r" % ((2.0 ** 1023,) * 2))
+    assert huge == _geodesic_along(webdir, capsys, "1,1")
 
 
 def test_invariants_table(webdir, tmp_path):

@@ -1,7 +1,7 @@
 """Batched Christoffel pipeline against the jet route.
 
 `fastgamma` stays beside the tensor-shaped jet route because at one point
-it is 8 to 14 times faster (see its module docstring), and `geodesic`
+it is 24 to 34 times faster (see its module docstring), and `geodesic`
 calls it on two RK4 stage points at a time, whose rows
 `test_batch_rows_equal_single_points` holds to the values of the points
 alone.  Both routes expand the web functions with the compiled programs
@@ -43,7 +43,7 @@ from geoweb.sampling import random_points
 from geoweb.web import WebChart, normalize_coframe
 
 from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS, NODES, PULLBACKS,
-                      SERIES_SOURCES, make_web, pull_back)
+                      SERIES_SOURCES, SHEARED, make_web, pull_back)
 
 
 @pytest.mark.parametrize("order", range(5))
@@ -60,9 +60,10 @@ def test_batch_column_equals_point_jet(source, point, order):
 
 
 # the curved-frame webs are where lambda varies and f_1..f_n have
-# Hessians, so the closed form's L and d_a d_b f_j terms are not zero
+# Hessians, so the closed form's L and d_a d_b f_j terms are not zero; the
+# sheared webs are where a fixed frame's maps sum several terms an entry
 @pytest.mark.parametrize("name", sorted(CORPUS_SOURCES)
-                         + list(CURVED_FRAME_WEBS))
+                         + list(CURVED_FRAME_WEBS) + list(SHEARED))
 def test_matches_jet_route(name):
     web = make_web(name)
     fast = fastgamma.batched_gamma_evaluator(web)
@@ -672,3 +673,54 @@ def test_only_the_head_overflows():
     assert _failure(lambda: fast(X)) == (text, [False, True, False],
                                          {1: text})
     assert _failure(lambda: _per_call(web)(X)) == _failure(lambda: fast(X))
+
+
+# On an affine frame with A = (d_a f_i) other than I an entry of the fixed
+# frame's maps sums several nonzero terms, so its last bits differ from the
+# per-call chain's (1.5e-15 relative at most here), while each row's bits
+# still do not depend on the batch: every row is its own product.
+
+SHEARED_RTOL = 1e-13
+
+
+def _sheared(name):
+    web = make_web(name)
+    n = web.dim
+    A = [web.eval_function(k, web.center, 1).derivatives().value
+         for k in range(1, n + 1)]
+    assert not np.array_equal(A, np.eye(n))
+    fast = fastgamma.batched_gamma_evaluator(web)
+    # the frame is fixed: no inverse, and f_{n+2} is expanded alone
+    assert _inverses_per_call(fast, web.center) == 0
+    assert _trees_per_call(web, web.center) == [1]
+    return web, fast
+
+
+@pytest.mark.parametrize("name", list(SHEARED))
+def test_sheared_rows_do_not_depend_on_the_batch(name):
+    web, fast = _sheared(name)
+    pts = random_points(web, 41, seed=37)
+    batch = fast(pts)
+    for b, point in enumerate(pts):
+        assert np.array_equal(batch[b], fast(point)), b
+        assert np.array_equal(batch[b], fast(point[None])[0]), b
+    for b in range(0, 40, 2):
+        assert np.array_equal(batch[b:b + 2], fast(pts[b:b + 2])), b
+    assert np.array_equal(batch[:7], fast(pts[:7]))
+
+
+@pytest.mark.parametrize("name", list(SHEARED))
+def test_sheared_fixed_frame_agrees_with_per_call_frame(name):
+    web, fast = _sheared(name)
+    per_call = _per_call(web)
+    # a sample, then points far out, where sheared-web4 excludes one
+    far = web.center + 3.0 * np.eye(web.dim)
+    for X in (random_points(web, 50, seed=41), far, *far):
+        got, want = _outcome(fast, X), _outcome(per_call, X)
+        if want[0] != "returned":
+            assert got == want, X
+            continue
+        assert got[0] == "returned"
+        got, want = (G.reshape(-1, web.dim ** 3) for G in (got[1], want[1]))
+        assert (np.abs(got - want).max(axis=1)
+                <= SHEARED_RTOL * np.abs(want).max(axis=1)).all(), X
