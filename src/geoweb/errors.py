@@ -41,10 +41,6 @@ class CoincidentInvariants(DegenerateWebPoint):
     """Two basis invariants coincide at the point; the skew invariant is undefined."""
 
 
-class ZeroForm(GeowebError):
-    """A 1-form that must be nonzero vanished at the evaluation point."""
-
-
 class StepTooLarge(GeowebError):
     """Geodesic integration diverged; the step size is too coarse."""
 

@@ -24,9 +24,9 @@ E_j^c lambda_j = (A^-1)_jc and theta = s:
 The chain is written as two halves on either side of the skew formula:
 `invariants` takes f_{n+2}'s order-2 coefficients to a, and to a and D a
 at the entries the formula reads; `christoffels` takes the skew entries s
-to Gamma.  Where f_1..f_{n+1} are affine by form (`_affine`: all
-benchmark webs), their gradients and Hessians are the same bits at every
-point, so is the frame, and L, dW and the Hessians of f_1..f_n are 0.
+to Gamma.  Where f_1..f_{n+1} are affine by form (all benchmark webs),
+their gradients and Hessians are the same bits at every point, so is the
+frame, and L, dW and the Hessians of f_1..f_n are 0.
 Each half is then a linear map with constant coefficients, and the
 evaluator computes both matrices when it is built, at the chart center,
 as the images of the unit inputs (Jacobian preaccumulation: Griewank &
@@ -40,11 +40,11 @@ web, the entries of the maps are 0, -1/2, -1 and -2, one nonzero entry in
 a column, so each product is one rounded term, the bits of the chain; on
 a sheared frame (A not I) the products sum several terms and agree with
 the chain to round-off.  The program over f_{n+2} alone runs where the
-coordinates are within the reach of f_1..f_{n+1} (`_reach`): there none
-of their values overflows and nothing else of theirs can fail, so it
-raises the `DomainError`s the program over all n + 2 functions would
-raise.  A call past the reach (a NaN, an inf, or on the benchmark webs a
-batch whose sum of squares overflows) runs the program over all n + 2
+coordinates are within the reach of f_1..f_{n+1}: there none of their
+values overflows and nothing else of theirs can fail, so it raises the
+`DomainError`s the program over all n + 2 functions would raise.  A call
+past the reach (a NaN, an inf, or on the benchmark webs a batch whose
+sum of squares overflows) runs the program over all n + 2
 functions and reads f_{n+2} from it.  Every call elsewhere (a curved
 frame, or a center frame that raises or fails the screen) expands all
 n + 2 functions, computes the frame from them and runs both halves.
@@ -54,18 +54,11 @@ operation, so a call runs under one `np.errstate` and checks admissibility
 once: after G is formed, one bound over the batch (`_screen`), whose
 frame part (`_frame_bounds`) is reduced once where the frame is built
 once, clears the four checks of the jet route at once.  Only where it
-does not clear (a NaN, an inf, an empty batch, a point near a limit) do
-`coframe_inverse`, `check_vanishing` on lambda and on a, and
-`check_coincidence` run, in that order, on the frame of every row, so the
-points excluded and the texts are those of the jet route.
-
-One call on a 2-row stage pair takes 30 / 48 / 45 us on xy4 / mixed3 /
-web4 with the two maps, against 48 / 69 / 61 us when such a call ran the
-chain on the frame built once (best of 21 interleaved rounds of 1,000
-calls in one process, same machine; the medians of the per-round ratios
-are 0.66 to 0.69), and 0.43 to 0.53 times as long at 512 rows; the three
-benchmark RK4 runs take 0.73 to 0.77 times as long.  Curved-frame calls,
-which run both halves, stay within noise (0.91 to 1.02 times).
+does not clear (a NaN, an inf, an empty batch, a point near a limit)
+does a call run the per-row rules of `web` on the frame of every row, in
+the jet route's order: `coframe_inverse`, `check_vanishing` on lambda and
+on a, and `check_coincidence`.  So the points excluded and the texts are
+those of the jet route.
 """
 
 from __future__ import annotations
@@ -106,12 +99,12 @@ def _screen(bounds, av, gap) -> bool:
     `check_coincidence` on the differences `gap` of a_i and a_j (i < j),
     given the `_frame_bounds` of the batch's frames.
 
-    The bound is each check's own screen with one scale for the three
-    value checks: 2 n^2 max|A| max|A^-T| below CONDITION_LIMIT, as in
-    `coframe_inverse`, and every |lambda_i|, |a_i| and |a_i - a_j| above
-    its floor times the largest |lambda_i| or |a_i| (floored at 1), which
-    is at least the scale each check gives that value.  False on a NaN,
-    an inf or an empty batch.
+    The bound: 2 n^2 max|A| max|A^-T| below CONDITION_LIMIT (kappa_inf(A)
+    is at most n^2 max|A| max|A^-1| at every point, and the factor 2
+    covers the rounding of the rule's row sums), and every |lambda_i|,
+    |a_i| and |a_i - a_j| above its floor times the largest |lambda_i| or
+    |a_i| (floored at 1), which is at least the scale each rule gives that
+    value.  False on a NaN, an inf or an empty batch.
     """
     if not av.size:
         return False
@@ -128,71 +121,57 @@ def _screen(bounds, av, gap) -> bool:
             and gmin > COINCIDENCE_FLOOR * scale)
 
 
-def _constant(node) -> bool:
-    """True for a tree without variables, which the compiled program
-    folds to a float (or to a node that raises when run)."""
-    if isinstance(node, expr.Var):
-        return False
-    if isinstance(node, expr.BinOp):
-        return _constant(node.left) and _constant(node.right)
-    if isinstance(node, (expr.Neg, expr.Call)):
-        return _constant(node.arg)
-    return True
-
-
-def _affine(node) -> bool:
-    """True when the tree is affine in x by its form: variables, folded
-    constants, +, -, negation, and products with or quotients by a folded
-    constant.  Its compiled program then gives derivative coefficients
-    that do not depend on the point, bit for bit: every operation on them
-    is a sum, a negation, or a product or quotient by a float."""
-    if isinstance(node, expr.Var) or _constant(node):
-        return True
-    if isinstance(node, expr.Neg):
-        return _affine(node.arg)
-    if not isinstance(node, expr.BinOp):
-        return False
-    left, right = node.left, node.right
-    if node.op in "+-":
-        return _affine(left) and _affine(right)
-    if node.op == "*":
-        return (_constant(left) and _affine(right)
-                or _affine(left) and _constant(right))
-    return node.op == "/" and _affine(left) and _constant(right)
-
-
-# the largest magnitude `_reach` lets a value computed in an affine tree
-# take: 2^24 below the float range, far more than the rounding of the
+# the largest magnitude `_affine_bound` lets a value computed in an affine
+# tree take: 2^24 below the float range, far more than the rounding of the
 # hundred nested operations a tree may have can add
 _VALUE_LIMIT = 2.0 ** 1000
 
 
-def _reach(node):
-    """(slope, offset, reach) of an affine tree whose constants fold: at a
-    point whose coordinates are at most R in magnitude the tree's value is
-    at most slope R + offset, and for R below `reach` so is every value
-    its compiled program computes at most _VALUE_LIMIT, so none overflows.
-    A reach of 0 holds at no point."""
-    if _constant(node):
-        return 0.0, abs(expr._compile(node)), np.inf
+def _affine_bound(node):
+    """None unless the tree is affine in x by its form: variables,
+    constants, +, -, negation, and products with or quotients by a
+    constant.  Its compiled program then gives derivative coefficients
+    that do not depend on the point, bit for bit: every operation on them
+    is a sum, a negation, or a product or quotient by a float.
+
+    Else (slope, offset, reach).  A tree without variables has slope 0,
+    offset its folded magnitude (inf where it does not fold) and reach
+    inf.  For any other, at a point whose coordinates are at most R in
+    magnitude the tree's value is at most slope R + offset, and for R
+    below `reach` so is every value its compiled program computes at most
+    _VALUE_LIMIT, so none overflows; the reach is at most _VALUE_LIMIT,
+    and 0 where the bound holds at no point (a product with or quotient
+    by a constant that does not fold, a quotient by 0).
+    """
     if isinstance(node, expr.Var):
-        slope, offset, reach = 1.0, 0.0, np.inf
-    elif isinstance(node, expr.Neg):
-        return _reach(node.arg)
-    elif node.op in "+-":
-        s1, o1, r1 = _reach(node.left)
-        s2, o2, r2 = _reach(node.right)
+        return 1.0, 0.0, _VALUE_LIMIT
+    walked = [_affine_bound(kid) for kid in node._fields()
+              if isinstance(kid, expr._Node)]
+    if None in walked:
+        return None
+    if all(w[2] == np.inf for w in walked):
+        # no variable: the program folds the tree to a float, or to a node
+        # that raises when run
+        value = expr._compile(node)
+        return 0.0, np.inf if callable(value) else abs(value), np.inf
+    if isinstance(node, expr.Neg):
+        return walked[0]
+    if isinstance(node, expr.Call) or node.op == "^":
+        return None
+    (s1, o1, r1), (s2, o2, r2) = walked
+    if node.op in "+-":
         slope, offset, reach = s1 + s2, o1 + o2, min(r1, r2)
+    elif r2 < np.inf and (r1 < np.inf or node.op == "/"):
+        # a product of two trees with variables, or a quotient by one
+        return None
     else:
-        # a product with, or a quotient by, a folded constant
-        const, tree = ((node.left, node.right) if _constant(node.left)
-                       else (node.right, node.left))
-        scale = abs(expr._compile(const))
-        slope, offset, reach = _reach(tree)
-        if node.op == "*":
-            slope, offset = slope * scale, offset * scale
-        else:
-            slope, offset = slope / scale, offset / scale
+        # a product with, or a quotient by, a constant of magnitude scale
+        scale, (slope, offset, reach) = ((o1, walked[1]) if r1 == np.inf
+                                         else (o2, walked[0]))
+        if scale == np.inf or node.op == "/" and not scale:
+            return np.inf, np.inf, 0.0
+        op = expr._FLOAT_OPS[node.op]
+        slope, offset = op(slope, scale), op(offset, scale)
     if not (slope < np.inf and offset < _VALUE_LIMIT):
         return slope, offset, 0.0
     if slope:
@@ -236,7 +215,7 @@ def batched_gamma_evaluator(web: WebChart):
     f_1..f_{n+2}; raises DegenerateWebPoint, whose `rows` mark the
     inadmissible points, when any point in the batch is inadmissible.
     The web functions are compiled, and the index arrays built, once here;
-    so is the frame, where f_1..f_{n+1} are affine (see `_affine`), and
+    so is the frame, where f_1..f_{n+1} are affine (`_affine_bound`), and
     with it the two linear maps that then stand for the closed form.
     """
     n = web.dim
@@ -308,7 +287,8 @@ def batched_gamma_evaluator(web: WebChart):
     # image of the unit inputs; both are kept only if both halves map 0
     # to 0.
     maps = None
-    if all(map(_affine, web.functions[:n + 1])):
+    affine = [_affine_bound(f) for f in web.functions[:n + 1]]
+    if None not in affine:
         head = expr.compile_program(web.functions[:n + 1]).__wrapped__
         try:
             with np.errstate(over="ignore", divide="ignore",
@@ -341,7 +321,7 @@ def batched_gamma_evaluator(web: WebChart):
         # else in them can fail at a point, so the program over f_{n+2}
         # alone raises what the program over all n + 2 functions would
         tail = expr.compile_program(web.functions[n + 1:n + 2]).__wrapped__
-        reach = min(_reach(f)[2] for f in web.functions[:n + 1])
+        reach = min(b[2] for b in affine)
         reach2 = reach * reach
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")

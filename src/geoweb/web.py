@@ -127,25 +127,12 @@ class NormalizedCoframe:
                                  self.hess.truncate(order - 1))
 
 
-# Every check below first tries one sufficient bound over the whole batch,
-# a few reductions instead of its per-row rule; where the bound does not
-# clear (a NaN, an inf, a row near the limit) the per-row rule decides, so
-# the points a check excludes and its messages do not depend on the screen.
-# The reductions are the ufuncs' own, which ndarray.min and .max call
-# through a Python-level wrapper.
-_min, _max = np.minimum.reduce, np.maximum.reduce
-
-
 def check_vanishing(values, point, name):
     """Raise DegenerateWebPoint at the points where one of the values (last
     axis of `values`, shape (k,) at a point (n,), (B, k) for a batch) is at
     most DEGENERACY_FLOOR times the largest magnitude (floored at 1),
     naming the first such value there by `name(i)`."""
     vals = np.abs(values)
-    # no value of the batch at or below the floor of the largest row
-    if vals.size and float(_min(vals, None)) > DEGENERACY_FLOOR * max(
-            1.0, float(_max(vals, None))):
-        return
     scale = np.maximum(1.0, vals.max(axis=-1))
     low = vals <= DEGENERACY_FLOOR * scale[..., None]
     if low.any():
@@ -166,12 +153,6 @@ def coframe_inverse(A, point):
     except np.linalg.LinAlgError:   # for the whole stack: a row fails below
         kappa = np.linalg.cond(A, np.inf)   # the same, inf where singular
     else:
-        # kappa_inf <= n^2 max|A| max|A^-1| at every point; the factor 2
-        # covers the rounding of the row sums below
-        n = A.shape[-1]
-        if A.size and 2.0 * n * n * float(_max(np.abs(A), None)) * float(
-                _max(np.abs(inv), None)) < CONDITION_LIMIT:
-            return inv
         with np.errstate(over="ignore"):    # kappa is then inf
             kappa = (np.abs(A).sum(axis=-1).max(axis=-1)
                      * np.abs(inv).sum(axis=-1).max(axis=-1))
@@ -192,13 +173,8 @@ def check_coincidence(u0, v0, i, j, point):
     size, floored at 1.  Index arrays i, j add a leading pair axis to the
     values (floats at a point, (B,) rows for a batch); the first failing
     pair raises."""
-    gap = np.abs(u0 - v0)
-    # no pair of the batch within the floor of the largest value
-    if gap.size and float(_min(gap, None)) > COINCIDENCE_FLOOR * max(
-            1.0, float(_max(np.abs(u0), None)), float(_max(np.abs(v0), None))):
-        return
     scale = np.maximum(1.0, np.maximum(np.abs(u0), np.abs(v0)))
-    close = gap <= COINCIDENCE_FLOOR * scale
+    close = np.abs(u0 - v0) <= COINCIDENCE_FLOOR * scale
     if close.any():
         i, j = np.atleast_1d(i), np.atleast_1d(j)
         close = close.reshape(len(i), -1)

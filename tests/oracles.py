@@ -14,9 +14,13 @@ import numpy as np
 from geoweb import expr
 from geoweb.connection import (CanonicalStructure, ConnectionField,
                                canonical_structure)
-from geoweb.errors import ZeroForm
+from geoweb.errors import GeowebError
 from geoweb.jets import Jet, grid, ordered_sum, stack, where
 from geoweb.web import WebChart, pointed_order, reorder_chart
+
+
+class ZeroForm(GeowebError):
+    """A 1-form that must be nonzero vanished at the evaluation point."""
 
 
 def pointed_chart(web: WebChart) -> WebChart:

@@ -1,11 +1,12 @@
-"""The degeneracy checks of `web`: their batch-wide screens, and the one
-screen of `fastgamma` for all four, never change an exclusion.
+"""The degeneracy checks of `web`, and the one screen of `fastgamma` for
+all four, against independent copies of the per-row rules.
 
-Each check first tries one sufficient bound over the whole batch and runs
-its per-row rule only where that bound does not clear.  The per-row rules
-are copied here as they were before the screens; on rows that straddle
-every bound, the checks must raise or pass as the copies do, with the same
-`rows` and the same texts.
+Each check of `web` is its per-row rule.  `fastgamma` first tries one
+sufficient bound over the whole batch (`_screen`) and runs the checks only
+where that bound does not clear, so the screen must never change an
+exclusion.  The rules are copied here as the oracle for both: on rows that
+straddle every bound, the checks and the evaluator must raise or pass as
+the copies do, with the same `rows` and the same texts.
 """
 
 import numpy as np
@@ -101,7 +102,7 @@ def step(x, k):
     return x
 
 
-# -- kappa: the rule's bound 1e12 and the screen's 1e12 / (2 n^2) ----------
+# -- kappa: the rule's bound 1e12 and fastgamma's 1e12 / (2 n^2) ---------
 
 def _scaled(n, c):
     # kappa_inf(diag(1, .., 1, 1/c)) = c for c >= 1
@@ -181,8 +182,8 @@ def _vanishing_batches():
                 row = [sign * low, scale, -0.3]
                 out.append(("s%g-k%d-%+g" % (scale, k, sign),
                             np.array([row])))
-    # rows fine alone, but past the screen: one row's scale is another's
-    # floor
+    # rows fine alone, but past a batch-wide bound: one row's scale is
+    # another's floor
     out.append(("mixed-scale", np.array([[2e-10, 1.0, 0.5],
                                          [3.0, 40.0, -5.0]])))
     out.append(("mixed-low", np.array([[1e-10, 1.0, 0.5],
@@ -387,7 +388,7 @@ def test_frame_per_call_excludes_as_hoisted(web, X):
     # webs whose A and lambda do not depend on x_n)
     fast = fastgamma.batched_gamma_evaluator(web)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastgamma, "_affine", lambda node: False)
+        mp.setattr(fastgamma, "_affine_bound", lambda node: None)
         per_call = fastgamma.batched_gamma_evaluator(web)
     assert_same(per_call, lambda X: _unscreened(per_call, X), X)
     assert_same(fast, per_call, X)

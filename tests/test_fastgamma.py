@@ -465,7 +465,7 @@ FRAME_WEBS = {**{"perfbench-" + os.path.basename(p)[:-5]: p
 def _per_call(web):
     # the predicate sees nothing affine, so the frame is built per call
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastgamma, "_affine", lambda node: False)
+        mp.setattr(fastgamma, "_affine_bound", lambda node: None)
         return fastgamma.batched_gamma_evaluator(web)
 
 
@@ -514,16 +514,41 @@ def test_hoisted_frame_equals_per_call_frame(name):
             assert got == want, X
 
 
-@pytest.mark.parametrize("source", ["x1", "-(x1+x2)", "2*x1/3", "exp(0)*x1",
-                                    "x1 - 3 + x2/2", "-(2^3)*(x1 - x2)"])
+# (slope, offset, reach) of trees affine by form: a reach of 2^1000 / slope
+# where the offset is 0, 0 where no reach holds (a slope or an offset past
+# the float range, a quotient by a folded 0, a constant that does not fold)
+LIMIT = 2.0 ** 1000
+AFFINE = {
+    "x1": (1.0, 0.0, LIMIT),
+    "-(x1+x2)": (2.0, 0.0, LIMIT / 2),
+    "2*x1/3": (2.0 / 3, 0.0, LIMIT / 2),     # 2*x1 bounds the reach
+    "exp(0)*x1": (1.0, 0.0, LIMIT),
+    "x1 - 3 + x2/2": (1.5, 3.0, (LIMIT - 3.0) / 1.5),
+    "-(2^3)*(x1 - x2)": (16.0, 0.0, LIMIT / 16),
+    "x1/0": (np.inf, np.inf, 0.0),
+    "x1 + 1/0": (1.0, np.inf, 0.0),
+    "x1*(1/0)": (np.inf, np.inf, 0.0),
+    "0*x1": (0.0, 0.0, LIMIT),
+    "(1e300*x1)*1e10": (np.inf, 0.0, 0.0),
+    "2^3*x1": (8.0, 0.0, LIMIT / 8),
+    # no variable: slope 0, the folded magnitude, an unbounded reach
+    "-(2^3)": (0.0, 8.0, np.inf),
+    "log(-1)": (0.0, np.inf, np.inf),
+}
+
+
+@pytest.mark.parametrize("source", list(AFFINE))
 def test_affine_by_form(source):
-    assert fastgamma._affine(expr.parse_expression(source, 2))
+    assert fastgamma._affine_bound(
+        expr.parse_expression(source, 2)) == AFFINE[source]
 
 
 @pytest.mark.parametrize("source", ["x1*x2", "x1^1", "x1*x2 - x1*x2",
-                                    "2/x1", "exp(x1)", "x1 + log(x2)"])
+                                    "2/x1", "exp(x1)", "x1 + log(x2)",
+                                    "x1*(0*x1)", "(1/0)^x1",
+                                    "exp(log(-1)*x1)"])
 def test_not_affine_by_form(source):
-    assert not fastgamma._affine(expr.parse_expression(source, 2))
+    assert fastgamma._affine_bound(expr.parse_expression(source, 2)) is None
 
 
 def test_failing_frame_is_not_hoisted():
@@ -531,7 +556,7 @@ def test_failing_frame_is_not_hoisted():
     # singularity check inverts it again to name the singular coframe
     functions, start, _, text = GEODESIC_FAILURES[0]
     web = WebChart.from_strings(2, functions)
-    assert all(map(fastgamma._affine, web.functions[:3]))
+    assert None not in map(fastgamma._affine_bound, web.functions[:3])
     fast = fastgamma.batched_gamma_evaluator(web)
     X = np.array([float(x) for x in start.split(",")])
     assert _inverses_per_call(fast, X) == 2
@@ -547,7 +572,8 @@ def test_failing_frame_is_not_hoisted():
 def test_frame_that_raises_is_not_hoisted():
     # building the frame raises at the center; every call raises the same
     web = WebChart.from_strings(2, ["x1/(2-2)", "x2", "-(x1+x2)", "x1+2*x2"])
-    assert fastgamma._affine(web.functions[0])
+    assert fastgamma._affine_bound(web.functions[0]) == (
+        np.inf, np.inf, 0.0)
     fast = fastgamma.batched_gamma_evaluator(web)
     text = "division by zero in x1/(2 - 2)"
     X = np.array(ORDER_POINTS)

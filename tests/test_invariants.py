@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geoweb import connection, invariants
-from geoweb.errors import DegenerateWebPoint, ZeroForm
+from geoweb.errors import DegenerateWebPoint
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
 
@@ -53,7 +53,7 @@ def test_zero_form_rejected():
     struct = connection.canonical_structure(web, (0.0, 0.0))
     f = web.eval_function(1, (0.0, 0.0), 2)
     zero = [f.derivatives()[..., a] * 0.0 for a in range(2)]
-    with pytest.raises(ZeroForm):
+    with pytest.raises(oracles.ZeroForm):
         oracles.totally_geodesic_residual(struct.conn, zero)
 
 

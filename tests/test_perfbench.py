@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from geoweb import cli, jets, report
 
@@ -57,15 +58,26 @@ def test_jet_kernels_run(monkeypatch):
     assert min(mul_us, mflops, solve_us) > 0
 
 
-def test_geodesic_workload_passes_its_checks(monkeypatch):
-    # the measured `geodesic` invocations at seed 1, in this process: exit
-    # code, empty stderr, step count and leaf drift as the benchmark holds
-    # them, so a change that would fail the benchmark fails here first
+def _workload_names():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module("workloads").NAMES
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_workload_passes_its_checks(monkeypatch, name):
+    # the measured invocations at seed 1, in this process: exit code,
+    # empty stderr, verdict, and the row count and exclusions of a sample
+    # or the step count and leaf drift of a geodesic, as the benchmark
+    # holds them, so a change that would fail the benchmark fails here
+    # first
     spans = _spans(monkeypatch)
     workloads = importlib.import_module("workloads")
     monkeypatch.chdir(os.path.join(PERFBENCH, os.pardir))
-    invocations = workloads.build("geodesic", 1).invocations
-    assert len(invocations) == 3
+    invocations = workloads.build(name, 1).invocations
+    assert invocations
     for inv in invocations:
         code, out, err = spans.call_main(cli.main, inv.argv)
         assert workloads.check_output(inv, code, out, err) == [], inv.argv
