@@ -177,9 +177,12 @@ def _emit(args, out: Report) -> None:
 
 
 def _verdict_report(args, web, command, rep, value, meta) -> int:
-    """Emit a sample test's report, one row per point with its `value`."""
+    """Emit a sample test's report, one row per point with its `value`;
+    the header's maximum is left out when no point was evaluated."""
     meta = {**_base_meta(args, web), **meta, "max_" + value: rep.max_value,
             "excluded_fraction": rep.excluded_fraction}
+    if rep.max_value is None:
+        del meta["max_" + value]
     rows = [[r.index] + [float(x) for x in r.point]
             + [r.status, float(r.value) if r.status == "ok" else "",
                float(r.scale) if r.status == "ok" else "", r.detail]
@@ -351,6 +354,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_coords(
             sys.argv[1:] if argv is None else argv))
+        # numpy seeds its generator with any integer >= 0
+        if getattr(args, "seed", 0) < 0:
+            parser.error("argument --seed: must be a non-negative integer, "
+                         "got %d" % args.seed)
         return _COMMANDS[args.command](args)
     except CLIError as e:
         sys.stderr.write("geoweb: error: %s\n" % e)

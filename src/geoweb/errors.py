@@ -86,13 +86,12 @@ class WebFileError(GeowebError):
 def batch_error(cls, rows, detail):
     """A `cls` error from a check that fails at the points `rows` marks.
 
-    `rows` is a boolean array over the batch (a scalar for one point) and
-    `detail(b)` the message of failing point b, the message of the error
-    the check raises at that point alone; the error's own message is that
-    of the first failing point, or `detail(None)` for a batch of no points
-    (a check that fails whatever the point, met at load time).
+    `rows` is a boolean array over the batch (a scalar for one point),
+    with at least one point marked, and `detail(b)` the message of failing
+    point b, the message of the error the check raises at that point
+    alone; the error's own message is that of the first failing point.
     """
     rows = np.atleast_1d(rows)
-    err = cls(detail(int(np.argmax(rows)) if rows.size else None))
+    err = cls(detail(int(np.argmax(rows))))
     err.rows, err.detail = rows, detail
     return err

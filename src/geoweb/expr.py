@@ -8,10 +8,14 @@ immutable; the canonical printer is a fixed point under reparsing.
 Trees are evaluated by programs compiled once (`compile_program`): each
 constant subtree is folded to a float, and every other node becomes a
 closure that runs its Taylor operation on the coefficients of a whole
-batch of points, in the order a depth-first walk visits the nodes.
-`eval_coeffs` compiles and runs one tree, `eval_field` wraps its batch of
-one as a `Jet`, and `fastgamma` compiles a web's functions once for all
-its RK4 stages.
+batch of points, in the order a depth-first walk visits the nodes.  Each
+operation has one builder: subtraction compiles as addition of the
+negation, and division by an expression as multiplication by its
+reciprocal.  A constant subtree with no finite value, or a division by a
+constant 0, raises DomainError when the tree is compiled.  `eval_coeffs`
+compiles and runs one tree, `eval_field` wraps its batch of one as a
+`Jet`, and `fastgamma` compiles a web's functions once for all its RK4
+stages.
 """
 
 from __future__ import annotations
@@ -285,18 +289,14 @@ def _print(node, parent_level):
         text = "-" + _print(node.arg, level)
     else:
         level = _LEVEL[node.op]
-        if node.op in ("+", "-"):
-            left = _print(node.left, level)
-            right = _print(node.right, level + 1)
-            text = "%s %s %s" % (left, node.op, right)
-        elif node.op in ("*", "/"):
-            left = _print(node.left, level)
-            right = _print(node.right, level + 1)
-            text = "%s%s%s" % (left, node.op, right)
-        else:  # ^ is right-associative: parenthesize the left on ties
+        if node.op == "^":  # right-associative: parenthesize the left on ties
             left = _print(node.left, level + 1)
             right = _print(node.right, _LEVEL["neg"])
-            text = "%s^%s" % (left, right)
+        else:
+            left = _print(node.left, level)
+            right = _print(node.right, level + 1)
+        op = " %s " % node.op if level == 1 else node.op
+        text = left + op + right
     if level < parent_level:
         return "(%s)" % text
     return text
@@ -311,22 +311,25 @@ def print_expression(node: Node) -> str:
 # Compiled evaluation.  A compiled node is a folded constant (a float) or a
 # closure node(xs, tb, order) that runs its compiled children left to
 # right, as a depth-first walk would, then the node's operation on
-# coefficient arrays (count, B).  A constant subtree that does not fold
-# compiles to a closure raising its DomainError, so the error still comes
-# at evaluation, in walk order.  xs holds the jets of the coordinate
-# functions, built once per run and shared by every variable node, so no
-# closure writes into an array it is given.
+# coefficient arrays (count, B).  A constant subtree that does not fold to
+# a finite float, or a division by a folded 0, raises DomainError when the
+# tree is compiled, so no closure raises a constant's error.  xs holds the
+# jets of the coordinate functions, built once per run and shared by every
+# variable node, so no closure writes into an array it is given.
 
 
 def compile_program(nodes):
     """Program `program(X, order)` giving the Taylor coefficients
     (len(nodes), count, B) of the trees `nodes` at the points X (B, n).
 
-    Row k is `eval_coeffs(nodes[k], X, order)`.  The trees run in order,
-    and the first that fails raises: an out-of-domain column, or a column
-    with a coefficient that overflows to inf or nan, raises DomainError for
-    the whole batch (see `errors.batch_error`).  Compile the functions of a
-    web once when they are evaluated many times.
+    Row k is `eval_coeffs(nodes[k], X, order)`.  A constant subexpression
+    with no finite value, or a division by a constant 0, raises
+    DomainError here, in the trees' walk order.  The program runs the
+    trees in order, and the first that fails raises: an out-of-domain
+    column, or a column with a coefficient that overflows to inf or nan,
+    raises DomainError for the whole batch (see `errors.batch_error`).
+    Compile the functions of a web once when they are evaluated many
+    times.
     """
     nodes = tuple(nodes)
     runs = [node if callable(node) else _constant_node(node)
@@ -385,9 +388,10 @@ def eval_coeffs(node: Node, X, order: int) -> np.ndarray:
     in the multi-index layout of `jets.exponents`.  Each operation does
     what the `Jet` operator of the same name does, column by column, so a
     column equals the single-point jet bit for bit.  Constant
-    subexpressions are folded to Python floats and raise DomainError where
-    they are undefined; an out-of-domain column, or one with a coefficient
-    that overflows to inf or nan, raises DomainError for the whole batch.
+    subexpressions are folded to Python floats, and one that is undefined
+    raises DomainError before any point is evaluated; an out-of-domain
+    column, or one with a coefficient that overflows to inf or nan,
+    raises DomainError for the whole batch.
     """
     return compile_program([node])(X, order)[0]
 
@@ -407,10 +411,7 @@ def _compile(node):
         axis = node.axis
         return lambda xs, tb, order: xs[axis]
     if isinstance(node, Neg):
-        arg = _compile(node.arg)
-        if not callable(arg):
-            return -arg
-        return lambda xs, tb, order: -arg(xs, tb, order)
+        return _neg(_compile(node.arg))
     if isinstance(node, Call):
         arg, name = _compile(node.arg), node.fn
         if not callable(arg):
@@ -429,25 +430,28 @@ def _constant_node(value):
 
 def _fold(node, fn, *args):
     # evaluate a constant subexpression; a complex power, an overflow, a
-    # division by zero or a math domain error gives a node that raises
-    # DomainError when run
+    # division by zero or a math domain error raises DomainError
     try:
         value = fn(*args)
     except (ArithmeticError, ValueError):
         value = None
     if isinstance(value, float) and math.isfinite(value):
         return value
-    message = ("constant subexpression %s is not a finite real number"
-               % print_expression(node))
-
-    def undefined(xs, tb, order):
-        raise DomainError(message)
-    return undefined
+    raise DomainError("constant subexpression %s is not a finite real number"
+                      % print_expression(node))
 
 
 # Each binary builder takes the node and its compiled operands, at least
 # one of them a closure, and gives the closure of the node.  A float
-# meets an array as in `Jet`: + and - touch coefficient 0.
+# meets an array as in `Jet`: + touches coefficient 0 only.  Subtraction
+# is addition of the negation and division by a closure multiplication by
+# its reciprocal, the same bits in IEEE arithmetic.
+
+def _neg(a):
+    if not callable(a):
+        return -a
+    return lambda xs, tb, order: -a(xs, tb, order)
+
 
 def _add(node, a, b):
     if callable(a) and callable(b):
@@ -462,60 +466,34 @@ def _add(node, a, b):
 
 
 def _sub(node, a, b):
-    if callable(a) and callable(b):
-        return lambda xs, tb, order: a(xs, tb, order) - b(xs, tb, order)
-    if callable(a):
-        def lowered(xs, tb, order):
-            out = a(xs, tb, order).copy()
-            out[0] -= b
-            return out
-        return lowered
-
-    def negated(xs, tb, order):
-        out = -b(xs, tb, order)
-        out[0] += a
-        return out
-    return negated
+    return _add(node, a, _neg(b))
 
 
 def _mul(node, a, b):
     if callable(a) and callable(b):
         return lambda xs, tb, order: jets.coeff_mul(a(xs, tb, order),
                                                     b(xs, tb, order), tb)
-    if callable(a):
-        return lambda xs, tb, order: a(xs, tb, order) * b
-    return lambda xs, tb, order: a * b(xs, tb, order)
+    arr, c = (a, b) if callable(a) else (b, a)
+    return lambda xs, tb, order: arr(xs, tb, order) * c
 
 
 def _div(node, a, b):
     if callable(b):
-        if callable(a):
-            def quotient(xs, tb, order):
-                u = a(xs, tb, order)
-                return jets.coeff_mul(
-                    u, _series("recip", b(xs, tb, order), tb, order), tb)
-            return quotient
-        return lambda xs, tb, order: a * _series("recip", b(xs, tb, order),
-                                                 tb, order)
-    if b != 0.0:
-        return lambda xs, tb, order: a(xs, tb, order) / b
-
-    def by_zero(xs, tb, order):
-        a(xs, tb, order)
-        raise batch_error(DomainError, np.ones(xs.shape[2], bool), lambda _:
-                          "division by zero in %s" % print_expression(node))
-    return by_zero
+        return _mul(node, a, lambda xs, tb, order: _series(
+            "recip", b(xs, tb, order), tb, order))
+    if b == 0.0:
+        raise DomainError("division by zero in %s" % print_expression(node))
+    return lambda xs, tb, order: a(xs, tb, order) / b
 
 
 def _pow(node, a, b):
     if not callable(b):
         return lambda xs, tb, order: _const_power(a(xs, tb, order), b, tb,
                                                   order)
-    if callable(a):
-        return lambda xs, tb, order: _power(a(xs, tb, order),
-                                            b(xs, tb, order), tb, order)
-    return lambda xs, tb, order: _power(_constant(a, tb.count, xs.shape[2]),
-                                        b(xs, tb, order), tb, order)
+    if not callable(a):
+        a = _constant_node(a)
+    return lambda xs, tb, order: _power(a(xs, tb, order), b(xs, tb, order),
+                                        tb, order)
 
 
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}

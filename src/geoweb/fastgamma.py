@@ -135,13 +135,14 @@ def _affine_bound(node):
     is a sum, a negation, or a product or quotient by a float.
 
     Else (slope, offset, reach).  A tree without variables has slope 0,
-    offset its folded magnitude (inf where it does not fold) and reach
-    inf.  For any other, at a point whose coordinates are at most R in
-    magnitude the tree's value is at most slope R + offset, and for R
-    below `reach` so is every value its compiled program computes at most
-    _VALUE_LIMIT, so none overflows; the reach is at most _VALUE_LIMIT,
-    and 0 where the bound holds at no point (a product with or quotient
-    by a constant that does not fold, a quotient by 0).
+    offset its folded magnitude and reach inf.  For any other, at a point
+    whose coordinates are at most R in magnitude the tree's value is at
+    most slope R + offset, and for R below `reach` so is every value its
+    compiled program computes at most _VALUE_LIMIT, so none overflows;
+    the reach is at most _VALUE_LIMIT, and 0 where the bound holds at no
+    point (a slope or an offset past the float range).  The tree must
+    compile (`expr.compile_program`): every constant folds, and no
+    divisor folds to 0.
     """
     if isinstance(node, expr.Var):
         return 1.0, 0.0, _VALUE_LIMIT
@@ -150,10 +151,8 @@ def _affine_bound(node):
     if None in walked:
         return None
     if all(w[2] == np.inf for w in walked):
-        # no variable: the program folds the tree to a float, or to a node
-        # that raises when run
-        value = expr._compile(node)
-        return 0.0, np.inf if callable(value) else abs(value), np.inf
+        # no variable: the program folds the tree to a float
+        return 0.0, abs(expr._compile(node)), np.inf
     if isinstance(node, expr.Neg):
         return walked[0]
     if isinstance(node, expr.Call) or node.op == "^":
@@ -168,8 +167,6 @@ def _affine_bound(node):
         # a product with, or a quotient by, a constant of magnitude scale
         scale, (slope, offset, reach) = ((o1, walked[1]) if r1 == np.inf
                                          else (o2, walked[0]))
-        if scale == np.inf or node.op == "/" and not scale:
-            return np.inf, np.inf, 0.0
         op = expr._FLOAT_OPS[node.op]
         slope, offset = op(slope, scale), op(offset, scale)
     if not (slope < np.inf and offset < _VALUE_LIMIT):
@@ -216,9 +213,13 @@ def batched_gamma_evaluator(web: WebChart):
     inadmissible points, when any point in the batch is inadmissible.
     The web functions are compiled, and the index arrays built, once here;
     so is the frame, where f_1..f_{n+1} are affine (`_affine_bound`), and
-    with it the two linear maps that then stand for the closed form.
+    with it the two linear maps that then stand for the closed form.  A
+    constant subexpression with no finite value, or a division by a
+    constant 0, raises DomainError here.
     """
     n = web.dim
+    # compiled first, so every tree `_affine_bound` walks folds its
+    # constants
     program = expr.compile_program(web.functions[:n + 2])
     # slot[a][b]: where an order-2 jet stores the x_a x_b coefficient,
     # which is the Hessian entry over 2 on the diagonal and 1 off it

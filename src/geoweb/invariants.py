@@ -55,11 +55,11 @@ class PointRow:
 
 class SampleReport:
     def __init__(self, kind: str, verdict: str, rows: List[PointRow],
-                 max_value: float, excluded_fraction: float):
+                 max_value: Optional[float], excluded_fraction: float):
         self.kind = kind
         self.verdict = verdict  # geodesic/not_geodesic/... | inconclusive
         self.rows = rows
-        self.max_value = max_value
+        self.max_value = max_value  # None when no point was evaluated
         self.excluded_fraction = excluded_fraction
         self.vacuous = False
         self.notes: List[str] = []
@@ -71,7 +71,7 @@ def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
     n_excluded = sum(1 for r in rows if r.status != "ok")
     frac = n_excluded / n_total if n_total else 0.0
     values = [r.value for r in rows if r.status == "ok"]
-    max_value = max(values) if values else 0.0
+    max_value = max(values) if values else None
     if n_total == 0 or frac > MAX_EXCLUDED_FRACTION:
         verdict = "inconclusive"
     elif "fail" in verdicts:

@@ -23,8 +23,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-import numpy as np
-
 from . import expr
 from .errors import DomainError, ExpressionError, WebFileError
 from .web import WebChart
@@ -103,8 +101,9 @@ def parse_webfile(text: str, name: str = "<webfile>") -> WebChart:
     for k, src in enumerate(funcs):
         try:
             trees.append(expr.parse_expression(src, n))
-            # a batch of no points evaluates only the constant subexpressions
-            expr.eval_coeffs(trees[-1], np.empty((0, n)), 0)
+            # compiling folds the constant subexpressions, and rejects one
+            # with no finite value and a division by a constant 0
+            expr.compile_program(trees[-1:])
         except ExpressionError as e:
             # the message ends in "(at offset N)"
             raise WebFileError("bad expression: %s" % e,

@@ -133,7 +133,22 @@ def run_geoweb(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("constant", ["(-8)^(1/3)", "exp(1000)", "1/0"])
+# the message names the innermost constant subexpression that does not
+# fold, or the quotient whose divisor folds to 0
+UNDEFINED = {
+    "(-8)^(1/3)": "constant subexpression (-8)^(1/3) is not a finite real "
+                  "number",
+    "exp(1000)": "constant subexpression exp(1000) is not a finite real "
+                 "number",
+    "1/0": "constant subexpression 1/0 is not a finite real number",
+    "x1/(2-2)": "division by zero in x1/(2 - 2)",
+    "(1/0)^x1": "constant subexpression 1/0 is not a finite real number",
+    "log(-1)*x1": "constant subexpression log(-1) is not a finite real "
+                  "number",
+}
+
+
+@pytest.mark.parametrize("constant", list(UNDEFINED))
 def test_undefined_constant_is_one_line_error(tmp_path, constant):
     bad = tmp_path / "const.json"
     bad.write_text(json.dumps({
@@ -142,11 +157,9 @@ def test_undefined_constant_is_one_line_error(tmp_path, constant):
         "domain": {"center": [0.0, 0.0], "radius": 0.5},
     }))
     code, out, err = run_geoweb("check", str(bad))
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1, err
-    assert "Traceback" not in err
-    assert "functions[3]" in err and constant in err
+    assert (code, out) == (1, "")
+    assert err == "geoweb: invalid input: functions[3]: %s\n" % (
+        UNDEFINED[constant])
 
 
 @pytest.mark.parametrize("target", ["directory", "missing/dir/x.csv"])
@@ -707,3 +720,38 @@ def test_bad_coordinates_are_one_line_invalid_input(webdir, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "geoweb: invalid input: %s\n" % text
+
+
+@pytest.mark.parametrize("command", ["check", "linearize", "invariants"])
+@pytest.mark.parametrize("seed, text", [
+    ("-5", "must be a non-negative integer, got -5"),
+    ("five", "invalid int value: 'five'")])
+def test_bad_seed_names_the_flag(webdir, capsys, command, seed, text):
+    # refused while the arguments are parsed, before the web is read
+    assert cli.main([command, str(webdir / "absent.json"), "--random", "1",
+                     "--seed", seed]) == 1
+    assert capsys.readouterr() == (
+        "", "geoweb: error: argument --seed: %s\n" % text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_maximum_when_every_point_is_excluded(tmp_path, capsys, fmt):
+    # f4 = -f3: the basis invariants a_1 and a_2 coincide at every point
+    web = tmp_path / "dependent.json"
+    web.write_text(json.dumps({
+        "dimension": 2, "functions": ["x1", "x2", "-(x1+x2)", "x1+x2"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5}}))
+    out_path = tmp_path / ("report." + fmt)
+    assert cli.main(["linearize", str(web), "--grid", "2", "--format", fmt,
+                     "--out", str(out_path)]) == 3
+    assert capsys.readouterr() == ("", "")
+    if fmt == "csv":
+        meta, _, rows = read_report(out_path)
+    else:
+        payload = json.loads(out_path.read_text())
+        meta, rows = payload["meta"], payload["rows"]
+        meta["verdict"] = payload["verdict"]
+    assert "max_obstruction" not in meta
+    assert float(meta["excluded_fraction"]) == 1.0
+    assert meta["verdict"] == "inconclusive"
+    assert len(rows) == 4

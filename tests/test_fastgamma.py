@@ -181,16 +181,28 @@ def test_earlier_non_finite_function_wins():
     assert _failure(lambda: fast(X[1])) == (OVERFLOW, [True], {0: OVERFLOW})
 
 
-def test_constant_zero_divisor_raises_at_evaluation():
-    # from_strings does not run the load-time check of web files
-    web = WebChart.from_strings(2, ["x1", "x2", "-(x1+x2)", "x1/(2-2)"])
-    X = np.array(ORDER_POINTS)
-    text = "division by zero in x1/(2 - 2)"
-    expected = (text, [True] * 4, {b: text for b in range(4)})
-    assert _failure(lambda: expr.eval_coeffs(web.functions[3], X, 2)) \
-        == expected
-    fast = fastgamma.batched_gamma_evaluator(web)
-    assert _failure(lambda: fast(X)) == expected
+def _refused_when_compiled(functions, text, monkeypatch):
+    """Compiling the web's trees raises DomainError `text`, for no point in
+    particular, and so does building its evaluator, before `_affine_bound`
+    walks a tree; from_strings does not run the load-time check of web
+    files."""
+    web = WebChart.from_strings(2, functions)
+    monkeypatch.setattr(fastgamma, "_affine_bound", None)
+    for build in (lambda: expr.compile_program(web.functions),
+                  lambda: [expr.eval_coeffs(f, np.array(ORDER_POINTS), 2)
+                           for f in web.functions],
+                  lambda: fastgamma.batched_gamma_evaluator(web)):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert (str(err.value), err.value.rows) == (text, None)
+
+
+def test_constant_zero_divisor_raises_when_compiled(monkeypatch):
+    # in f_{n+2}, and in the frame's f1 as well
+    for functions in (["x1", "x2", "-(x1+x2)", "x1/(2-2)"],
+                      ["x1/(2-2)", "x2", "-(x1+x2)", "x1/(2-2)"]):
+        _refused_when_compiled(functions, "division by zero in x1/(2 - 2)",
+                               monkeypatch)
 
 
 def test_negative_base_under_variable_exponent():
@@ -516,7 +528,7 @@ def test_hoisted_frame_equals_per_call_frame(name):
 
 # (slope, offset, reach) of trees affine by form: a reach of 2^1000 / slope
 # where the offset is 0, 0 where no reach holds (a slope or an offset past
-# the float range, a quotient by a folded 0, a constant that does not fold)
+# the float range)
 LIMIT = 2.0 ** 1000
 AFFINE = {
     "x1": (1.0, 0.0, LIMIT),
@@ -525,30 +537,48 @@ AFFINE = {
     "exp(0)*x1": (1.0, 0.0, LIMIT),
     "x1 - 3 + x2/2": (1.5, 3.0, (LIMIT - 3.0) / 1.5),
     "-(2^3)*(x1 - x2)": (16.0, 0.0, LIMIT / 16),
-    "x1/0": (np.inf, np.inf, 0.0),
-    "x1 + 1/0": (1.0, np.inf, 0.0),
-    "x1*(1/0)": (np.inf, np.inf, 0.0),
     "0*x1": (0.0, 0.0, LIMIT),
     "(1e300*x1)*1e10": (np.inf, 0.0, 0.0),
     "2^3*x1": (8.0, 0.0, LIMIT / 8),
     # no variable: slope 0, the folded magnitude, an unbounded reach
     "-(2^3)": (0.0, 8.0, np.inf),
-    "log(-1)": (0.0, np.inf, np.inf),
+}
+
+# trees with a constant that does not fold, or a divisor that folds to 0:
+# the compiler refuses them, so no evaluator asks for their bound
+UNDEFINED = "constant subexpression %s is not a finite real number"
+REFUSED = {
+    "x1/0": "division by zero in x1/0",
+    "x1 + 1/0": UNDEFINED % "1/0",
+    "x1*(1/0)": UNDEFINED % "1/0",
+    "log(-1)": UNDEFINED % "log(-1)",
+    "(1/0)^x1": UNDEFINED % "1/0",
+    "exp(log(-1)*x1)": UNDEFINED % "log(-1)",
 }
 
 
-@pytest.mark.parametrize("source", list(AFFINE))
-def test_affine_by_form(source):
-    assert fastgamma._affine_bound(
-        expr.parse_expression(source, 2)) == AFFINE[source]
+@pytest.mark.parametrize("source", list(AFFINE)
+                         + ["x1/0", "x1 + 1/0", "x1*(1/0)", "log(-1)"])
+def test_affine_by_form(source, monkeypatch):
+    if source in REFUSED:
+        _refused_when_compiled([source, "x2", "-(x1+x2)", "x1+2*x2"],
+                               REFUSED[source], monkeypatch)
+    else:
+        assert fastgamma._affine_bound(
+            expr.parse_expression(source, 2)) == AFFINE[source]
 
 
 @pytest.mark.parametrize("source", ["x1*x2", "x1^1", "x1*x2 - x1*x2",
                                     "2/x1", "exp(x1)", "x1 + log(x2)",
                                     "x1*(0*x1)", "(1/0)^x1",
                                     "exp(log(-1)*x1)"])
-def test_not_affine_by_form(source):
-    assert fastgamma._affine_bound(expr.parse_expression(source, 2)) is None
+def test_not_affine_by_form(source, monkeypatch):
+    if source in REFUSED:
+        _refused_when_compiled([source, "x2", "-(x1+x2)", "x1+2*x2"],
+                               REFUSED[source], monkeypatch)
+    else:
+        assert fastgamma._affine_bound(
+            expr.parse_expression(source, 2)) is None
 
 
 def test_failing_frame_is_not_hoisted():
@@ -570,12 +600,13 @@ def test_failing_frame_is_not_hoisted():
 
 
 def test_frame_that_raises_is_not_hoisted():
-    # building the frame raises at the center; every call raises the same
-    web = WebChart.from_strings(2, ["x1/(2-2)", "x2", "-(x1+x2)", "x1+2*x2"])
-    assert fastgamma._affine_bound(web.functions[0]) == (
-        np.inf, np.inf, 0.0)
+    # building the frame raises at the center, where the gradient of f1
+    # overflows; every call raises too, where the value of f1 overflows
+    web = WebChart.from_strings(2, ["x1*1e308*10", "x2", "-(x1+x2)",
+                                    "x1+2*x2"])
+    assert fastgamma._affine_bound(web.functions[0]) == (np.inf, 0.0, 0.0)
     fast = fastgamma.batched_gamma_evaluator(web)
-    text = "division by zero in x1/(2 - 2)"
+    text = "non-finite value of x1*1e+308*10"
     X = np.array(ORDER_POINTS)
     for batch in (X, X[:1], X[0], X):
         assert _failure(lambda: fast(batch))[0] == text
