@@ -15,7 +15,6 @@ identical inputs, flags and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import re
@@ -292,50 +291,15 @@ def _cmd_geodesic(args) -> int:
     return EXIT_OK
 
 
-def invariant_rows(web, points):
-    """Rows of the `invariants` table: index, point, status, the projective
-    classes and skew invariants of every extra foliation, detail.  The
-    sample runs as one batch (see `invariants.map_sample`)."""
+def _cmd_invariants(args) -> int:
     from . import invariants
 
-    n = web.dim
-    extras = web.d - n - 1
-    pad = extras * n + extras * (n * (n - 1)) // 2
-
-    def measure(X):
-        found = invariants.extra_foliations(web, X)
-        body = []
-        for inv, _ in found:
-            body.extend(np.moveaxis(inv.projective_class(), -1, 0))
-        for _, smat in found:
-            body.extend(smat[..., i, j] for i in range(n)
-                        for j in range(i + 1, n))
-        return body
-
-    rows = []
-    for idx, (res, detail) in enumerate(invariants.checked_results(
-            measure, points, 2, itertools.repeat("invariant"))):
-        rows.append([idx] + [float(x) for x in points[idx]]
-                    + (["degenerate"] + [""] * pad if res is None
-                       else ["ok"] + res) + [detail])
-    return rows
-
-
-def _cmd_invariants(args) -> int:
     web = webfile.load_webfile(args.webfile)
     pts, smeta = _sample(web, args)
-    n = web.dim
-    extras = range(n + 2, web.d + 1)
-    cols = ["index"] + _point_columns(web) + ["status"]
-    for k in extras:
-        cols.extend("a%d_%d" % (k, i + 1) for i in range(n))
-    for k in extras:
-        cols.extend("s%d_%d%d" % (k, i + 1, j + 1)
-                    for i in range(n) for j in range(i + 1, n))
-    cols.append("detail")
-    rows = invariant_rows(web, pts)
+    values, rows = invariants.invariant_table(web, pts)
     meta = {**_base_meta(args, web), **smeta}
-    out = Report("invariants", meta, cols, rows)
+    out = Report("invariants", meta, ["index"] + _point_columns(web)
+                 + ["status"] + values + ["detail"], rows)
     _emit(args, out)
     return EXIT_OK
 

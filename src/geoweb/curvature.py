@@ -15,8 +15,8 @@ import numpy as np
 
 from .connection import ConnectionField, canonical_structure, skew_matrix
 from .errors import OrderExhausted
-from .invariants import (FAIL_FACTOR, SampleReport, aggregate_rows, classify,
-                         sample_rows, skew_discrepancy)
+from .invariants import (SampleReport, aggregate_rows, sample_rows,
+                         skew_discrepancy)
 from .jets import Jet, grid, ordered_sum, skew_upper
 from .web import WebChart, basis_invariants
 
@@ -108,8 +108,7 @@ def projective_pack(conn: ConnectionField) -> CurvaturePack:
                          cotton)
 
 
-def linearizability_verdict(web: WebChart, points,
-                            order: Optional[int] = None) -> SampleReport:
+def linearizability_verdict(web: WebChart, points) -> SampleReport:
     """Geodesicity plus obstruction-vanishing test over a point sample.
 
     Verdict 'linearizable' when the web is geodesic and the obstruction
@@ -117,11 +116,11 @@ def linearizability_verdict(web: WebChart, points,
     point; 'not_linearizable' when geodesicity fails or the obstruction
     exceeds 1e-3 times the scale.  On a web with d > n+2 foliations the
     geodesicity discrepancy comes from the same structures: one pass, one
-    exclusion list.
+    exclusion list.  The connection is expanded to order 4 at n = 2, whose
+    obstruction needs one more derivative, and to order 3 otherwise.
     """
     n = web.dim
-    if order is None:
-        order = 4 if n == 2 else 3
+    order = 4 if n == 2 else 3
     extra = web.d > n + 2
 
     def measure(X):
@@ -139,15 +138,11 @@ def linearizability_verdict(web: WebChart, points,
 
     what = ("obstruction", "discrepancy") if extra else ("obstruction",)
     rows, *geo_rows = sample_rows(measure, points, what, order)
-    verdicts = [classify(r.value, r.scale, LINEARIZABLE_PASS_FACTOR,
-                         FAIL_FACTOR) for r in rows if r.status == "ok"]
-    rep = aggregate_rows("linearizability", rows, verdicts, "linearizable",
-                         "not_linearizable")
+    rep = aggregate_rows("linearizability", rows, "linearizable",
+                         "not_linearizable", LINEARIZABLE_PASS_FACTOR)
     if extra:
         geo = rep.geodesicity = aggregate_rows(
-            "geodesicity", geo_rows[0], [classify(r.value, r.scale) for r in
-                                         geo_rows[0] if r.status == "ok"],
-            "geodesic", "not_geodesic")
+            "geodesicity", geo_rows[0], "geodesic", "not_geodesic")
         rep.notes.append("geodesicity: %s" % geo.verdict)
         if geo.verdict == "not_geodesic":
             rep.verdict = "not_linearizable"

@@ -31,21 +31,24 @@ Each half is then a linear map with constant coefficients, and the
 evaluator computes both matrices when it is built, at the chart center,
 as the images of the unit inputs (Jacobian preaccumulation: Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  It keeps them
-if the frame clears the screen's kappa and lambda bounds and both halves
-map 0 to 0.  A call then runs the program over f_{n+2} alone, one
-product with the first map, the skew formula and one product with the
-second map.  Each row is its own (1, k) @ (k, l) product, so its bits do
-not depend on the batch.  Where A = I, as on every benchmark and corpus
-web, the entries of the maps are 0, -1/2, -1 and -2, one nonzero entry in
-a column, so each product is one rounded term, the bits of the chain; on
-a sheared frame (A not I) the products sum several terms and agree with
-the chain to round-off.  The program over f_{n+2} alone runs where the
-coordinates are within the reach of f_1..f_{n+1}: there none of their
-values overflows and nothing else of theirs can fail, so it raises the
-`DomainError`s the program over all n + 2 functions would raise.  A call
-past the reach (a NaN, an inf, or on the benchmark webs a batch whose
-sum of squares overflows) runs the program over all n + 2
-functions and reads f_{n+2} from it.  Every call elsewhere (a curved
+if the frame clears the screen's kappa and lambda bounds.  Both halves
+then map 0 to 0: A, A^-T and lambda are finite, and every operation on
+the Hessian slots of an affine tree is a sum, a negation, a product
+with a finite float or a quotient by a nonzero one, so those slots, L
+and dW are exactly +-0.  A call then runs the program over f_{n+2}
+alone, one product with the first map, the skew formula and one product
+with the second map.  Each row is its own (1, k) @ (k, l) product, so
+its bits do not depend on the batch.  Where A = I, as on every benchmark
+and corpus web, the entries of the maps are 0, -1/2, -1 and -2, one
+nonzero entry in a column, so each product is one rounded term, the bits
+of the chain; on a sheared frame (A not I) the products sum several
+terms and agree with the chain to round-off.  The program over f_{n+2}
+alone runs where the coordinates are within the reach of f_1..f_{n+1}:
+there none of their values overflows and nothing else of theirs can
+fail, so it raises the `DomainError`s the program over all n + 2
+functions would raise.  A call past the reach (a NaN, an inf, or on the
+benchmark webs a batch whose sum of squares overflows) runs the program
+over all n + 2 functions and reads f_{n+2} from it.  Every call elsewhere (a curved
 frame, or a center frame that raises or fails the screen) expands all
 n + 2 functions, computes the frame from them and runs both halves.
 
@@ -284,9 +287,8 @@ def batched_gamma_evaluator(web: WebChart):
     # lambda bounds (lambda standing in for a, with no pair of a near), so
     # a call's screen decides on the same values.  With it the first half
     # is linear in f_{n+2}'s coefficients and the second linear in s (L
-    # and the Hessians of f_1..f_n are 0), so each is one matrix, its
-    # image of the unit inputs; both are kept only if both halves map 0
-    # to 0.
+    # and the Hessians of f_1..f_n are +-0), so each is one matrix, its
+    # image of the unit inputs.
     maps = None
     affine = [_affine_bound(f) for f in web.functions[:n + 1]]
     if None not in affine:
@@ -299,22 +301,20 @@ def batched_gamma_evaluator(web: WebChart):
                 A, AinvT, lam, W, dWf, V, VT, L = _frame(grads, hesses)
                 bounds = _frame_bounds(A, AinvT, lam)
                 if _screen(bounds, lam, np.array([np.inf])):
-                    # each half on a zero input, then on the unit inputs,
-                    # the first on f_{n+2}'s coefficients
+                    # each half on the unit inputs, the first on f_{n+2}'s
+                    # coefficients
                     count, k = tables.count, 2 * m
-                    basis = np.eye(count + 1, count, -1)
+                    basis = np.eye(count)
                     av, ar, dar = invariants(basis[:, 1:1 + n],
                                              basis.take(slot, 1) * fac,
                                              V, VT, dWf)
                     first = np.concatenate((av.T, ar, dar), None).reshape(
-                        -1, count + 1).T
+                        -1, count).T
                     second = christoffels(
-                        np.eye(k, k + 1, 1), AinvT, W, L, grads[:, :n],
-                        hesses[:, :n]).reshape(k + 1, -1)
-                    if not (first[0].any() or second[0].any()):
-                        maps = (np.ascontiguousarray(first[1:]),
-                                np.ascontiguousarray(second[1:]), bounds, A,
-                                lam)
+                        np.eye(k), AinvT, W, L, grads[:, :n],
+                        hesses[:, :n]).reshape(k, -1)
+                    maps = (np.ascontiguousarray(first), second, bounds, A,
+                            lam)
         except DegenerateWebPoint:      # DomainError among them
             pass
     if maps is not None:

@@ -32,11 +32,13 @@ MAX_EXCLUDED_FRACTION = 0.2
 MAX_BATCH = 8192
 
 
-def classify(residual: float, scale: float, pass_factor: float = PASS_FACTOR,
-             fail_factor: float = FAIL_FACTOR) -> str:
+def classify(residual: float, scale: float,
+             pass_factor: float = PASS_FACTOR) -> str:
+    """'pass' at most pass_factor times the scale, 'fail' at least
+    FAIL_FACTOR times it, 'inconclusive' between."""
     if residual <= pass_factor * scale:
         return "pass"
-    if residual >= fail_factor * scale:
+    if residual >= FAIL_FACTOR * scale:
         return "fail"
     return "inconclusive"
 
@@ -66,12 +68,18 @@ class SampleReport:
         self.geodesicity: Optional[SampleReport] = None
 
 
-def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
+def aggregate_rows(kind, rows, pass_word, fail_word,
+                   pass_factor=PASS_FACTOR):
+    """The sample's verdict from its rows: `classify` at `pass_factor`
+    gives each evaluated row's class; `fail_word` if any row fails,
+    `pass_word` if every row passes, 'inconclusive' otherwise, and also
+    when the sample is empty or more than MAX_EXCLUDED_FRACTION of it was
+    excluded."""
     n_total = len(rows)
-    n_excluded = sum(1 for r in rows if r.status != "ok")
-    frac = n_excluded / n_total if n_total else 0.0
-    values = [r.value for r in rows if r.status == "ok"]
-    max_value = max(values) if values else None
+    ok = [r for r in rows if r.status == "ok"]
+    frac = (n_total - len(ok)) / n_total if n_total else 0.0
+    verdicts = [classify(r.value, r.scale, pass_factor) for r in ok]
+    max_value = max((r.value for r in ok), default=None)
     if n_total == 0 or frac > MAX_EXCLUDED_FRACTION:
         verdict = "inconclusive"
     elif "fail" in verdicts:
@@ -83,21 +91,23 @@ def aggregate_rows(kind, rows, verdicts, pass_word, fail_word):
     return SampleReport(kind, verdict, rows, max_value, frac)
 
 
-def map_sample(measure, points, order=0):
-    """Apply `measure` to a point sample in as few batched calls as it allows.
+def map_sample(measure, points, order, names):
+    """Apply `measure` to a point sample in as few batched calls as it
+    allows, and exclude the points it cannot measure.
 
     `measure(X)` takes a batch of points (B, n) and returns a tuple of
-    results, each with a leading batch axis.  Returns one entry per point,
-    in order: the tuple of that point's results, or the DegenerateWebPoint
-    it raises on its own.  The sample runs in batches of at most
-    MAX_BATCH // n_coeffs(n, order) points, `order` being the jet order
-    `measure` expands the web to.  When a batch raises, the points the
-    error's `rows` mark get the error its `detail` gives for them, the
-    text of their single-point runs, and the rest runs again as one batch.
-    So a sample that fits one batch costs one batched call plus one for
-    each check that excluded some of its points.  Overflow and
-    invalid-value warnings are silenced: a point whose results are not
-    finite is left for the caller to exclude.
+    results, each with a leading batch axis; names[m] names result m.
+    Returns one entry per point, in order: (its results as floats, "") or,
+    for a point it excludes, (None, detail).  A point is excluded with the
+    detail of the DegenerateWebPoint it raises, the text of its
+    single-point run, or, where its results are not all finite, as
+    'non-finite <names[m]>' for its first such result m.  The sample runs
+    in batches of at most MAX_BATCH // n_coeffs(n, order) points, `order`
+    being the jet order `measure` expands the web to.  When a batch
+    raises, the points the error's `rows` mark take its `detail` and the
+    rest runs again as one batch.  So a sample that fits one batch costs
+    one batched call plus one for each check that excluded some of its
+    points.  Overflow and invalid-value warnings are silenced.
     """
     points = np.asarray(points, dtype=float)
     out = [None] * len(points)
@@ -112,38 +122,27 @@ def map_sample(measure, points, order=0):
                     if e.rows is None or not np.any(e.rows):
                         raise
                     for b in np.flatnonzero(e.rows):
-                        out[idx[b]] = type(e)(e.detail(b))
+                        out[idx[b]] = None, e.detail(b)
                     idx = idx[~e.rows]
                     continue
                 for i, r in zip(idx, zip(*res)):
-                    out[i] = r
+                    r = [float(x) for x in r]
+                    bad = next((m for m, x in enumerate(r)
+                                if not math.isfinite(x)), None)
+                    out[i] = ((r, "") if bad is None
+                              else (None, "non-finite " + names[bad]))
                 break
     return out
-
-
-def checked_results(measure, points, order, names):
-    """map_sample with the results made floats: per point, (results, "")
-    or, for a point it excludes, (None, detail).  A point whose result m is
-    not finite is excluded as 'non-finite <names[m]>', for its first such
-    result."""
-    for res in map_sample(measure, points, order):
-        if isinstance(res, DegenerateWebPoint):
-            yield None, str(res)
-            continue
-        res = [float(x) for x in res]
-        bad = next((w for w, x in zip(names, res) if not math.isfinite(x)),
-                   None)
-        yield (res, "") if bad is None else (None, "non-finite " + bad)
 
 
 def sample_rows(measure, points, what, order):
     """One list of PointRows per name in `what`, from a `measure` returning
     a (value, scale) pair for each, one after the other; a point is
-    excluded from every list alike (see checked_results)."""
+    excluded from every list alike, with the detail `map_sample` gives."""
     lists = [[] for _ in what]
     names = [w for w in what for _ in range(2)]
-    for idx, (res, detail) in enumerate(checked_results(measure, points,
-                                                        order, names)):
+    for idx, (res, detail) in enumerate(map_sample(measure, points, order,
+                                                   names)):
         pt = np.asarray(points[idx], dtype=float)
         for m, rows in enumerate(lists):
             rows.append(PointRow(idx, pt, "degenerate", detail=detail)
@@ -152,12 +151,40 @@ def sample_rows(measure, points, what, order):
     return lists
 
 
-def extra_foliations(web: WebChart, X, order: int = 2):
-    """Basis invariants and skew matrices of the foliations n+2..d at the
-    points X (B, n): a list of (BasisInvariant, s) pairs in foliation order,
-    s[b, i, j] = s_ij at point b.  The checks run foliation by foliation."""
+def invariant_table(web: WebChart, points):
+    """The `invariants` table: its value columns, the projective classes
+    a<k>_<i> and then the skew invariants s<k>_<ij> of every extra
+    foliation k, and per point the row index, point, status, values,
+    detail, with '' for each value of an excluded point.  The sample runs
+    as one batch (see map_sample)."""
     n = web.dim
-    cof = normalize_coframe(web, X, order)
+    extras = range(n + 2, web.d + 1)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    columns = (["a%d_%d" % (k, i + 1) for k in extras for i in range(n)]
+               + ["s%d_%d%d" % (k, i + 1, j + 1) for k in extras
+                  for i, j in pairs])
+
+    def measure(X):
+        found = extra_foliations(web, X)
+        return ([c for inv, _ in found
+                 for c in np.moveaxis(inv.projective_class(), -1, 0)]
+                + [smat[..., i, j] for _, smat in found for i, j in pairs])
+
+    rows = [[idx] + [float(x) for x in points[idx]]
+            + (["degenerate"] + [""] * len(columns) if res is None
+               else ["ok"] + res) + [detail]
+            for idx, (res, detail) in enumerate(map_sample(
+                measure, points, 2, ["invariant"] * len(columns)))]
+    return columns, rows
+
+
+def extra_foliations(web: WebChart, X):
+    """Basis invariants and skew matrices of the foliations n+2..d at the
+    points X (B, n), from the order-2 coframe: a list of (BasisInvariant,
+    s) pairs in foliation order, s[b, i, j] = s_ij at point b.  The checks
+    run foliation by foliation."""
+    n = web.dim
+    cof = normalize_coframe(web, X, 2)
     out = []
     for k in range(n + 2, web.d + 1):
         inv = basis_invariants(cof, web, k)
@@ -177,7 +204,7 @@ def skew_discrepancy(smats):
     return disc, scale
 
 
-def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
+def geodesicity_test(web: WebChart, points) -> SampleReport:
     """Compare s_ij across all extra foliations at each sample point.
 
     Verdict 'geodesic' when every discrepancy max_{i<j,k<l} |s_ij^(k) -
@@ -190,11 +217,10 @@ def geodesicity_test(web: WebChart, points, order: int = 2) -> SampleReport:
         if vacuous:
             return np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
         return skew_discrepancy([smat for _, smat in
-                                 extra_foliations(web, X, order)])
+                                 extra_foliations(web, X)])
 
-    rows, = sample_rows(measure, points, ("discrepancy",), order)
-    verdicts = [classify(r.value, r.scale) for r in rows if r.status == "ok"]
-    rep = aggregate_rows("geodesicity", rows, verdicts, "geodesic", "not_geodesic")
+    rows, = sample_rows(measure, points, ("discrepancy",), 2)
+    rep = aggregate_rows("geodesicity", rows, "geodesic", "not_geodesic")
     rep.vacuous = vacuous
     if vacuous:
         rep.notes.append("d = n+2: geodesic by construction, no comparisons")

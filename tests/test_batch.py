@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from geoweb import cli, connection, curvature, expr, invariants, jets
+from geoweb import connection, curvature, expr, invariants, jets
 from geoweb.errors import DegenerateWebPoint, DomainError, batch_error
 from geoweb.sampling import grid_points, random_points
 from geoweb.web import WebChart
@@ -101,8 +101,8 @@ def test_invariant_rows_match_points(name):
         web = WebChart(web.dim, web.functions + web.functions[-1:],
                        web.sources + web.sources[-1:], center=web.center,
                        radius=web.radius)
-    batch = cli.invariant_rows(web, pts)
-    alone = [cli.invariant_rows(web, [pt])[0][1:] for pt in pts]
+    _, batch = invariants.invariant_table(web, pts)
+    alone = [invariants.invariant_table(web, [pt])[1][0][1:] for pt in pts]
     assert [[repr(c) for c in row[1:]] for row in batch] == \
         [[repr(c) for c in row] for row in alone]
 
@@ -185,15 +185,14 @@ def test_marked_rows_get_their_detail_without_a_call():
             if hit.any():
                 raise batch_error(DegenerateWebPoint, hit,
                                   lambda b: "row %d" % rows[b])
-        return (rows, rows + 1) if X.ndim == 2 else (rows[0], rows[0] + 1)
+        # a result that is not finite excludes its point by the result's name
+        return rows, np.where(rows == 12, np.inf, rows + 1)
 
-    out = invariants.map_sample(measure, points)
-    assert [str(r) for r in out if isinstance(r, Exception)] == \
-        ["row 5", "row 6", "row 30"]
-    assert all(type(r) is DegenerateWebPoint
-               for r in out if isinstance(r, Exception))
-    assert [r[0] for r in out if not isinstance(r, Exception)] == \
-        [i for i in range(32) if i not in (5, 6, 30)]
+    out = invariants.map_sample(measure, points, 0, ["half", "next"])
+    assert [detail for res, detail in out if res is None] == \
+        ["row 5", "row 6", "non-finite next", "row 30"]
+    assert [res for res, _ in out if res is not None] == \
+        [[i, i + 1] for i in range(32) if i not in (5, 6, 12, 30)]
     assert calls == [32, 30, 29]
 
 
@@ -214,8 +213,8 @@ def test_variable_exponent_failure_marks_batch_rows():
             expr.eval_coeffs(tree, X[b:b + 1], 2)
         assert err.value.detail(b) == str(alone.value)
     out = invariants.map_sample(
-        lambda P: (expr.eval_coeffs(tree, P, 2)[0],), X)
-    assert [str(r) if isinstance(r, DomainError) else "ok" for r in out] == [
+        lambda P: (expr.eval_coeffs(tree, P, 2)[0],), X, 2, ["value"])
+    assert [detail or "ok" for _, detail in out] == [
         "ok", "log of non-positive value -0.5", "ok",
         "log of non-positive value -0.2", "division by zero", "ok"]
 
@@ -252,9 +251,9 @@ def test_large_sample_runs_in_bounded_batches(monkeypatch):
         return (X[:, 0],)
 
     points = np.arange(40, dtype=float).reshape(20, 2)
-    out = invariants.map_sample(measure, points)
+    out = invariants.map_sample(measure, points, 0, ["x1"])
     assert calls == [8, 8, 4]
-    assert [r[0] for r in out] == list(points[:, 0])
+    assert [res for res, _ in out] == [[x] for x in points[:, 0]]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -755,3 +755,40 @@ def test_no_maximum_when_every_point_is_excluded(tmp_path, capsys, fmt):
     assert float(meta["excluded_fraction"]) == 1.0
     assert meta["verdict"] == "inconclusive"
     assert len(rows) == 4
+
+
+# f_i and phi(f_i) for a monotone phi have the same level sets, so the same
+# web: no verdict may depend on which function names a foliation
+REPARAMETRIZATIONS = ("exp(%s)", "atan(%s)", "(%s)+(%s)^3")
+
+
+@pytest.mark.parametrize("name", ["xy4", "curved4", "lin5", "mixed3",
+                                  "sin6", "cubic6"])
+def test_verdicts_survive_reparametrizing_a_function(tmp_path, capsys, name):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "perfbench", "webs", name + ".json")) as fh:
+        payload = json.load(fh)
+    commands = ["linearize"]
+    if len(payload["functions"]) > payload["dimension"] + 2:
+        commands.append("check")
+    path = tmp_path / "web.json"
+
+    def verdicts():
+        path.write_text(json.dumps(payload))
+        found = []
+        for command in commands:
+            code = cli.main([command, str(path), "--random", "20",
+                             "--seed", "1"])
+            out = capsys.readouterr().out
+            found.append((code, [line for line in out.splitlines()
+                                 if line.startswith("# verdict=")]))
+        return found
+
+    plain = verdicts()
+    assert all(lines for _, lines in plain)
+    functions = list(payload["functions"])
+    for i, source in enumerate(functions):
+        for phi in REPARAMETRIZATIONS:
+            payload["functions"] = (functions[:i] + [phi.replace(
+                "%s", source)] + functions[i + 1:])
+            assert verdicts() == plain, (i, phi)

@@ -1,9 +1,12 @@
-"""Geodesic integration and the leaf-drift oracle."""
+"""Geodesic integration, the leaf-drift oracle, and the affine structure
+the integrated connection belongs to."""
+
+import os
 
 import numpy as np
 import pytest
 
-from geoweb import fastgamma, geodesics
+from geoweb import fastgamma, geodesics, webfile
 from geoweb.errors import DegenerateWebPoint, StepTooLarge
 from geoweb.web import WebChart
 
@@ -244,3 +247,36 @@ def test_invalid_horizon_rejected():
         geodesics.integrate_geodesic(gamma, [0, 0], [1, 0], T=1.0, h=0.0)
     with pytest.raises(ValueError):
         geodesics.integrate_geodesic(gamma, [0, 0], [1, 0], T=-1.0, h=0.1)
+
+
+def _line_miss(t, y):
+    # largest distance of y(t) from its least-squares line, over the range
+    # of y
+    basis = np.column_stack((np.ones_like(t), t))
+    fit = basis @ np.linalg.lstsq(basis, y, rcond=None)[0]
+    return np.abs(y - fit).max() / np.ptp(y)
+
+
+@pytest.mark.parametrize("name", ["xy4", "mixed3", "web4", "curved4",
+                                  "nodes"])
+def test_time_is_the_affine_parameter_of_f_n_plus_1(name):
+    # in gauge 0 the connection is the one of the web's affine structure
+    # that makes f_{n+1} an affine function, so along any of its geodesics
+    # f_{n+1} is affine in the time t, and no other function off its own
+    # leaf is.  The fit holds at h and h/2, so RK4 error does not reach it
+    web = (webfile.load_webfile(os.path.join(
+        os.path.dirname(__file__), os.pardir, "perfbench", "webs",
+        "web4.json")) if name == "web4" else make_web(name))
+    n = web.dim
+    gamma = fastgamma.batched_gamma_evaluator(web)
+    x0 = web.center + 0.05
+    v0 = geodesics.tangent_vector(web, n + 2, x0, np.ones(n))
+    for h in (2e-3, 1e-3):
+        traj = geodesics.integrate_geodesic(gamma, x0, v0, T=0.2, h=h)
+        for k, tree in enumerate(web.functions, start=1):
+            miss = _line_miss(traj.times,
+                              fastgamma.batched_values(tree, traj.states))
+            if k == n + 1:
+                assert miss <= 1e-12, (h, k)
+            elif k != n + 2:
+                assert miss >= 1e-4, (h, k)

@@ -2,9 +2,11 @@
 
 `perfbench/spans.py` wraps geoweb functions by name and times the jet
 kernels through the public `Jet` API; a rename or a changed signature
-would only show as a failing `perfbench/run.py --trace 1`.  `run.py`
-itself probes `jets.backend_name()` before every run.  These checks
-import the harness as it is and hold it to the program here.
+of a traced function would fail `perfbench/run.py --trace 1`, and these
+checks fail on it first: each workload's traced pass and layer probe run
+here and must reach every span a layer metric reads.  `run.py` itself
+probes `jets.backend_name()` before every run.  These checks import the
+harness as it is and hold it to the program here.
 """
 
 import importlib
@@ -15,7 +17,8 @@ import sys
 import numpy as np
 import pytest
 
-from geoweb import cli, jets, report
+from geoweb import (cli, connection, curvature, expr, fastgamma, geodesics,
+                    invariants, jets, report, sampling, web, webfile)
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -81,3 +84,26 @@ def test_workload_passes_its_checks(monkeypatch, name):
     for inv in invocations:
         code, out, err = spans.call_main(cli.main, inv.argv)
         assert workloads.check_output(inv, code, out, err) == [], inv.argv
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_traced_pass_reaches_every_layer(monkeypatch, name):
+    # what `run.py --trace 1` does after its untimed passes: the
+    # invocations at seed 1 with every traced function wrapped, then the
+    # probe of the layers the commands never call
+    spans = _spans(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(os.path.join(PERFBENCH, os.pardir))
+    workload = workloads.build(name, 1)
+    mods = {m.__name__.rsplit(".", 1)[1]: m for m in (
+        cli, connection, curvature, expr, fastgamma, geodesics, invariants,
+        jets, report, sampling, web, webfile)}
+    tracer = spans.Tracer()
+    with spans.installed(tracer, mods):
+        for inv in workload.invocations:
+            code, out, err = spans.call_main(cli.main, inv.argv)
+            assert workloads.check_output(inv, code, out, err) == [], \
+                inv.argv
+        spans.probe_layers(mods, workload, 1)
+    recorded = {s[2] for s in tracer.spans}
+    assert {span for span, *_ in spans.LAYER_METRICS.values()} <= recorded
