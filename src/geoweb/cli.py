@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, webfile
 from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
                      StepTooLarge, WebFileError)
-from .report import Report, write_report
+from .report import Report
 from .web import basis_invariants, pointed_order, reorder_chart
 
 EXIT_OK = 0
@@ -135,9 +135,12 @@ def build_parser() -> _Parser:
     return p
 
 
-def _sample(web, args):
+def _sample(args):
+    """The web of a sample command, its sample points and the header
+    fields that say how they were drawn: (web, points, meta)."""
     from . import sampling
 
+    web = webfile.load_webfile(args.webfile)
     if args.random is not None:
         pts = sampling.random_points(web, args.random, args.seed)
         meta = {"sampling": "random", "count": args.random,
@@ -146,7 +149,7 @@ def _sample(web, args):
         k = args.grid if args.grid is not None else 3
         pts = sampling.grid_points(web, k)
         meta = {"sampling": "grid", "grid": k, "count": len(pts)}
-    return pts, meta
+    return web, pts, meta
 
 
 def _base_meta(args, web):
@@ -166,13 +169,16 @@ def _point_columns(web):
 
 def _emit(args, out: Report) -> None:
     """Write the report to --out, or to stdout without one."""
+    text = out.render(args.format)
+    if args.out is None:
+        sys.stdout.write(text)
+        return
     try:
-        text = write_report(out, args.format, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as e:
         raise CLIError("cannot write --out %s: %s"
                        % (args.out, e.strerror or e)) from None
-    if args.out is None:
-        sys.stdout.write(text)
 
 
 def _verdict_report(args, web, command, rep, value, meta) -> int:
@@ -195,8 +201,7 @@ def _verdict_report(args, web, command, rep, value, meta) -> int:
 def _cmd_check(args) -> int:
     from . import invariants
 
-    web = webfile.load_webfile(args.webfile)
-    pts, smeta = _sample(web, args)
+    web, pts, smeta = _sample(args)
     return _verdict_report(args, web, "check",
                            invariants.geodesicity_test(web, pts),
                            "discrepancy", smeta)
@@ -205,8 +210,7 @@ def _cmd_check(args) -> int:
 def _cmd_linearize(args) -> int:
     from . import curvature
 
-    web = webfile.load_webfile(args.webfile)
-    pts, smeta = _sample(web, args)
+    web, pts, smeta = _sample(args)
     smeta["obstruction"] = "cotton" if web.dim == 2 else "weyl"
     return _verdict_report(args, web, "linearize",
                            curvature.linearizability_verdict(web, pts),
@@ -294,8 +298,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_invariants(args) -> int:
     from . import invariants
 
-    web = webfile.load_webfile(args.webfile)
-    pts, smeta = _sample(web, args)
+    web, pts, smeta = _sample(args)
     values, rows = invariants.invariant_table(web, pts)
     meta = {**_base_meta(args, web), **smeta}
     out = Report("invariants", meta, ["index"] + _point_columns(web)
@@ -338,7 +341,3 @@ def main(argv=None) -> int:
     except MemoryError as e:     # numpy names the array it could not allocate
         sys.stderr.write("geoweb: out of memory: %s\n" % e)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -65,10 +65,9 @@ def skew_matrix(cof: NormalizedCoframe, inv: BasisInvariant) -> Jet:
 
 
 class ThetaSystem:
-    """theta_i = sum_j theta[i][j] omega_j; t is the symmetric gauge."""
+    """theta_i = sum_j theta[i][j] omega_j, from the symmetric gauge t."""
 
-    def __init__(self, t: Jet, s: Jet, theta: Jet):
-        self.t = t              # (n,)
+    def __init__(self, s: Jet, theta: Jet):
         self.s = s              # (n, n), s[i][j] = -s[j][i]
         self.theta = theta      # (n, n), theta[i][j] = t[j] + s[i][j]
 
@@ -80,7 +79,7 @@ def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
     t = (Jet.constant(np.zeros(n), n, r) if t is None
          else stack([ti.truncate(r) for ti in t]))
     s = skew_matrix(cof, inv)
-    return ThetaSystem(t, s, t + s)
+    return ThetaSystem(s, t + s)
 
 
 class ConnectionField:

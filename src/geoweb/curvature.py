@@ -47,12 +47,9 @@ class CurvaturePack:
     """
 
     def __init__(self, point: np.ndarray, riemann: np.ndarray,
-                 ricci: np.ndarray, schouten: np.ndarray,
                  weyl: Optional[np.ndarray], cotton: Optional[np.ndarray]):
         self.point = point
         self.riemann = riemann      # (n, n, n, n)
-        self.ricci = ricci          # (n, n)
-        self.schouten = schouten    # (n, n)
         self.weyl = weyl
         self.cotton = cotton
 
@@ -73,7 +70,8 @@ class CurvaturePack:
 
 
 def projective_pack(conn: ConnectionField) -> CurvaturePack:
-    """Ricci, projective Schouten, and the flatness obstruction.
+    """Riemann and the flatness obstruction, built from Ricci and the
+    projective Schouten tensor P.
 
     For n = 2 the obstruction is Y_jkl = nabla_k P_jl - nabla_l P_jk, which
     needs connection jets of order >= 2 (one more derivative than Weyl).
@@ -104,8 +102,7 @@ def projective_pack(conn: ConnectionField) -> CurvaturePack:
             N = N - gt[m, k, j] * Pt[m, l] - gt[m, k, l] * Pt[j, m]
         j, k, l = grid(n, 3)
         cotton = skew_upper(N[k, j, l] - N[l, j, k]).value
-    return CurvaturePack(conn.point, R.value, ric.value, P.value, weyl,
-                         cotton)
+    return CurvaturePack(conn.point, R.value, weyl, cotton)
 
 
 def linearizability_verdict(web: WebChart, points) -> SampleReport:
@@ -138,11 +135,11 @@ def linearizability_verdict(web: WebChart, points) -> SampleReport:
 
     what = ("obstruction", "discrepancy") if extra else ("obstruction",)
     rows, *geo_rows = sample_rows(measure, points, what, order)
-    rep = aggregate_rows("linearizability", rows, "linearizable",
-                         "not_linearizable", LINEARIZABLE_PASS_FACTOR)
+    rep = aggregate_rows(rows, "linearizable", "not_linearizable",
+                         LINEARIZABLE_PASS_FACTOR)
     if extra:
-        geo = rep.geodesicity = aggregate_rows(
-            "geodesicity", geo_rows[0], "geodesic", "not_geodesic")
+        geo = rep.geodesicity = aggregate_rows(geo_rows[0], "geodesic",
+                                               "not_geodesic")
         rep.notes.append("geodesicity: %s" % geo.verdict)
         if geo.verdict == "not_geodesic":
             rep.verdict = "not_linearizable"

@@ -457,12 +457,7 @@ def _add(node, a, b):
     if callable(a) and callable(b):
         return lambda xs, tb, order: a(xs, tb, order) + b(xs, tb, order)
     arr, c = (a, b) if callable(a) else (b, a)
-
-    def shifted(xs, tb, order):
-        out = arr(xs, tb, order).copy()
-        out[0] += c
-        return out
-    return shifted
+    return lambda xs, tb, order: jets.shift(arr(xs, tb, order), c)
 
 
 def _sub(node, a, b):

@@ -56,9 +56,8 @@ class PointRow:
 
 
 class SampleReport:
-    def __init__(self, kind: str, verdict: str, rows: List[PointRow],
+    def __init__(self, verdict: str, rows: List[PointRow],
                  max_value: Optional[float], excluded_fraction: float):
-        self.kind = kind
         self.verdict = verdict  # geodesic/not_geodesic/... | inconclusive
         self.rows = rows
         self.max_value = max_value  # None when no point was evaluated
@@ -68,13 +67,13 @@ class SampleReport:
         self.geodesicity: Optional[SampleReport] = None
 
 
-def aggregate_rows(kind, rows, pass_word, fail_word,
-                   pass_factor=PASS_FACTOR):
-    """The sample's verdict from its rows: `classify` at `pass_factor`
-    gives each evaluated row's class; `fail_word` if any row fails,
-    `pass_word` if every row passes, 'inconclusive' otherwise, and also
-    when the sample is empty or more than MAX_EXCLUDED_FRACTION of it was
-    excluded."""
+def aggregate_rows(rows, pass_word, fail_word, pass_factor=PASS_FACTOR):
+    """The SampleReport of a sample's PointRows, with their verdict, the
+    largest evaluated value and the excluded fraction.  `classify` at
+    `pass_factor` gives each evaluated row's class; the verdict is
+    `fail_word` if any row fails, `pass_word` if every row passes,
+    'inconclusive' otherwise, and also when the sample is empty or more
+    than MAX_EXCLUDED_FRACTION of it was excluded."""
     n_total = len(rows)
     ok = [r for r in rows if r.status == "ok"]
     frac = (n_total - len(ok)) / n_total if n_total else 0.0
@@ -88,7 +87,7 @@ def aggregate_rows(kind, rows, pass_word, fail_word,
         verdict = pass_word
     else:
         verdict = "inconclusive"
-    return SampleReport(kind, verdict, rows, max_value, frac)
+    return SampleReport(verdict, rows, max_value, frac)
 
 
 def map_sample(measure, points, order, names):
@@ -220,7 +219,7 @@ def geodesicity_test(web: WebChart, points) -> SampleReport:
                                  extra_foliations(web, X)])
 
     rows, = sample_rows(measure, points, ("discrepancy",), 2)
-    rep = aggregate_rows("geodesicity", rows, "geodesic", "not_geodesic")
+    rep = aggregate_rows(rows, "geodesic", "not_geodesic")
     rep.vacuous = vacuous
     if vacuous:
         rep.notes.append("d = n+2: geodesic by construction, no comparisons")

@@ -124,12 +124,9 @@ def coeff_mul(a, b, tb):
     ``a[ia[t]] * b[ib[t]]`` into slot ``io[t]``.  ``np.bincount`` adds the
     terms of each (slot, tensor entry, batch column) in table order, so
     every entry and column sums exactly as the product of scalar point jets
-    does.  The trailing axes of ``a`` and ``b`` broadcast; a point's
-    (count,) also broadcasts against a batch's (count, B).
+    does.  ``a`` and ``b`` have equal ranks, and their trailing axes
+    broadcast: a point's coefficients meet a batch's as (count, 1).
     """
-    if a.ndim != b.ndim:
-        # a point's coefficients (count,) against a batch's (count, B)
-        a, b = (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
     # `take` gathers as a[tb.ia] does, without fancy indexing's overhead
     prod, right = a.take(tb.ia, 0), b.take(tb.ib, 0)
     if prod.shape == right.shape:
@@ -394,7 +391,7 @@ class Jet:
         return Jet(self.dim, self.order, on_jets(a, b), rank)
 
     def __add__(self, other):
-        return self._binary(other, np.add, _shift)
+        return self._binary(other, np.add, shift)
 
     __radd__ = __add__
 
@@ -402,7 +399,7 @@ class Jet:
         return Jet(self.dim, self.order, -self.coeffs, self.rank)
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, lambda c, x: _shift(c, -x))
+        return self._binary(other, np.subtract, lambda c, x: shift(c, -x))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -430,8 +427,8 @@ class Jet:
             self.dim, self.order, self.rank, self.coeffs.shape)
 
 
-def _shift(c, x):
-    # a number added to a jet moves its value part only
+def shift(c, x):
+    """Coefficients c plus the number x: a copy with the value part moved."""
     c = c.copy()
     c[0] += x
     return c

@@ -85,12 +85,3 @@ class Report:
         if fmt == "json":
             return self.to_json()
         raise ValueError("unknown report format %r" % fmt)
-
-
-def write_report(report: Report, fmt: str, out_path=None) -> str:
-    """Render and optionally write the report; returns the text."""
-    text = report.render(fmt)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text

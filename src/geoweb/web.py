@@ -34,8 +34,7 @@ class WebChart:
     def __init__(self, dim: int, functions: list, sources: List[str],
                  pointed: Optional[int] = None,
                  center: Optional[np.ndarray] = None, radius: float = 1.0,
-                 labels: Optional[List[str]] = None,
-                 digest: Optional[str] = None):
+                 labels: Optional[List[str]] = None):
         self.dim = dim
         self.functions = functions      # parsed expression trees
         self.sources = sources          # original expression text, same order
@@ -43,7 +42,7 @@ class WebChart:
         self.center = center
         self.radius = radius
         self.labels = labels
-        self.digest = digest            # sha256 of the web file bytes parsed
+        self.digest = None      # sha256 of the web file bytes, set on load
         n, d = self.dim, len(self.functions)
         if n < 2:
             raise ValueError("web dimension must be >= 2, got %d" % n)
@@ -225,8 +224,7 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
 class BasisInvariant:
     """Coefficients of foliation k in the basis coframe: sum a_i omega_i = -df_k."""
 
-    def __init__(self, foliation: int, a: Jet):
-        self.foliation = foliation  # 1-based index into the chart
+    def __init__(self, a: Jet):
         self.a = a                  # (n,), order matching the coframe
 
     def projective_class(self) -> np.ndarray:
@@ -250,4 +248,4 @@ def basis_invariants(cof: NormalizedCoframe, web: WebChart,
     a = -cof.frame_derivatives(web.eval_function(k, cof.point, cof.order + 1))
     check_vanishing(a.value, cof.point, lambda i:
                     "basis invariant a_%d of foliation %d" % (i + 1, k))
-    return BasisInvariant(k, a)
+    return BasisInvariant(a)

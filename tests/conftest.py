@@ -49,6 +49,9 @@ _RADII = {"mixed3": 0.4}
 
 # The web file whose functions use every kind of expression node.
 NODES = os.path.join(os.path.dirname(__file__), "webs", "nodes.json")
+# A geodesic 6-web that is not linearizable: the solutions of y'' = e^(2y)
+# (x = x1, y = x2), with its Christoffels in closed form (tests/test_exp2y.py)
+EXP2Y = os.path.join(os.path.dirname(__file__), "webs", "exp2y.json")
 
 # Webs pulled back by x = psi(y), as (dimension, functions, the substitutes
 # for x1, x2, ...).  Every corpus web has A = (d_a f_i) = I and an affine
@@ -157,10 +160,12 @@ SHEARED = {
 
 
 def make_web(name: str) -> WebChart:
-    """A corpus web, the nodes web, or a pulled-back or sheared web on the
-    ball of radius 0.2 about the origin."""
+    """A corpus web, the nodes or exp2y web, or a pulled-back or sheared web
+    on the ball of radius 0.2 about the origin."""
     if name == "nodes":
         return webfile.load_webfile(NODES)
+    if name == "exp2y":
+        return webfile.load_webfile(EXP2Y)
     if name in PULLBACKS:
         dim, sources, subst = PULLBACKS[name]
         return WebChart.from_strings(dim, pull_back(sources, subst),

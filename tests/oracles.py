@@ -58,13 +58,21 @@ def projective_equivalence_check(conn_a: ConnectionField,
     if conn_a.point.ndim != 1 or conn_b.point.ndim != 1:
         raise ValueError("projective_equivalence_check takes connections "
                          "at one point, not a batch")
-    n = conn_a.dim
-    diff = conn_b.gamma_values() - conn_a.gamma_values()
+    rho, resid = projective_fit(conn_a.gamma_values(), conn_b.gamma_values())
+    return resid <= tol, rho, resid
+
+
+def projective_fit(gamma_a, gamma_b):
+    """(rho, residual) of the gauge shift from Christoffel values
+    gamma_a[c, a, b] at one point to gamma_b: rho_b = (G_B - G_A)^m_mb /
+    (n + 1), and the max-norm of what the shift by rho leaves of G_B - G_A.
+    """
+    diff = np.asarray(gamma_b) - np.asarray(gamma_a)
+    n = diff.shape[0]
     rho = np.einsum("mmb->b", diff) / (n + 1)
     eye = np.eye(n)
     pred = eye[:, :, None] * rho + eye[:, None, :] * rho[:, None]
-    resid = float(np.abs(diff - pred).max())
-    return resid <= tol, rho, resid
+    return rho, float(np.abs(diff - pred).max())
 
 
 def pointed_affine_connection(web: WebChart, point,

@@ -269,8 +269,8 @@ def test_coeff_mul_batch_columns_equal_point_products(dim, order):
     for col in range(7):
         point = jets.coeff_mul(a[:, col], b[:, col], tb)
         assert point.tobytes() == prod[:, col].tobytes()
-    # a point jet broadcasts against a batch
-    mixed = jets.coeff_mul(a[:, 4], b, tb)
+    # a point jet, as a (count, 1) column, broadcasts against a batch
+    mixed = jets.coeff_mul(a[:, 4, None], b, tb)
     for col in range(7):
         assert np.array_equal(mixed[:, col],
                               jets.coeff_mul(a[:, 4], b[:, col], tb))

@@ -759,7 +759,8 @@ def test_no_maximum_when_every_point_is_excluded(tmp_path, capsys, fmt):
 
 # f_i and phi(f_i) for a monotone phi have the same level sets, so the same
 # web: no verdict may depend on which function names a foliation
-REPARAMETRIZATIONS = ("exp(%s)", "atan(%s)", "(%s)+(%s)^3")
+REPARAMETRIZATIONS = ("exp(%s)", "atan(%s)", "(%s)+(%s)^3", "-2.5*(%s)+0.7",
+                      "(%s)+0.25*(%s)^3", "0.2*(%s)^3+3*(%s)")
 
 
 @pytest.mark.parametrize("name", ["xy4", "curved4", "lin5", "mixed3",

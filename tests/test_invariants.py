@@ -1,15 +1,18 @@
 """Totally-geodesic residuals, affine functions and geodesicity verdicts."""
 
+import os
+
 import numpy as np
 import pytest
 
-from geoweb import connection, invariants
+from geoweb import connection, fastgamma, invariants
 from geoweb.errors import DegenerateWebPoint
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
+from geoweb.webfile import load_webfile
 
 import oracles
-from conftest import make_web
+from conftest import make_web, pull_back
 
 
 def test_defining_foliations_have_tiny_residuals():
@@ -134,8 +137,7 @@ def construction_residual_report(web, points, order=3):
         except DegenerateWebPoint as e:
             rows.append(invariants.PointRow(idx, pt, "degenerate",
                                             detail=str(e)))
-    return invariants.aggregate_rows("construction", rows, "geodesic",
-                                     "not_geodesic")
+    return invariants.aggregate_rows(rows, "geodesic", "not_geodesic")
 
 
 def test_construction_report_all_corpus(corpus):
@@ -151,3 +153,78 @@ def test_rows_are_indexed_in_order():
     pts = random_points(web, 6, seed=13)
     rep = invariants.geodesicity_test(web, pts)
     assert [row.index for row in rep.rows] == list(range(len(pts)))
+
+
+# The `invariants` columns under web equivalence, at 20 random points of
+# two benchmark webs and the exp2y web.  Replacing f_k by phi(f_k) for a
+# monotone phi keeps every foliation, and so every a-class and every s
+# column, except that the s columns scale by 1 / phi'(f_{n+1}): they are
+# relative invariants of weight -1 in the marked function f_{n+1}.  Pulled
+# back by a diffeomorphism psi, the web's columns at p are the original's
+# at psi(p).  Measured misses: at most 3.4e-15 and 2.1e-15.
+LAW_WEBS = ("sin6", "cubic6", "exp2y")
+PHIS = {"exp(%s)": np.exp, "3*(%s)+1": lambda f: np.full_like(f, 3.0),
+        "(%s)+(%s)^3": lambda f: 1 + 3 * f * f}
+PSI = ["(x1+0.3*x2^2)", "(x2+0.2*x1*x2)"]
+
+
+def _law_web(name):
+    if name == "exp2y":
+        return make_web(name)
+    return load_webfile(os.path.join(os.path.dirname(__file__), os.pardir,
+                                     "perfbench", "webs", name + ".json"))
+
+
+def _table(web, points):
+    # the value columns' names and an array (points, columns), every point
+    # evaluated
+    columns, rows = invariants.invariant_table(web, points)
+    n = web.dim
+    assert all(row[n + 1] == "ok" for row in rows)
+    return columns, np.array([row[n + 2:-1] for row in rows], dtype=float)
+
+
+def _relative_miss(got, want):
+    # relative to each column's scale, max(1, |entries|) as for the
+    # geodesicity discrepancy: an s column of a linear foliation on a flat
+    # frame is 0 and some entries are small
+    scale = np.maximum(1.0, np.abs(want).max(axis=0))
+    return float((np.abs(got - want) / scale).max())
+
+
+@pytest.mark.parametrize("name", LAW_WEBS)
+def test_invariant_columns_under_reparametrization(name):
+    web = _law_web(name)
+    n = web.dim
+    points = random_points(web, 20, seed=5)
+    columns, plain = _table(web, points)
+    skew = np.array([c.startswith("s") for c in columns])
+    f_marked = fastgamma.batched_values(web.functions[n], points)
+    for k in range(web.d):
+        for text, dphi in PHIS.items():
+            sources = list(web.sources)
+            sources[k] = text.replace("%s", sources[k])
+            moved = WebChart.from_strings(n, sources, center=web.center,
+                                          radius=web.radius)
+            _, values = _table(moved, points)
+            if k == n:
+                # the weight shows: unscaled, the s columns move
+                assert _relative_miss(values, plain) >= 1e-3, text
+                values[:, skew] *= dphi(f_marked)[:, None]
+            assert _relative_miss(values, plain) <= 1e-13, (k, text)
+
+
+@pytest.mark.parametrize("name", LAW_WEBS)
+def test_invariant_columns_under_pullback(name):
+    web = _law_web(name)
+    n = web.dim
+    subst = PSI + ["x%d" % (a + 1) for a in range(2, n)]
+    pulled = WebChart.from_strings(n, pull_back(web.sources, subst),
+                                   center=web.center, radius=web.radius)
+    points = random_points(pulled, 20, seed=5)
+    moved = points.copy()
+    moved[:, 0] = points[:, 0] + 0.3 * points[:, 1] ** 2
+    moved[:, 1] = points[:, 1] + 0.2 * points[:, 0] * points[:, 1]
+    _, values = _table(pulled, points)
+    _, plain = _table(web, moved)
+    assert _relative_miss(values, plain) <= 1e-12

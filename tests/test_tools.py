@@ -1,0 +1,52 @@
+"""The measuring tools under `tools/`: the byte-identity check between two
+checkouts and the code-line count."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import loc  # noqa: E402
+import same_bytes  # noqa: E402
+
+
+def test_same_bytes_finds_no_difference_in_a_tree_against_itself():
+    golden = same_bytes.golden_invocations(ROOT)
+    assert golden["linearize-xy4"][:2] == ("linearize",
+                                           "perfbench/webs/xy4.json")
+    cases = {k: golden[k] for k in ("connection-xy4-zero", "geodesic-nodes")}
+    assert same_bytes.differences(ROOT, ROOT, cases) == []
+    code, out, err = same_bytes.run(ROOT, cases["connection-xy4-zero"])
+    assert (code, err) == (0, b"")
+    assert out.startswith(b"# command=connection\n")
+
+
+def test_same_bytes_lists_every_benchmark_invocation_at_both_seeds():
+    invs = same_bytes.benchmark_invocations(ROOT)
+    assert len(invs) == 2 * 13
+    assert invs["scan-order2/2/0"] == ("check", "perfbench/webs/lin5.json",
+                                       "--random", "250", "--seed", "2")
+
+
+def test_loc_leaves_out_docstrings_comments_and_blank_lines():
+    source = ('"""Module\ndocstring."""\n\n'
+              "# a comment\n"
+              "def f(x):\n"
+              '    """One line."""\n'
+              "    y = (x +  # trailing comment\n"
+              "         1)\n"
+              "\n"
+              "    return '''not a\n"
+              "    docstring'''\n")
+    assert loc.code_lines(source) == 5
+
+
+def test_loc_totals_the_package(capsys):
+    assert loc.main([os.path.join(ROOT, "src", "geoweb")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = [int(line.split()[0]) for line in lines]
+    assert lines[-1].endswith(" total")
+    assert sum(counts[:-1]) == counts[-1] > 0
+    assert any(line.endswith("cli.py") for line in lines)
