@@ -124,9 +124,14 @@ def coeff_mul(a, b, tb):
     ``a[ia[t]] * b[ib[t]]`` into slot ``io[t]``.  ``np.bincount`` adds the
     terms of each (slot, tensor entry, batch column) in table order, so
     every entry and column sums exactly as the product of scalar point jets
-    does.  ``a`` and ``b`` have equal ranks, and their trailing axes
-    broadcast: a point's coefficients meet a batch's as (count, 1).
+    does.  ``a`` and ``b`` must have equal ranks, and their trailing axes
+    broadcast: a point's coefficients meet a batch's as (count, 1).  Unequal
+    ranks raise ValueError, since (count,) against (count, B) would
+    broadcast the monomial axis against the batch.
     """
+    if a.ndim != b.ndim:
+        raise ValueError("coeff_mul operands have ranks %d and %d"
+                         % (a.ndim, b.ndim))
     # `take` gathers as a[tb.ia] does, without fancy indexing's overhead
     prod, right = a.take(tb.ia, 0), b.take(tb.ib, 0)
     if prod.shape == right.shape:

@@ -160,8 +160,9 @@ SHEARED = {
 
 
 def make_web(name: str) -> WebChart:
-    """A corpus web, the nodes or exp2y web, or a pulled-back or sheared web
-    on the ball of radius 0.2 about the origin."""
+    """A corpus web, the nodes or exp2y web, a pulled-back or sheared web
+    on the ball of radius 0.2 about the origin, or else the benchmark web
+    perfbench/webs/<name>.json."""
     if name == "nodes":
         return webfile.load_webfile(NODES)
     if name == "exp2y":
@@ -172,6 +173,10 @@ def make_web(name: str) -> WebChart:
                                      radius=0.2)
     if name in SHEARED:
         return WebChart.from_strings(*SHEARED[name], radius=0.2)
+    if name not in CORPUS_SOURCES:
+        return webfile.load_webfile(os.path.join(
+            os.path.dirname(__file__), os.pardir, "perfbench", "webs",
+            name + ".json"))
     dim, sources = CORPUS_SOURCES[name]
     return WebChart.from_strings(dim, sources, radius=_RADII.get(name, 0.5))
 

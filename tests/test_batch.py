@@ -274,6 +274,9 @@ def test_coeff_mul_batch_columns_equal_point_products(dim, order):
     for col in range(7):
         assert np.array_equal(mixed[:, col],
                               jets.coeff_mul(a[:, 4], b[:, col], tb))
+    # a bare (count,) point against a batch is refused
+    with pytest.raises(ValueError, match="ranks 1 and 2"):
+        jets.coeff_mul(a[:, 4], b, tb)
 
 
 def test_scatter_index_is_cached_with_the_tables():

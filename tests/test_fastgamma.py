@@ -381,9 +381,7 @@ def test_one_inverse_per_jet_route_structure(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted)
     canonical_structure(make_web("mixed3"), (0.05, 0.04, 0.03), 3)
     assert calls == [(3, 3)]
-    sin6 = webfile.load_webfile(os.path.join(
-        os.path.dirname(__file__), os.pardir, "perfbench", "webs",
-        "sin6.json"))
+    sin6 = make_web("sin6")
     calls.clear()
     extra_foliations(sin6, random_points(sin6, 4, seed=1))
     assert calls == [(4, 2, 2)]

@@ -1,12 +1,10 @@
 """Geodesic integration, the leaf-drift oracle, and the affine structure
 the integrated connection belongs to."""
 
-import os
-
 import numpy as np
 import pytest
 
-from geoweb import fastgamma, geodesics, webfile
+from geoweb import fastgamma, geodesics
 from geoweb.errors import DegenerateWebPoint, StepTooLarge
 from geoweb.web import WebChart
 
@@ -264,17 +262,14 @@ def test_time_is_the_affine_parameter_of_f_n_plus_1(name):
     # that makes f_{n+1} an affine function, so along any of its geodesics
     # f_{n+1} is affine in the time t, and no other function off its own
     # leaf is.  The fit holds at h and h/2, so RK4 error does not reach it;
-    # on a curved frame that takes smaller steps (pulled3 misses by 1.2e-12
-    # at h = 2e-3, 7.5e-14 at 1e-3)
-    web = (webfile.load_webfile(os.path.join(
-        os.path.dirname(__file__), os.pardir, "perfbench", "webs",
-        "web4.json")) if name == "web4" else make_web(name))
+    # pulled3 takes smaller steps (it misses by 1.2e-12 at h = 2e-3,
+    # 7.5e-14 at 1e-3)
+    web = make_web(name)
     n = web.dim
     gamma = fastgamma.batched_gamma_evaluator(web)
     x0 = web.center + 0.05
     v0 = geodesics.tangent_vector(web, n + 2, x0, np.ones(n))
-    curved = name in CURVED_FRAME_WEBS or name == "exp2y"
-    for h in ((1e-3, 5e-4) if curved else (2e-3, 1e-3)):
+    for h in ((1e-3, 5e-4) if name == "pulled3" else (2e-3, 1e-3)):
         traj = geodesics.integrate_geodesic(gamma, x0, v0, T=0.2, h=h)
         for k, tree in enumerate(web.functions, start=1):
             miss = _line_miss(traj.times,

@@ -1,7 +1,5 @@
 """Totally-geodesic residuals, affine functions and geodesicity verdicts."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from geoweb import connection, fastgamma, invariants
 from geoweb.errors import DegenerateWebPoint
 from geoweb.sampling import random_points
 from geoweb.web import WebChart
-from geoweb.webfile import load_webfile
 
 import oracles
 from conftest import make_web, pull_back
@@ -168,13 +165,6 @@ PHIS = {"exp(%s)": np.exp, "3*(%s)+1": lambda f: np.full_like(f, 3.0),
 PSI = ["(x1+0.3*x2^2)", "(x2+0.2*x1*x2)"]
 
 
-def _law_web(name):
-    if name == "exp2y":
-        return make_web(name)
-    return load_webfile(os.path.join(os.path.dirname(__file__), os.pardir,
-                                     "perfbench", "webs", name + ".json"))
-
-
 def _table(web, points):
     # the value columns' names and an array (points, columns), every point
     # evaluated
@@ -194,7 +184,7 @@ def _relative_miss(got, want):
 
 @pytest.mark.parametrize("name", LAW_WEBS)
 def test_invariant_columns_under_reparametrization(name):
-    web = _law_web(name)
+    web = make_web(name)
     n = web.dim
     points = random_points(web, 20, seed=5)
     columns, plain = _table(web, points)
@@ -216,7 +206,7 @@ def test_invariant_columns_under_reparametrization(name):
 
 @pytest.mark.parametrize("name", LAW_WEBS)
 def test_invariant_columns_under_pullback(name):
-    web = _law_web(name)
+    web = make_web(name)
     n = web.dim
     subst = PSI + ["x%d" % (a + 1) for a in range(2, n)]
     pulled = WebChart.from_strings(n, pull_back(web.sources, subst),

@@ -1,6 +1,5 @@
 """Coframe normalization, frame duality and basis invariants."""
 
-import os
 import re
 
 import numpy as np
@@ -13,7 +12,6 @@ from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
 from geoweb.web import (WebChart, basis_invariants, normalize_coframe,
                         reorder_chart)
-from geoweb.webfile import load_webfile
 
 from conftest import bracket_structure_functions, make_web
 from oracles import pointed_chart
@@ -140,8 +138,7 @@ def test_one_jet_solve_gives_frame_and_every_invariant(monkeypatch):
     monkeypatch.setattr(web_module, "jet_linear_solve", counted)
     canonical_structure(make_web("mixed3"), (0.05, 0.04, 0.03), 3)
     assert len(calls) == 1
-    sin6 = load_webfile(os.path.join(os.path.dirname(__file__), os.pardir,
-                                     "perfbench", "webs", "sin6.json"))
+    sin6 = make_web("sin6")
     calls.clear()
     extra_foliations(sin6, random_points(sin6, 4, seed=1))
     assert len(calls) == 1

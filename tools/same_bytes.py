@@ -50,13 +50,13 @@ def golden_invocations(root):
             for name, (command, path, args, _) in sorted(golden.CASES.items())}
 
 
-def benchmark_invocations(root, seeds=SEEDS):
+def benchmark_invocations(root):
     """'<workload>/<seed>/<k>' -> argv of every benchmark invocation."""
     workloads = _module(os.path.join(root, "perfbench", "workloads.py"),
                         "_same_bytes_workloads")
     out = {}
     for name in workloads.NAMES:
-        for seed in seeds:
+        for seed in SEEDS:
             for k, inv in enumerate(workloads.build(name, seed).invocations):
                 out["%s/%d/%d" % (name, seed, k)] = inv.argv
     return out
@@ -88,8 +88,8 @@ def differences(parent, change, invocations):
     return out
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def main() -> int:
+    args = sys.argv[1:]
     if len(args) != 2:
         sys.stderr.write("usage: same_bytes.py PARENT_ROOT CHANGE_ROOT\n")
         return 1
