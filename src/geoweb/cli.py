@@ -256,7 +256,7 @@ def _cmd_connection(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    from . import fastgamma, geodesics
+    from . import expr, fastgamma, geodesics
 
     web = webfile.load_webfile(args.webfile)
     n = web.dim
@@ -278,11 +278,10 @@ def _cmd_geodesic(args) -> int:
     gamma = fastgamma.batched_gamma_evaluator(web)
     traj = geodesics.integrate_geodesic(gamma, x0, v0, args.T, args.h)
     drift = geodesics.leaf_drift(web, args.leaf, traj)
-    values = [fastgamma.batched_values(tree, traj.states)
-              for tree in web.functions]
+    values = expr.compile_program(web.functions)(traj.states, 0)[:, 0]
     names = (web.labels if web.labels is not None
              else ["f%d" % (k + 1) for k in range(web.d)])
-    rows = np.column_stack((traj.times, traj.states, *values)).tolist()
+    rows = np.column_stack((traj.times, traj.states, values.T)).tolist()
     meta = {**_base_meta(args, web),
             "from": ",".join("%.17g" % x for x in x0),
             "leaf": args.leaf,

@@ -134,13 +134,11 @@ def canonical_christoffels(cof: NormalizedCoframe,
 
 
 class CanonicalStructure:
-    """Everything built at one point or batch: coframe, invariants, theta,
-    connection."""
+    """Everything built at one point or batch: coframe, theta, connection."""
 
-    def __init__(self, cof: NormalizedCoframe, invariant: BasisInvariant,
-                 theta: ThetaSystem, conn: ConnectionField):
+    def __init__(self, cof: NormalizedCoframe, theta: ThetaSystem,
+                 conn: ConnectionField):
         self.cof = cof
-        self.invariant = invariant
         self.theta = theta
         self.conn = conn
 
@@ -164,4 +162,4 @@ def canonical_structure(web: WebChart, point, order: int = 3,
                              order - 2) for ti in t]
     theta = theta_system(cof, inv, t)
     conn = canonical_christoffels(cof, theta)
-    return CanonicalStructure(cof, inv, theta, conn)
+    return CanonicalStructure(cof, theta, conn)

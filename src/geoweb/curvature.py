@@ -138,8 +138,7 @@ def linearizability_verdict(web: WebChart, points) -> SampleReport:
     rep = aggregate_rows(rows, "linearizable", "not_linearizable",
                          LINEARIZABLE_PASS_FACTOR)
     if extra:
-        geo = rep.geodesicity = aggregate_rows(geo_rows[0], "geodesic",
-                                               "not_geodesic")
+        geo = aggregate_rows(geo_rows[0], "geodesic", "not_geodesic")
         rep.notes.append("geodesicity: %s" % geo.verdict)
         if geo.verdict == "not_geodesic":
             rep.verdict = "not_linearizable"

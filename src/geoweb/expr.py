@@ -3,7 +3,7 @@
 Grammar (precedence low to high): `+ -`, `* /`, unary minus, `^`
 (right-associative), atoms.  Variables are x1..xn; functions are exp, log,
 sin, cos, sqrt, atan; literals are decimal or scientific.  Trees are
-immutable; the canonical printer is a fixed point under reparsing.
+immutable, and printing a reparsed canonical text gives that text again.
 
 Trees are evaluated by programs compiled once (`compile_program`): each
 constant subtree is folded to a float, and every other node becomes a
@@ -35,8 +35,7 @@ from .jets import Jet
 
 
 class _Node:
-    """Immutable tree node, equal to a node of its own type with equal
-    fields (so Const(1.0) != Var(1)) and hashed alike."""
+    """Immutable tree node."""
 
     __slots__ = ()
 
@@ -52,14 +51,6 @@ class _Node:
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self).__name__,) + self._fields())
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
@@ -303,7 +294,8 @@ def _print(node, parent_level):
 
 
 def print_expression(node: Node) -> str:
-    """Canonical text form; parse(print(parse(s))) == parse(s)."""
+    """Canonical text form, a fixed point of printing after reparsing:
+    print(parse(print(parse(s)))) == print(parse(s))."""
     return _print(node, 0)
 
 

@@ -1,11 +1,11 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times; the tensor-shaped jet route is 24 to 34 times slower
-(order 2, one point a call, medians of 11 interleaved rounds of 50 points
-in one process on a noisy 2-core x86-64 machine: 1.73 / 2.08 / 1.45 ms
-against 0.061 / 0.088 / 0.044 ms here on the benchmark webs xy4 / mixed3
-/ web4).  The web functions are compiled once into the
+thousands of times.  Such a call takes 30 / 48 / 45 us on the benchmark
+webs xy4 / mixed3 / web4 (`BENCH_20.json`'s attribution, 2-core x86-64),
+and the tensor-shaped jet route takes 26 to 35 times as long for one
+point (order 2; medians of 11 interleaved rounds in one process on the
+same kind of machine).  The web functions are compiled once into the
 `expr.compile_program` program that also gives each per-point `Jet`, so a
 batch column, and each row of a call, is bit for bit its point alone.
 
@@ -77,7 +77,9 @@ from .web import (COINCIDENCE_FLOOR, CONDITION_LIMIT, DEGENERACY_FLOOR,
 
 
 def batched_values(tree, X) -> np.ndarray:
-    """Function values over a batch of points (order-0 evaluation)."""
+    """Function values over a batch of points (order-0 evaluation).  No
+    module of the package calls it; `perfbench/spans.py` wraps it by
+    name."""
     return expr.eval_coeffs(tree, X, 0)[0]
 
 

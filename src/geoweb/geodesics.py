@@ -29,7 +29,7 @@ try:
 except ImportError:     # numpy 1.x
     from numpy.core.multiarray import c_einsum
 
-from . import fastgamma
+from . import expr
 from .errors import DegenerateWebPoint, StepTooLarge
 from .web import WebChart
 
@@ -45,10 +45,6 @@ class Trajectory:
         self.states = states    # (steps+1, n), or (steps+1, B, n) for a batch
         self.velocities = velocities    # same shape as states
         self.step = step
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def integrate_geodesic(gamma_of_x, x0, v0, T: float, h: float) -> Trajectory:
@@ -145,7 +141,9 @@ def tangent_vector(web: WebChart, i: int, point, direction) -> np.ndarray:
     exact unless an entry falls below the normal range, so directions
     that differ by a power of two give the same bits.
     """
-    g = web.eval_function(i, point, order=1).derivatives().value
+    # the gradient: the order-1 Taylor coefficients
+    g = expr.eval_coeffs(web.functions[i - 1], np.reshape(point, (1, -1)),
+                         1)[1:, 0]
     d = np.array(direction, dtype=float)
     d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,14 +171,15 @@ def leaf_drift(web: WebChart, i: int, traj: Trajectory):
     states = traj.states
     n = states.shape[-1]
     points = states.reshape(-1, n)
-    values = fastgamma.batched_values(web.functions[i - 1], points)
+    tree = web.functions[i - 1]
+    values = expr.eval_coeffs(tree, points, 0)[0]
     values = values.reshape(states.shape[:-1])
     dev = np.abs(values - values[0]).max(axis=0)
-    # the norm of each 1-D gradient: a row-wise norm over a matrix sums in
-    # another order and can differ in the last bit
-    gnorm = np.array([np.linalg.norm(
-        web.eval_function(i, x, order=1).derivatives().value)
-        for x in states[0].reshape(-1, n)])
+    # the norm of each 1-D gradient, from the order-1 coefficients at each
+    # start: a row-wise norm over a matrix sums in another order and can
+    # differ in the last bit
+    grads = expr.eval_coeffs(tree, states[0].reshape(-1, n), 1)[1:].T
+    gnorm = np.array([np.linalg.norm(g) for g in grads])
     gnorm = gnorm.reshape(states.shape[1:-1])
     seglen = np.linalg.norm(np.diff(states, axis=0), axis=-1).sum(axis=0)
     denom = gnorm * seglen

@@ -62,9 +62,7 @@ class SampleReport:
         self.rows = rows
         self.max_value = max_value  # None when no point was evaluated
         self.excluded_fraction = excluded_fraction
-        self.vacuous = False
         self.notes: List[str] = []
-        self.geodesicity: Optional[SampleReport] = None
 
 
 def aggregate_rows(rows, pass_word, fail_word, pass_factor=PASS_FACTOR):
@@ -220,7 +218,6 @@ def geodesicity_test(web: WebChart, points) -> SampleReport:
 
     rows, = sample_rows(measure, points, ("discrepancy",), 2)
     rep = aggregate_rows(rows, "geodesic", "not_geodesic")
-    rep.vacuous = vacuous
     if vacuous:
         rep.notes.append("d = n+2: geodesic by construction, no comparisons")
     return rep

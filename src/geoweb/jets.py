@@ -406,9 +406,6 @@ class Jet:
     def __sub__(self, other):
         return self._binary(other, np.subtract, lambda c, x: shift(c, -x))
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: coeff_mul(
             a, b, _tables(self.dim, self.order)), np.multiply)

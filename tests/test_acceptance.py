@@ -249,9 +249,9 @@ def test_09_dynamical_oracle():
     web = make_web("curved4")
     gamma = fastgamma.batched_gamma_evaluator(web)
     x0, v0 = np.array([0.05, -0.1]), np.array([0.6, -0.45])
-    ref = geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1 / 1600).endpoint
+    ref = geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1 / 1600).states[-1]
     errs = [np.linalg.norm(
-        geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1.0 / m).endpoint
+        geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1.0 / m).states[-1]
         - ref) for m in (100, 200, 400)]
     ratios = [e1 / e2 for e1, e2 in zip(errs, errs[1:])]
     ok = (worst <= 1e-6 and control is not None and control >= 1e-3

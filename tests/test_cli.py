@@ -162,20 +162,23 @@ def test_undefined_constant_is_one_line_error(tmp_path, constant):
         UNDEFINED[constant])
 
 
-@pytest.mark.parametrize("target", ["directory", "missing/dir/x.csv"])
-def test_unwritable_out_is_one_line_error(tmp_path, target):
+UNWRITABLE = {"directory": "Is a directory",
+              "missing/dir/x.csv": "No such file or directory"}
+
+
+@pytest.mark.parametrize("target", UNWRITABLE)
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, target):
     out_path = tmp_path / target
     if target == "directory":
         out_path.mkdir()
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "webs", "xy4.json")
-    code, out, err = run_geoweb("linearize", path, "--random", "3",
-                                "--seed", "1", "--out", str(out_path))
-    assert code == 1
+    assert cli.main(["linearize", path, "--random", "3", "--seed", "1",
+                     "--out", str(out_path)]) == 1
+    out, err = capsys.readouterr()
     assert out == ""
-    assert len(err.splitlines()) == 1, err
-    assert "Traceback" not in err
-    assert str(out_path) in err
+    assert err == "geoweb: error: cannot write --out %s: %s\n" % (
+        out_path, UNWRITABLE[target])
 
 
 # the entry run in a child as `python -m geoweb --version`; prints the exit
@@ -626,6 +629,53 @@ def test_stdout_when_no_out_file(webdir, capsys):
     text = capsys.readouterr().out
     assert text.startswith("# command=check")
     assert "# verdict=geodesic" in text
+
+
+def test_grid_of_one_samples_the_domain_center(tmp_path):
+    # np.linspace(-h, h, 1) is [-h]: a lattice of one point is the center
+    path = tmp_path / "offcenter.json"
+    path.write_text(json.dumps({**WEBS["lin5"], "domain": {
+        "center": [0.125, -0.25], "radius": 0.3}}))
+    out = tmp_path / "check.csv"
+    assert cli.main(["check", str(path), "--grid", "1",
+                     "--out", str(out)]) == 0
+    meta, header, rows = read_report(out)
+    assert (meta["grid"], meta["count"]) == ("1", "1")
+    assert [r[:4] for r in rows] == [["0", "0.125", "-0.25", "ok"]]
+
+
+# lin5 with its fifth function bent by 1e-5 x1^2: every discrepancy lies
+# between the pass and fail factors, and no point is excluded
+NEAR_LIN5 = {**WEBS["lin5"],
+             "functions": WEBS["lin5"]["functions"][:4]
+             + ["x1+3*x2+1e-5*x1^2"]}
+
+
+def test_residual_between_the_factors_is_inconclusive(tmp_path):
+    path = tmp_path / "near5.json"
+    path.write_text(json.dumps(NEAR_LIN5))
+    out = tmp_path / "check.csv"
+    assert cli.main(["check", str(path), "--random", "20", "--seed", "1",
+                     "--out", str(out)]) == 3
+    meta, header, rows = read_report(out)
+    assert meta["verdict"] == "inconclusive"
+    assert meta["excluded_fraction"] == "0"
+    assert float(meta["max_discrepancy"]) == pytest.approx(3.0e-5, rel=1e-3)
+    assert {r[header.index("status")] for r in rows} == {"ok"}
+
+
+def test_inconclusive_geodesicity_makes_linearizable_inconclusive(tmp_path):
+    # the obstruction alone passes (0 on a flat frame); the geodesicity
+    # pre-pass between the factors turns `linearizable` into inconclusive
+    path = tmp_path / "near5.json"
+    path.write_text(json.dumps(NEAR_LIN5))
+    out = tmp_path / "lin.csv"
+    assert cli.main(["linearize", str(path), "--random", "20", "--seed", "1",
+                     "--out", str(out)]) == 3
+    meta, header, rows = read_report(out)
+    assert (meta["max_obstruction"], meta["excluded_fraction"]) == ("0", "0")
+    assert meta["verdict"] == "inconclusive"
+    assert meta["note"] == "geodesicity: inconclusive"
 
 
 def test_version_flag(capsys):

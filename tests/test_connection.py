@@ -25,6 +25,14 @@ def test_skew_invariant_spot_value():
     assert struct.theta.s[0][1].value == pytest.approx(2.0, abs=1e-9)
 
 
+def test_skew_invariant_refuses_equal_indices():
+    web = make_web("xy4")
+    cof = normalize_coframe(web, np.array([0.05, -0.1]), 3)
+    inv = basis_invariants(cof, web, 4)
+    with pytest.raises(ValueError, match="needs distinct indices"):
+        connection.skew_invariant(cof, inv, 1, 1)
+
+
 def test_skew_invariant_antisymmetry():
     web = make_web("curved4")
     cof = normalize_coframe(web, (0.2, -0.1), order=3)

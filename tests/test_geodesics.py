@@ -4,7 +4,7 @@ the integrated connection belongs to."""
 import numpy as np
 import pytest
 
-from geoweb import fastgamma, geodesics
+from geoweb import expr, fastgamma, geodesics
 from geoweb.errors import DegenerateWebPoint, StepTooLarge
 from geoweb.web import WebChart
 
@@ -43,6 +43,17 @@ def test_defining_foliations_keep_their_leaves():
         assert geodesics.leaf_drift(web, i, traj)[i - 1] <= 1e-6, i
 
 
+def test_drift_of_a_standing_trajectory_has_no_reference_scale():
+    # zero start velocity: the polyline has length 0
+    web = make_web("xy4")
+    gamma = fastgamma.batched_gamma_evaluator(web)
+    traj = geodesics.integrate_geodesic(gamma, [0.05, -0.1], [0.0, 0.0],
+                                        T=0.1, h=0.05)
+    with pytest.raises(DegenerateWebPoint,
+                       match="drift reference scale vanishes for foliation 4"):
+        geodesics.leaf_drift(web, 4, traj)
+
+
 def test_drift_separates_geodesic_from_perturbed():
     x0 = np.array([0.05, -0.1])
     for name, bound, which in (("lin5", 1e-6, "below"),
@@ -62,9 +73,9 @@ def test_rk4_endpoint_contraction():
     web = make_web("curved4")
     gamma = fastgamma.batched_gamma_evaluator(web)
     x0, v0 = np.array([0.05, -0.1]), np.array([0.6, -0.45])
-    ref = geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1 / 1600).endpoint
+    ref = geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1 / 1600).states[-1]
     errs = [np.linalg.norm(
-        geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1.0 / m).endpoint
+        geodesics.integrate_geodesic(gamma, x0, v0, 0.5, 1.0 / m).states[-1]
         - ref) for m in (100, 200, 400)]
     for e1, e2 in zip(errs, errs[1:]):
         assert 12.0 < e1 / e2 < 20.0
@@ -273,7 +284,7 @@ def test_time_is_the_affine_parameter_of_f_n_plus_1(name):
         traj = geodesics.integrate_geodesic(gamma, x0, v0, T=0.2, h=h)
         for k, tree in enumerate(web.functions, start=1):
             miss = _line_miss(traj.times,
-                              fastgamma.batched_values(tree, traj.states))
+                              expr.eval_coeffs(tree, traj.states, 0)[0])
             if k == n + 1:
                 assert miss <= 1e-12, (h, k)
             elif k != n + 2:

@@ -1,13 +1,15 @@
 """The measuring tools under `tools/`: the byte-identity check between two
-checkouts and the code-line count."""
+checkouts, the same-process A/B and the code-line count."""
 
 import os
+import shutil
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+import ab  # noqa: E402
 import loc  # noqa: E402
 import same_bytes  # noqa: E402
 
@@ -28,6 +30,34 @@ def test_same_bytes_lists_every_benchmark_invocation_at_both_seeds():
     assert len(invs) == 2 * 13
     assert invs["scan-order2/2/0"] == ("check", "perfbench/webs/lin5.json",
                                        "--random", "250", "--seed", "2")
+
+
+def test_ab_round_of_a_tree_against_itself():
+    diffs, rows = ab.compare(ROOT, ROOT, rounds=1)
+    assert diffs == []
+    names = [row[0] for row in rows]
+    assert len(names) == 3 * (len(ab.BATCHES) + 2)
+    assert {"rk4 xy4", "cli mixed3", "gamma web4 rows 64"} <= set(names)
+    for name, parent_ms, change_ms, ratio, control in rows:
+        assert 0 < min(parent_ms, change_ms) < 1e4, name
+        assert 0 < min(ratio, control) < 1e3, name
+
+
+def test_ab_refuses_to_time_a_tree_one_ulp_off(tmp_path):
+    # a copy whose tangent vector is one ulp longer: every run differs from
+    # its start on, and nothing is timed
+    for part in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    geodesics = tmp_path / "src" / "geoweb" / "geodesics.py"
+    text = geodesics.read_text()
+    assert text.count("    return t / nt\n") == 1
+    geodesics.write_text(text.replace("    return t / nt\n",
+                                      "    return t / nt * (1 + 2.0 ** -52)\n"))
+    diffs, rows = ab.compare(ROOT, str(tmp_path), rounds=1)
+    assert rows == []
+    assert {label for label, _ in diffs} == {"xy4", "mixed3", "web4"}
+    assert ("xy4", "tangent") in diffs and ("web4", "report") in diffs
 
 
 def test_loc_leaves_out_docstrings_comments_and_blank_lines():

@@ -80,6 +80,15 @@ def test_basis_invariants_parallel_class():
     assert np.allclose(inv.projective_class(), [0.5, 1.0], atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [3, 6])
+def test_basis_invariants_refuse_a_foliation_outside_the_extras(k):
+    web = make_web("lin5")
+    cof = normalize_coframe(web, np.array([0.05, -0.1]), 2)
+    with pytest.raises(ValueError, match="foliation index %d outside "
+                       r"n\+2..d = 4..5" % k):
+        basis_invariants(cof, web, k)
+
+
 def test_basis_invariants_solve_the_expansion():
     web = make_web("curved4")
     point = (0.21, -0.13)
