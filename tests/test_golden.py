@@ -22,6 +22,7 @@ HERE = os.path.dirname(__file__)
 WEBS = os.path.join(HERE, os.pardir, "perfbench", "webs")
 NODES = os.path.join(HERE, "webs", "nodes.json")
 SAMPLE = ("--random", "20", "--seed", "1")
+GRID = ("--grid", "4")
 GEODESIC = {"xy4": ("--from", "0.1,0.05", "--leaf", "4", "--dir", "1,0",
                     "--T", "0.02", "--h", "0.002"),
             "mixed3": ("--from", "0.05,0.05,0.05", "--leaf", "5",
@@ -54,6 +55,14 @@ CASES["linearize-mixed3-json"] = (
     "linearize", _bench("mixed3"), ("--random", "5", "--seed", "2",
                                     "--format", "json"), 2)
 CASES["linearize-nodes"] = ("linearize", NODES, SAMPLE, 2)
+# the same commands on a lattice: no random number reaches these reports
+for _cmd, _webs in (("linearize", ("xy4", "curved4", "lin5", "mixed3",
+                                   "web4")),
+                    ("check", ("lin5", "sin6", "cubic6")),
+                    ("invariants", ("sin6", "cubic6"))):
+    for _web in _webs:
+        _code = 0 if _cmd == "invariants" or _web in ("xy4", "lin5") else 2
+        CASES["%s-%s-grid4" % (_cmd, _web)] = (_cmd, _bench(_web), GRID, _code)
 CASES["geodesic-nodes"] = ("geodesic", NODES, (
     "--from", "0.05,0.05", "--leaf", "5", "--T", "0.02", "--h", "0.002"), 0)
 
@@ -68,8 +77,14 @@ CASES["geodesic-nodes"] = ("geodesic", NODES, (
 DIGESTS = {
     "check-cubic6":
         "54229bcf9e9ba7f764fabe8890c1859019afd4052a49f9ee356b99237977f25a",
+    "check-cubic6-grid4":
+        "aabc2c7095fe23715749b63ec986ff41d83f753d2d8ee5b1e7538c9f1f962d84",
+    "check-lin5-grid4":
+        "95b1e7b33be4ea498296c40f6cd2179294652f2b1ab3016ffa1b99db21e02e96",
     "check-sin6":
         "4a920ecdcaba6a8044ca39b00e9d88963844881485c1282ea6df469499efbfc0",
+    "check-sin6-grid4":
+        "01a85bee2985b93197e83c29c37529a6fe8025776a56e69137a231257edb7e49",
     "connection-mixed3-pointed":
         "bfa672c06c90bab96927a3189eca54f6de38a500df0622bed8d92c235539bd64",
     "connection-mixed3-zero":
@@ -78,32 +93,46 @@ DIGESTS = {
         "91d0eb95d7b48e8ce9c3677971ce9dae97133a4d54b76e0ceea8cf7bfdc67100",
     "connection-xy4-zero":
         "67c2b59f843fdb8b3c9f256f552204201fd7b8317ba96abcfbe4339882963f89",
-    "geodesic-nodes":
-        "782ef86c483b5ec35c7e15f19c78bd87a6a1ecc391afa86007fd1e2d4e9b0bdb",
     "geodesic-mixed3":
         "799b5d581adb50772074fd11f5fecb16c015431ee75ed3c87e898a5840063b00",
+    "geodesic-nodes":
+        "782ef86c483b5ec35c7e15f19c78bd87a6a1ecc391afa86007fd1e2d4e9b0bdb",
     "geodesic-web4":
         "9823f8a212758658256f476a6aeb3d3c4340f979fe89f7cb6cdd4a07284a218e",
     "geodesic-xy4":
         "afc41ff519a78e7ae5d1a8c75b4eb1189eca298f7197c37e9f41807845fe5877",
     "invariants-cubic6":
         "b0a2474f1c02fc7f01546e7079e42784b6111fd5fe607512fa236285236009f0",
+    "invariants-cubic6-grid4":
+        "264370bf38b5fc02ab1b8bfea31cec3ba35fb1a7f7d1352b6b96642de15ef10e",
     "invariants-sin6":
         "c91ab90bc72dfa2d8f0bfa3e3a9a53a693007dfbdbe4e689b4d3b24f573c8ecd",
+    "invariants-sin6-grid4":
+        "11f7bd05db310e1960109fe22ed9765070385e5e4bc113ecf6b9fa790773a1d8",
     "linearize-curved4":
         "951b413cf74151d39c4fc54554f7d2622343dfa3ff06da5d918e41b93ce2d5e4",
+    "linearize-curved4-grid4":
+        "96b803f3a536527c755f73311a392c989bd8c668458c5463ab6769cc8663962a",
     "linearize-lin5":
         "de3ff81e8fa65e3d721df7e1b7865bebae13b20929cc3538ca5d296eb308bbf5",
+    "linearize-lin5-grid4":
+        "c02d649ad9a21627fe0fce4329173e68f0bca29274505cd88faa9989630d8ac7",
     "linearize-mixed3":
         "49a567b9bf755e164892888d2f3d640e630e242cd34a3325d2e7fa6d1d5f0dfe",
+    "linearize-mixed3-grid4":
+        "e20c0220798a83f52dcb39d4ad24d25f12a1fcca3e4a07cbe06e8998cc9f8c9f",
     "linearize-mixed3-json":
         "8fade6065fd55eb5dd082f938a637ecdf48eb73bf50f3ecb5bdd3d22c234c289",
     "linearize-nodes":
         "60c87fe29ed18d7a9b5eb8d7470655cd9f753dc8bc9f5d054c7fc15beececead",
     "linearize-web4":
         "2ca3ccdbc57f8195f29f1641a9e4806533c06cd46f89aae7d4cefbaa507dd973",
+    "linearize-web4-grid4":
+        "54a21238dcfee8c2235e87b83b8074f70b2c3bcc3da0666ffe0b4cfea022289f",
     "linearize-xy4":
         "17d08b18062696c69efb02ed0045dbdc747d714dd8fc190896d42d2d46e07dc4",
+    "linearize-xy4-grid4":
+        "afc4f2a5169a6a8e80d70c2c15cb9d83d772de12381681a4ee03512f11170735",
 }
 
 
