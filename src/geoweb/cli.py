@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_coords(
             sys.argv[1:] if argv is None else argv))
-        # numpy seeds its generator with any integer >= 0
+        # random.Random seeds with |seed|, so -5 would draw seed 5's sample
         if getattr(args, "seed", 0) < 0:
             parser.error("argument --seed: must be a non-negative integer, "
                          "got %d" % args.seed)

@@ -715,6 +715,45 @@ def test_geodesic_loads_only_the_modules_it_runs():
     assert load_webfile(path).digest == hashlib.sha256(data).hexdigest()
 
 
+# the module entry run in a child on the command in argv[1] (JSON); prints
+# the exit code and the modules loaded by then
+_MODULES_PROBE = (
+    "import contextlib, io, json, runpy, sys\n"
+    "sys.argv[1:] = json.loads(sys.argv[1])\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    try:\n"
+    "        runpy.run_module('geoweb', run_name='__main__', alter_sys=True)\n"
+    "    except SystemExit as e:\n"
+    "        code = e.code\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "{d}/lin5.json", "--random", "5", "--seed", "1"], 0),
+    (["linearize", "{d}/curved4.json", "--random", "5", "--seed", "1"], 2),
+    (["invariants", "{d}/pert5.json", "--random", "5", "--seed", "1"], 0),
+    (["geodesic", "{d}/xy4.json", "--from", "0.1,0.05", "--leaf", "4",
+      "--dir", "1,0", "--T", "0.01", "--h", "0.005"], 0),
+    (["connection", "{d}/xy4.json", "--at", "0.1,0.05"], 0),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_no_command_loads_numpy_random_or_openssl(webdir, argv, code):
+    # a seeded sample is drawn with the interpreter's own Mersenne Twister:
+    # no process loads numpy's generators, `secrets` or, where CPython has
+    # a built-in SHA-256 for the web file's digest, OpenSSL
+    argv = [a.format(d=webdir) for a in argv]
+    src = os.path.dirname(os.path.dirname(geoweb.__file__))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE,
+                           json.dumps(argv)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stderr == ""
+    status, modules = json.loads(proc.stdout)
+    assert status == code
+    assert not {"numpy.random", "secrets"} & set(modules)
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        assert "_hashlib" not in modules
+
+
 # a coordinate list that starts with a minus sign, after its flag or
 # attached with "="; the two spellings must give the same report
 NEGATIVE_COORDS = [
