@@ -63,9 +63,11 @@ def test_ab_refuses_to_time_a_tree_one_ulp_off(tmp_path):
     assert ("xy4", "tangent") in diffs and ("web4", "report") in diffs
 
 
-def _run_result(failed, **metrics):
+def _run_result(failed, metrics):
+    """The last stdout line of a benchmark run, as `perfbench/run.py`
+    prints it."""
     return {"correct": failed == 0, "attempted": 40, "failed": failed,
-            "metrics": {k.replace("_p50", ".p50"): {"value": v, "unit": ""}
+            "metrics": {k: {"value": v, "unit": ""}
                         for k, v in metrics.items()}}
 
 
@@ -78,7 +80,7 @@ def test_pairs_alternate_which_side_runs_first():
 def test_pairs_reads_a_benchmark_run():
     stdout = ('# environment {"nproc": 2, "python": "3.11.7"}\n'
               "# workload linearize-n2: 3 commands x 9 passes\n"
-              + json.dumps(_run_result(0, peak_rss_mb=32.5)) + "\n")
+              + json.dumps(_run_result(0, {"peak_rss_mb": 32.5})) + "\n")
     env, result = pairs.parse_run(stdout)
     assert env == {"nproc": 2, "python": "3.11.7"}
     assert result["metrics"]["peak_rss_mb"]["value"] == 32.5
@@ -92,9 +94,8 @@ def test_pairs_summary_of_synthetic_runs():
               (0.59, 101.0)]
     records = [pairs.pair_record(
         k, 900 + k,
-        {"parent": _run_result(0, wall_ref_p50=p[0], work_per_ref=p[1]),
-         "change": _run_result(k == 3, wall_ref_p50=c[0],
-                               work_per_ref=c[1])}, metrics)
+        {"parent": _run_result(0, dict(zip(metrics, p))),
+         "change": _run_result(k == 3, dict(zip(metrics, c)))}, metrics)
         for k, (p, c) in enumerate(zip(parent, change), 1)]
     assert records[1]["first"] == "change"
     assert records[0]["parent"] == {"wall_ref.p50": 0.60,
