@@ -99,10 +99,10 @@ DIGESTS = {
         "91d0eb95d7b48e8ce9c3677971ce9dae97133a4d54b76e0ceea8cf7bfdc67100",
     "connection-xy4-zero":
         "67c2b59f843fdb8b3c9f256f552204201fd7b8317ba96abcfbe4339882963f89",
-    "geodesic-mixed3":
-        "799b5d581adb50772074fd11f5fecb16c015431ee75ed3c87e898a5840063b00",
     "geodesic-nodes":
         "782ef86c483b5ec35c7e15f19c78bd87a6a1ecc391afa86007fd1e2d4e9b0bdb",
+    "geodesic-mixed3":
+        "799b5d581adb50772074fd11f5fecb16c015431ee75ed3c87e898a5840063b00",
     "geodesic-web4":
         "9823f8a212758658256f476a6aeb3d3c4340f979fe89f7cb6cdd4a07284a218e",
     "geodesic-xy4":

@@ -2,12 +2,13 @@
 BENCH file.
 
     python tools/pairs.py PARENT_ROOT CHANGE_ROOT --workload W --pairs K \\
-        --seed0 S --out BENCH_<n>.json [--seconds 30]
+        --seed0 S --out BENCH_<n>.json
 
 Pair k (k = 1..K) runs `perfbench/run.py --workload W --seed S+k-1
 --seconds T` once in each root, from that root, so each side measures its
 own `src/`: the parent first when k is odd, the change first when k is
-even.  `--workload` may be given more than once; the workloads run one
+even.  T is the `run_seconds` of CHANGE_ROOT's BENCHMARK.json, the same
+for both sides.  `--workload` may be given more than once; the workloads run one
 after another.  The file is written again after every pair, so a cut run
 leaves the pairs it finished.  For each workload it holds the seconds,
 the seeds, the failed count, every pair's end-to-end metrics (the names
@@ -118,17 +119,17 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed0", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"),
               encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"]
-                   for m in json.load(fh)["end_to_end"]}
+        declared = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    seconds = declared["run_seconds"]
     bench = {
         "description": "",
         "command": ("python3 perfbench/run.py --workload W --seed S "
-                    "--seconds %g" % args.seconds),
+                    "--seconds %g" % seconds),
         "pairing": ("parent and change runs alternate; within pair k the "
                     "parent runs first when k is odd, the change first when "
                     "k is even; pair k uses the k-th of its workload's seeds "
@@ -143,13 +144,12 @@ def main(argv=None) -> int:
             results = {}
             for side in order(k):
                 root = args.parent if side == "parent" else args.change
-                env, results[side] = run_once(root, workload, seed,
-                                              args.seconds)
+                env, results[side] = run_once(root, workload, seed, seconds)
                 if side == "change":
                     bench["environment"] = env
             pairs.append(pair_record(k, seed, results, metrics))
-            bench["workloads"][workload] = workload_entry(args.seconds,
-                                                          pairs, metrics)
+            bench["workloads"][workload] = workload_entry(seconds, pairs,
+                                                          metrics)
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(bench, fh, indent=1)
                 fh.write("\n")
