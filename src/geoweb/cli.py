@@ -28,7 +28,8 @@ from . import __version__, webfile
 from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
                      StepTooLarge, WebFileError)
 from .report import Report
-from .web import basis_invariants, pointed_order, reorder_chart
+from .web import (basis_invariants, pointed_order, projective_class,
+                  reorder_chart)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -231,12 +232,11 @@ def _cmd_connection(args) -> int:
     struct = connection.canonical_structure(work, point)
     rows = []
     for k in range(web.dim + 2, work.d + 1):
-        inv = basis_invariants(struct.cof, work, k)
-        for section, values in (("a", inv.a.value),
-                                ("a_class", inv.projective_class())):
+        a = basis_invariants(struct.cof, work, k).value
+        for section, values in (("a", a), ("a_class", projective_class(a))):
             rows.extend([section, index[k - 1], i + 1, "", float(v)]
                         for i, v in enumerate(values))
-    for section, values in (("theta", struct.theta.theta.value),
+    for section, values in (("theta", struct.theta.value),
                             ("frame_gamma", struct.conn.frame_gamma.value),
                             ("coord_gamma", struct.conn.gamma_values())):
         for idx, v in np.ndenumerate(values):

@@ -27,59 +27,53 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .jets import Jet, grid, ordered_sum, skew_upper, stack, where
-from .web import (BasisInvariant, NormalizedCoframe, WebChart,
-                  basis_invariants, check_coincidence, normalize_coframe,
-                  skew_formula)
+from .jets import (Jet, directional_derivative, grid, ordered_sum, skew_upper,
+                   stack, where)
+from .web import (NormalizedCoframe, WebChart, basis_invariants,
+                  check_coincidence, normalize_coframe, skew_formula)
 
 
-def skew_invariant(cof: NormalizedCoframe, inv: BasisInvariant, i, j) -> Jet:
+def skew_invariant(cof: NormalizedCoframe, a: Jet, i, j) -> Jet:
     """s_ij = (a_i d_j - a_j d_i) log(a_j / a_i) / (a_i - a_j), frame indices.
 
     Expanded through logarithmic derivatives so negative a-components are
-    fine; only a_i != a_j and a_i, a_j != 0 are required.  i and j may be
-    equal-length index arrays with i < j; the result then has their shape.
+    fine; only a_i != a_j and a_i, a_j != 0 are required.  `a` is the
+    basis-invariant jet of one foliation.  i and j may be equal-length
+    index arrays with i < j; the result then has their shape.
     """
     i, j = np.asarray(i), np.asarray(j)
     if np.any(i == j):
         raise ValueError("skew invariant needs distinct indices")
     if i.ndim == 0 and i > j:
-        return -skew_invariant(cof, inv, j, i)
-    a = inv.a
+        return -skew_invariant(cof, a, j, i)
     check_coincidence(a.coeffs[0][i], a.coeffs[0][j], i, j, cof.point)
     r = cof.order - 1
-    d = cof.frame_derivatives(a)       # d[p][q] = D_p a_q
+    d = directional_derivative(a, cof.frame)   # d[p][q] = D_p a_q
     u, v = a[i].truncate(r), a[j].truncate(r)
     return skew_formula(u, v, d[i, i] / u, d[i, j] / v, d[j, i] / u,
                         d[j, j] / v)
 
 
-def skew_matrix(cof: NormalizedCoframe, inv: BasisInvariant) -> Jet:
-    """All skew invariants of one foliation: the antisymmetric (n, n) jet
-    s[i][j] = s_ij, with the coincidence checks run pair by pair."""
+def skew_matrix(cof: NormalizedCoframe, a: Jet) -> Jet:
+    """All skew invariants of the foliation with basis invariants `a`: the
+    antisymmetric (n, n) jet s[i][j] = s_ij, with the coincidence checks
+    run pair by pair."""
     i, j = grid(cof.dim, 2)
     upper = np.nonzero(i < j)
     pair = np.zeros(i.shape, dtype=np.intp)
     pair[upper] = np.arange(len(upper[0]))
-    return skew_upper(skew_invariant(cof, inv, *upper)[pair])
+    return skew_upper(skew_invariant(cof, a, *upper)[pair])
 
 
-class ThetaSystem:
-    """theta_i = sum_j theta[i][j] omega_j, from the symmetric gauge t."""
-
-    def __init__(self, s: Jet, theta: Jet):
-        self.s = s              # (n, n), s[i][j] = -s[j][i]
-        self.theta = theta      # (n, n), theta[i][j] = t[j] + s[i][j]
-
-
-def theta_system(cof: NormalizedCoframe, inv: BasisInvariant,
-                 t: Optional[list] = None) -> ThetaSystem:
-    n = cof.dim
+def theta_system(cof: NormalizedCoframe, a: Jet,
+                 t: Optional[list] = None) -> Jet:
+    """theta_i = sum_j theta[i][j] omega_j: the (n, n) jet theta[i][j] =
+    t[j] + s[i][j] from the skew matrix of `a` and the symmetric gauge t
+    (None for t = 0)."""
     r = cof.order - 1
-    t = (Jet.constant(np.zeros(n), n, r) if t is None
+    t = (Jet.constant(np.zeros(cof.dim), cof.dim, r) if t is None
          else stack([ti.truncate(r) for ti in t]))
-    s = skew_matrix(cof, inv)
-    return ThetaSystem(s, t + s)
+    return t + skew_matrix(cof, a)
 
 
 class ConnectionField:
@@ -108,22 +102,22 @@ class ConnectionField:
 
 
 def canonical_christoffels(cof: NormalizedCoframe,
-                           theta: ThetaSystem) -> ConnectionField:
-    """Frame and coordinate symbols from the theta system by the closed
-    form of the module docstring."""
+                           theta: Jet) -> ConnectionField:
+    """Frame and coordinate symbols from the theta jet of `theta_system`
+    by the closed form of the module docstring."""
     n = cof.dim
     r = cof.order - 1
     lam = cof.lam[:n].truncate(r)
-    th = theta.theta
     # L[j][i] = D_i log lam_j, Q = (L - theta) / 2 and K[j][a] = Q[j][i] W_ia
-    L = cof.frame_derivatives(cof.lam[:n]).transpose() / lam[:, None]
-    Q = (L - th) * 0.5
+    L = (directional_derivative(cof.lam[:n], cof.frame).transpose()
+         / lam[:, None])
+    Q = (L - theta) * 0.5
     Wt = cof.omega[:n].truncate(r)
     K = ordered_sum(Q[:, i, None] * Wt[i] for i in range(n))
     k, p, q = grid(n, 3)
     fg = where(q == k, Q[k, p], 0.0)
     fg = where(p == k, Q[k, q] - L[k, q], fg)
-    fg = where((p == k) & (q == k), -th[k, k], fg)
+    fg = where((p == k) & (q == k), -theta[k, k], fg)
     # T[j][a][b] = lam_j d_a d_b f_j + W_ja K_jb + K_ja W_jb, and
     # gamma[c][a][b] = sum over j in order of E_j^c T[j][a][b]
     P = K[:, None] * Wt[:, :, None]
@@ -136,10 +130,10 @@ def canonical_christoffels(cof: NormalizedCoframe,
 class CanonicalStructure:
     """Everything built at one point or batch: coframe, theta, connection."""
 
-    def __init__(self, cof: NormalizedCoframe, theta: ThetaSystem,
+    def __init__(self, cof: NormalizedCoframe, theta: Jet,
                  conn: ConnectionField):
         self.cof = cof
-        self.theta = theta
+        self.theta = theta      # (n, n), as theta_system returns it
         self.conn = conn
 
 
@@ -156,10 +150,10 @@ def canonical_structure(web: WebChart, point, order: int = 3,
     """
     point = np.asarray(point, dtype=float)
     cof = normalize_coframe(web, point, order)
-    inv = basis_invariants(cof, web, web.dim + 2)
+    a = basis_invariants(cof, web, web.dim + 2)
     if t is not None:
         t = [expr.eval_field(expr.parse_expression(ti, web.dim), point,
                              order - 2) for ti in t]
-    theta = theta_system(cof, inv, t)
+    theta = theta_system(cof, a, t)
     conn = canonical_christoffels(cof, theta)
     return CanonicalStructure(cof, theta, conn)

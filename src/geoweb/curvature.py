@@ -13,12 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from .connection import ConnectionField, canonical_structure, skew_matrix
+from .connection import ConnectionField, canonical_structure
 from .errors import OrderExhausted
-from .invariants import (SampleReport, aggregate_rows, sample_rows,
-                         skew_discrepancy)
+from .invariants import (SampleReport, aggregate_rows, extra_foliations,
+                         sample_rows, skew_discrepancy)
 from .jets import Jet, grid, ordered_sum, skew_upper
-from .web import WebChart, basis_invariants
+from .web import WebChart
 
 LINEARIZABLE_PASS_FACTOR = 1e-7
 
@@ -122,16 +122,12 @@ def linearizability_verdict(web: WebChart, points) -> SampleReport:
 
     def measure(X):
         st = canonical_structure(web, X, order)
-        # foliation n+2's skew matrix is theta's s; the others read only
-        # values, which the coframe at order 1 gives bit for bit
-        smats = [st.theta.s.value]
-        if extra:
-            low = st.cof.truncate(1)
-            smats += [skew_matrix(low, basis_invariants(low, web, k)).value
-                      for k in range(n + 3, web.d + 1)]
+        # the skew matrices read only values, which the coframe at order 1
+        # gives bit for bit
+        disc = (skew_discrepancy([s for _, s in extra_foliations(
+            st.cof.truncate(1), web)]) if extra else ())
         pack = projective_pack(st.conn)
-        return ((pack.obstruction_norm(), pack.scale())
-                + (skew_discrepancy(smats) if extra else ()))
+        return (pack.obstruction_norm(), pack.scale()) + disc
 
     what = ("obstruction", "discrepancy") if extra else ("obstruction",)
     rows, *geo_rows = sample_rows(measure, points, what, order)

@@ -19,7 +19,8 @@ import numpy as np
 from .connection import skew_matrix
 from .errors import DegenerateWebPoint
 from .jets import n_coeffs
-from .web import WebChart, basis_invariants, normalize_coframe
+from .web import (NormalizedCoframe, WebChart, basis_invariants,
+                  normalize_coframe, projective_class)
 
 PASS_FACTOR = 1e-8
 FAIL_FACTOR = 1e-3
@@ -162,9 +163,9 @@ def invariant_table(web: WebChart, points):
                   for i, j in pairs])
 
     def measure(X):
-        found = extra_foliations(web, X)
-        return ([c for inv, _ in found
-                 for c in np.moveaxis(inv.projective_class(), -1, 0)]
+        found = extra_foliations(normalize_coframe(web, X, 2), web)
+        return ([c for a, _ in found
+                 for c in np.moveaxis(projective_class(a.value), -1, 0)]
                 + [smat[..., i, j] for _, smat in found for i, j in pairs])
 
     rows = [[idx] + [float(x) for x in points[idx]]
@@ -175,17 +176,16 @@ def invariant_table(web: WebChart, points):
     return columns, rows
 
 
-def extra_foliations(web: WebChart, X):
+def extra_foliations(cof: NormalizedCoframe, web: WebChart):
     """Basis invariants and skew matrices of the foliations n+2..d at the
-    points X (B, n), from the order-2 coframe: a list of (BasisInvariant,
-    s) pairs in foliation order, s[b, i, j] = s_ij at point b.  The checks
+    points (B, n) of the coframe `cof`: a list of (a, s) pairs in foliation
+    order, a the basis-invariant jet and s[b, i, j] = s_ij at point b.
+    Only values are read, so a coframe of order 1 is enough.  The checks
     run foliation by foliation."""
-    n = web.dim
-    cof = normalize_coframe(web, X, 2)
     out = []
-    for k in range(n + 2, web.d + 1):
-        inv = basis_invariants(cof, web, k)
-        out.append((inv, skew_matrix(cof, inv).value))
+    for k in range(web.dim + 2, web.d + 1):
+        a = basis_invariants(cof, web, k)
+        out.append((a, skew_matrix(cof, a).value))
     return out
 
 
@@ -213,8 +213,8 @@ def geodesicity_test(web: WebChart, points) -> SampleReport:
     def measure(X):
         if vacuous:
             return np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
-        return skew_discrepancy([smat for _, smat in
-                                 extra_foliations(web, X)])
+        return skew_discrepancy([smat for _, smat in extra_foliations(
+            normalize_coframe(web, X, 2), web)])
 
     rows, = sample_rows(measure, points, ("discrepancy",), 2)
     rep = aggregate_rows(rows, "geodesic", "not_geodesic")

@@ -69,10 +69,6 @@ class WebChart:
         trees = [expr.parse_expression(s, dim) for s in sources]
         return cls(dim, trees, list(sources), pointed, center, radius, labels)
 
-    def eval_function(self, k: int, point, order: int) -> Jet:
-        """Jet of f_k (1-based) at a point (n,) or a batch of points (B, n)."""
-        return expr.eval_field(self.functions[k - 1], point, order)
-
 
 def reorder_chart(web: WebChart, indices) -> WebChart:
     """Chart with functions[indices[j]-1] in slot j+1 (indices 1-based)."""
@@ -112,10 +108,6 @@ class NormalizedCoframe:
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
-
-    def frame_derivatives(self, f: Jet) -> Jet:
-        """D_i f for every frame vector i, along a new first shape axis."""
-        return directional_derivative(f, self.frame)
 
     def truncate(self, order: int) -> "NormalizedCoframe":
         """The same coframe with jets of order `order` (1 <= order <=
@@ -207,7 +199,8 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
         raise OrderExhausted(
             "coframe normalization needs function jets of order >= 2")
     point = np.asarray(point, dtype=float)
-    f = stack([web.eval_function(i, point, order) for i in range(1, n + 2)])
+    f = stack([expr.eval_field(fi, point, order)
+               for fi in web.functions[:n + 1]])
     grads = f.derivatives()            # grads[i][a] = d_a f_i
     rhs = stack([-grads[n], *Jet.constant(np.eye(n), n, order - 1)])
     A = grads[:n].transpose()
@@ -221,31 +214,23 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
                              grads[:n].derivatives())
 
 
-class BasisInvariant:
-    """Coefficients of foliation k in the basis coframe: sum a_i omega_i = -df_k."""
-
-    def __init__(self, a: Jet):
-        self.a = a                  # (n,), order matching the coframe
-
-    def projective_class(self) -> np.ndarray:
-        """Representative of [a_1 : ... : a_n], largest component scaled to 1.
-
-        Shape (n,) at a point, (B, n) for a batch.
-        """
-        vals = self.a.value
-        lead = np.argmax(np.abs(vals), axis=-1)[..., None]
-        return vals / np.take_along_axis(vals, lead, axis=-1)
+def projective_class(a) -> np.ndarray:
+    """Representative of [a_1 : ... : a_n] for the values a, (n,) at a
+    point or (B, n) for a batch, largest component scaled to 1."""
+    lead = np.argmax(np.abs(a), axis=-1)[..., None]
+    return a / np.take_along_axis(a, lead, axis=-1)
 
 
-def basis_invariants(cof: NormalizedCoframe, web: WebChart,
-                     k: int) -> BasisInvariant:
-    """Basis invariants a_k1..a_kn of foliation k (1-based, k >= n+2):
-    sum_i a_i omega_i = -df_k on frame j reads a_j = -D_j f_k."""
+def basis_invariants(cof: NormalizedCoframe, web: WebChart, k: int) -> Jet:
+    """Basis invariants a_k1..a_kn of foliation k (1-based, k >= n+2), an
+    (n,) jet of the coframe's order: sum_i a_i omega_i = -df_k on frame j
+    reads a_j = -D_j f_k."""
     n = web.dim
     if not n + 2 <= k <= web.d:
         raise ValueError("foliation index %d outside n+2..d = %d..%d"
                          % (k, n + 2, web.d))
-    a = -cof.frame_derivatives(web.eval_function(k, cof.point, cof.order + 1))
+    f = expr.eval_field(web.functions[k - 1], cof.point, cof.order + 1)
+    a = -directional_derivative(f, cof.frame)
     check_vanishing(a.value, cof.point, lambda i:
                     "basis invariant a_%d of foliation %d" % (i + 1, k))
-    return BasisInvariant(a)
+    return a

@@ -116,7 +116,7 @@ def bracket_structure_functions(cof):
 
 def frame_route(struct):
     """The FrameRoute of a `canonical_structure` result."""
-    cof, th = struct.cof, struct.theta.theta
+    cof, th = struct.cof, struct.theta
     n = cof.dim
     c, dframe = bracket_structure_functions(cof)
     # fg[k][p][q]: (c[k][k][p] - th[k][p]) / 2 where q = k,

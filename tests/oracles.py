@@ -159,6 +159,6 @@ def foliation_residual(web: WebChart, k: int, conn: ConnectionField):
     Returns (theta_fit, residual, scale); verdicts compare residual with
     PASS_FACTOR * scale and FAIL_FACTOR * scale.
     """
-    df = web.eval_function(k, conn.point, 2).derivatives()
+    df = expr.eval_field(web.functions[k - 1], conn.point, 2).derivatives()
     theta, residual = totally_geodesic_residual(conn, df)
     return theta, residual, residual_scale(df)

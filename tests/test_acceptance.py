@@ -82,7 +82,7 @@ def test_02_defining_foliations_geodesic_by_construction(corpus_sweep):
 
 def test_03_hand_derived_spot_values():
     st = connection.canonical_structure(make_web("xy4"), (0.0, 0.0), order=3)
-    s12 = st.theta.s[0][1].value
+    s12 = st.theta[0][1].value
     fg = st.conn.frame_gamma
     got = (s12, fg[0][0][1].value, fg[0][1][0].value,
            fg[1][0][1].value, fg[1][1][0].value)

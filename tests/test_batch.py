@@ -10,7 +10,7 @@ import pytest
 from geoweb import connection, curvature, expr, invariants, jets
 from geoweb.errors import DegenerateWebPoint, DomainError, batch_error
 from geoweb.sampling import grid_points, random_points
-from geoweb.web import WebChart, basis_invariants
+from geoweb.web import WebChart, basis_invariants, projective_class
 
 from conftest import CORPUS_SOURCES, make_web
 
@@ -353,6 +353,6 @@ def test_structure_batch_columns_equal_points():
                     assert np.array_equal(st.conn.gamma[c][a][d].coeffs[:, b],
                                           alone.conn.gamma[c][a][d].coeffs)
         assert np.array_equal(
-            basis_invariants(st.cof, web, 4).projective_class()[b],
-            basis_invariants(alone.cof, web, 4).projective_class())
+            projective_class(basis_invariants(st.cof, web, 4).value)[b],
+            projective_class(basis_invariants(alone.cof, web, 4).value))
     assert math.isfinite(float(st.conn.gamma_values().sum()))

@@ -486,7 +486,7 @@ def test_pointed_connection_rows_name_the_file_foliation(tmp_path):
     chart = pointed_chart(web)
     cof = normalize_coframe(chart, (0.1, 0.2), 3)
     for slot, foliation in ((4, "3"), (5, "5")):
-        a = basis_invariants(cof, chart, slot).a.value
+        a = basis_invariants(cof, chart, slot).value
         for i in range(2):
             assert got.pop((foliation, str(i + 1))) == a[i]
     assert not got

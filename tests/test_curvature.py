@@ -8,12 +8,13 @@ import pytest
 from geoweb import connection, curvature
 from geoweb.errors import DegenerateWebPoint, OrderExhausted
 from geoweb.expr import eval_field, parse_expression
+from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
-from geoweb.web import basis_invariants
+from geoweb.web import basis_invariants, normalize_coframe
 from geoweb.webfile import load_webfile
 
 import oracles
-from conftest import make_web
+from conftest import EXP2Y, make_web
 from fdtools import partial_fd
 
 
@@ -172,3 +173,33 @@ def test_extra_skew_matrices_need_only_the_order_one_coframe(name):
         cut = connection.skew_matrix(low, basis_invariants(low, web, k))
         assert deep.order > cut.order == 0
         assert np.array_equal(deep.value, cut.value), (name, k)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("name", ["lin5", "sin6", "cubic6", "pert5", "exp2y",
+                                  "exp2y_bent"])
+def test_cut_coframe_reads_the_extra_foliations_as_check_does(name, order):
+    # linearizability_verdict reads foliations n+2..d on its connection's
+    # coframe cut to order 1, check and invariants on the coframe built at
+    # order 2: the a coefficients and the skew matrices, sign bits
+    # included, must be the same bytes
+    web = (load_webfile(os.path.join(os.path.dirname(EXP2Y), name + ".json"))
+           if name == "exp2y_bent" else make_web(name))
+    assert web.d > web.dim + 2
+    X = random_points(web, 20, seed=7)
+    while True:
+        try:
+            st = connection.canonical_structure(web, X, order)
+            cut = extra_foliations(st.cof.truncate(1), web)
+            break
+        except DegenerateWebPoint as e:
+            X = X[~e.rows]
+    assert len(X) >= 15
+    built = extra_foliations(normalize_coframe(web, X, 2), web)
+    assert len(cut) == len(built) == web.d - web.dim - 1
+    for (a_cut, s_cut), (a, s) in zip(cut, built):
+        assert a_cut.order == a.order == 1
+        assert a_cut.coeffs.shape == a.coeffs.shape
+        assert a_cut.coeffs.tobytes() == a.coeffs.tobytes(), name
+        assert s_cut.shape == s.shape == (len(X), web.dim, web.dim)
+        assert s_cut.tobytes() == s.tobytes(), name

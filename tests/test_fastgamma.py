@@ -86,7 +86,7 @@ def test_batched_values_order_zero():
     web = make_web("mixed3")
     pts = random_points(web, 10, seed=5)
     vals = fastgamma.batched_values(web.functions[4], pts)
-    expect = [web.eval_function(5, p, 0).value for p in pts]
+    expect = [expr.eval_field(web.functions[4], p, 0).value for p in pts]
     assert np.allclose(vals, expect, rtol=1e-15)
 
 
@@ -383,7 +383,8 @@ def test_one_inverse_per_jet_route_structure(monkeypatch):
     assert calls == [(3, 3)]
     sin6 = make_web("sin6")
     calls.clear()
-    extra_foliations(sin6, random_points(sin6, 4, seed=1))
+    extra_foliations(normalize_coframe(sin6, random_points(sin6, 4, seed=1),
+                                      2), sin6)
     assert calls == [(4, 2, 2)]
 
 
@@ -741,8 +742,8 @@ SHEARED_RTOL = 1e-13
 def _sheared(name):
     web = make_web(name)
     n = web.dim
-    A = [web.eval_function(k, web.center, 1).derivatives().value
-         for k in range(1, n + 1)]
+    A = [expr.eval_field(f, web.center, 1).derivatives().value
+         for f in web.functions[:n]]
     assert not np.array_equal(A, np.eye(n))
     fast = fastgamma.batched_gamma_evaluator(web)
     # the frame is fixed: no inverse, and f_{n+2} is expanded alone

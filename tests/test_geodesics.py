@@ -114,7 +114,7 @@ def test_tangent_vector_is_tangent_and_unit():
     web = make_web("curved4")
     x0 = np.array([0.2, 0.1])
     v = geodesics.tangent_vector(web, 4, x0, [1.0, 1.0])
-    g = web.eval_function(4, x0, 1).derivatives().value
+    g = expr.eval_field(web.functions[3], x0, 1).derivatives().value
     assert abs(g @ v) < 1e-14
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(DegenerateWebPoint):

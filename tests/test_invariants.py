@@ -42,7 +42,7 @@ def test_geodesic_extra_foliation_passes():
 def test_sym_covariant_differential_flat_case():
     web = make_web("parallel2")
     struct = connection.canonical_structure(web, (0.1, 0.1))
-    f = web.eval_function(4, (0.1, 0.1), 2)
+    f = expr.eval_field(web.functions[3], (0.1, 0.1), 2)
     df = [f.derivatives()[..., a] for a in range(2)]
     resid = oracles.sym_covariant_differential(struct.conn, df)
     assert resid.norm < 1e-14
@@ -51,7 +51,7 @@ def test_sym_covariant_differential_flat_case():
 def test_zero_form_rejected():
     web = make_web("parallel2")
     struct = connection.canonical_structure(web, (0.0, 0.0))
-    f = web.eval_function(1, (0.0, 0.0), 2)
+    f = expr.eval_field(web.functions[0], (0.0, 0.0), 2)
     zero = [f.derivatives()[..., a] * 0.0 for a in range(2)]
     with pytest.raises(oracles.ZeroForm):
         oracles.totally_geodesic_residual(struct.conn, zero)

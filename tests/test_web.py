@@ -5,13 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from geoweb import jets, web as web_module
+from geoweb import expr, jets, web as web_module
 from geoweb.connection import canonical_structure
 from geoweb.errors import DegenerateWebPoint, OrderExhausted
 from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
 from geoweb.web import (WebChart, basis_invariants, normalize_coframe,
-                        reorder_chart)
+                        projective_class, reorder_chart)
 
 from conftest import bracket_structure_functions, make_web
 from oracles import pointed_chart
@@ -66,8 +66,8 @@ def test_structure_functions_antisymmetric_with_spot_value():
 def test_frame_derivative_scales_partial():
     web = WebChart.from_strings(2, XY_SLOT3)
     cof = normalize_coframe(web, (0.0, 0.5), order=3)
-    f = web.eval_function(1, (0.0, 0.5), order=3)   # f = x1
-    d = cof.frame_derivatives(f)[0]
+    f = expr.eval_field(web.functions[0], (0.0, 0.5), 3)   # f = x1
+    d = jets.directional_derivative(f, cof.frame)[0]
     assert d.value == pytest.approx(1.0 / 1.5, rel=1e-13)
 
 
@@ -75,9 +75,9 @@ def test_basis_invariants_parallel_class():
     web = make_web("parallel2")
     cof = normalize_coframe(web, (0.07, -0.03), order=3)
     inv = basis_invariants(cof, web, 4)
-    assert inv.a[0].value == pytest.approx(-1.0, rel=1e-13)
-    assert inv.a[1].value == pytest.approx(-2.0, rel=1e-13)
-    assert np.allclose(inv.projective_class(), [0.5, 1.0], atol=1e-13)
+    assert inv[0].value == pytest.approx(-1.0, rel=1e-13)
+    assert inv[1].value == pytest.approx(-2.0, rel=1e-13)
+    assert np.allclose(projective_class(inv.value), [0.5, 1.0], atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -94,10 +94,10 @@ def test_basis_invariants_solve_the_expansion():
     point = (0.21, -0.13)
     cof = normalize_coframe(web, point, order=3)
     inv = basis_invariants(cof, web, 4)
-    f4 = web.eval_function(4, point, order=3)
+    f4 = expr.eval_field(web.functions[3], point, 3)
     n = web.dim
     for a in range(n):
-        resid = sum(inv.a[i] * cof.omega[i][a].truncate(inv.a[i].order)
+        resid = sum(inv[i] * cof.omega[i][a].truncate(inv[i].order)
                     for i in range(n)) + f4.derivatives()[..., a]
         assert np.allclose(resid.coeffs, 0.0, atol=1e-12)
 
@@ -149,7 +149,8 @@ def test_one_jet_solve_gives_frame_and_every_invariant(monkeypatch):
     assert len(calls) == 1
     sin6 = make_web("sin6")
     calls.clear()
-    extra_foliations(sin6, random_points(sin6, 4, seed=1))
+    extra_foliations(normalize_coframe(sin6, random_points(sin6, 4, seed=1),
+                                      2), sin6)
     assert len(calls) == 1
 
 
