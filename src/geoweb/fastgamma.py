@@ -1,8 +1,9 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times.  Such a call takes 30 / 48 / 45 us on the benchmark
-webs xy4 / mixed3 / web4 (`BENCH_20.json`'s attribution, 2-core x86-64),
+thousands of times.  Such a call takes 29 / 44 / 40 us on the benchmark
+webs xy4 / mixed3 / web4 (best of 11 rounds of 200 calls by
+`tools/ab.py`, 2-core x86-64),
 and the tensor-shaped jet route takes 26 to 35 times as long for one
 point (order 2; medians of 11 interleaved rounds in one process on the
 same kind of machine).  The web functions are compiled once into the
@@ -35,22 +36,20 @@ if the frame clears the screen's kappa and lambda bounds.  Both halves
 then map 0 to 0: A, A^-T and lambda are finite, and every operation on
 the Hessian slots of an affine tree is a sum, a negation, a product
 with a finite float or a quotient by a nonzero one, so those slots, L
-and dW are exactly +-0.  A call then runs the program over f_{n+2}
-alone, one product with the first map, the skew formula and one product
-with the second map.  Each row is its own (1, k) @ (k, l) product, so
-its bits do not depend on the batch.  Where A = I, as on every benchmark
-and corpus web, the entries of the maps are 0, -1/2, -1 and -2, one
-nonzero entry in a column, so each product is one rounded term, the bits
-of the chain; on a sheared frame (A not I) the products sum several
-terms and agree with the chain to round-off.  The program over f_{n+2}
-alone runs where the coordinates are within the reach of f_1..f_{n+1}:
-there none of their values overflows and nothing else of theirs can
-fail, so it raises the `DomainError`s the program over all n + 2
-functions would raise.  A call past the reach (a NaN, an inf, or on the
-benchmark webs a batch whose sum of squares overflows) runs the program
-over all n + 2 functions and reads f_{n+2} from it.  Every call elsewhere (a curved
-frame, or a center frame that raises or fails the screen) expands all
-n + 2 functions, computes the frame from them and runs both halves.
+and dW are exactly +-0.  A call then runs the program over all n + 2
+functions and reads f_{n+2}'s row of it, takes one product with the
+first map, the skew formula and one product with the second map.  The
+program runs the functions in order, so an error of f_1..f_{n+1} (an
+overflow, or a NaN or an inf among the coordinates) comes first, as
+where the frame is computed per call.  Each row is its own
+(1, k) @ (k, l) product, so its bits do not depend on the batch.  Where
+A = I, as on every benchmark and corpus web, the entries of the maps
+are 0, -1/2, -1 and -2, one nonzero entry in a column, so each product
+is one rounded term, the bits of the chain; on a sheared frame (A not I)
+the products sum several terms and agree with the chain to round-off.
+Every call elsewhere (a curved frame, or a center frame that raises or
+fails the screen) computes the frame from the same program's rows and
+runs both halves.
 
 With two points a call, the time goes to the fixed cost of each numpy
 operation, so a call runs under one `np.errstate` and checks admissibility
@@ -126,59 +125,29 @@ def _screen(bounds, av, gap) -> bool:
             and gmin > COINCIDENCE_FLOOR * scale)
 
 
-# the largest magnitude `_affine_bound` lets a value computed in an affine
-# tree take: 2^24 below the float range, far more than the rounding of the
-# hundred nested operations a tree may have can add
-_VALUE_LIMIT = 2.0 ** 1000
-
-
-def _affine_bound(node):
-    """None unless the tree is affine in x by its form: variables,
+def _affine(node) -> bool:
+    """True when the tree is affine in x by its form: variables,
     constants, +, -, negation, and products with or quotients by a
     constant.  Its compiled program then gives derivative coefficients
     that do not depend on the point, bit for bit: every operation on them
-    is a sum, a negation, or a product or quotient by a float.
-
-    Else (slope, offset, reach).  A tree without variables has slope 0,
-    offset its folded magnitude and reach inf.  For any other, at a point
-    whose coordinates are at most R in magnitude the tree's value is at
-    most slope R + offset, and for R below `reach` so is every value its
-    compiled program computes at most _VALUE_LIMIT, so none overflows;
-    the reach is at most _VALUE_LIMIT, and 0 where the bound holds at no
-    point (a slope or an offset past the float range).  The tree must
-    compile (`expr.compile_program`): every constant folds, and no
+    is a sum, a negation, or a product or quotient by a float.  The tree
+    must compile (`expr.compile_program`): every constant folds, and no
     divisor folds to 0.
     """
-    if isinstance(node, expr.Var):
-        return 1.0, 0.0, _VALUE_LIMIT
-    walked = [_affine_bound(kid) for kid in node._fields()
-              if isinstance(kid, expr._Node)]
-    if None in walked:
-        return None
-    if all(w[2] == np.inf for w in walked):
-        # no variable: the program folds the tree to a float
-        return 0.0, abs(expr._compile(node)), np.inf
+    if isinstance(node, expr.Var) or not callable(expr._compile(node)):
+        # a variable, or a tree the program folds to a float
+        return True
     if isinstance(node, expr.Neg):
-        return walked[0]
+        return _affine(node.arg)
     if isinstance(node, expr.Call) or node.op == "^":
-        return None
-    (s1, o1, r1), (s2, o2, r2) = walked
+        return False
     if node.op in "+-":
-        slope, offset, reach = s1 + s2, o1 + o2, min(r1, r2)
-    elif r2 < np.inf and (r1 < np.inf or node.op == "/"):
-        # a product of two trees with variables, or a quotient by one
-        return None
-    else:
-        # a product with, or a quotient by, a constant of magnitude scale
-        scale, (slope, offset, reach) = ((o1, walked[1]) if r1 == np.inf
-                                         else (o2, walked[0]))
-        op = expr._FLOAT_OPS[node.op]
-        slope, offset = op(slope, scale), op(offset, scale)
-    if not (slope < np.inf and offset < _VALUE_LIMIT):
-        return slope, offset, 0.0
-    if slope:
-        reach = min(reach, (_VALUE_LIMIT - offset) / slope)
-    return slope, offset, reach
+        return _affine(node.left) and _affine(node.right)
+    # a product with, or a quotient by, a constant
+    if not callable(expr._compile(node.right)):
+        return _affine(node.left)
+    return (node.op == "*" and not callable(expr._compile(node.left))
+            and _affine(node.right))
 
 
 def _frame(grads, hesses):
@@ -217,14 +186,13 @@ def batched_gamma_evaluator(web: WebChart):
     f_1..f_{n+2}; raises DegenerateWebPoint, whose `rows` mark the
     inadmissible points, when any point in the batch is inadmissible.
     The web functions are compiled, and the index arrays built, once here;
-    so is the frame, where f_1..f_{n+1} are affine (`_affine_bound`), and
+    so is the frame, where f_1..f_{n+1} are affine (`_affine`), and
     with it the two linear maps that then stand for the closed form.  A
     constant subexpression with no finite value, or a division by a
     constant 0, raises DomainError here.
     """
     n = web.dim
-    # compiled first, so every tree `_affine_bound` walks folds its
-    # constants
+    # compiled first, so every tree `_affine` walks folds its constants
     program = expr.compile_program(web.functions[:n + 2])
     # slot[a][b]: where an order-2 jet stores the x_a x_b coefficient,
     # which is the Hessian entry over 2 on the diagonal and 1 off it
@@ -292,8 +260,7 @@ def batched_gamma_evaluator(web: WebChart):
     # and the Hessians of f_1..f_n are +-0), so each is one matrix, its
     # image of the unit inputs.
     maps = None
-    affine = [_affine_bound(f) for f in web.functions[:n + 1]]
-    if None not in affine:
+    if all(map(_affine, web.functions[:n + 1])):
         head = expr.compile_program(web.functions[:n + 1]).__wrapped__
         try:
             with np.errstate(over="ignore", divide="ignore",
@@ -319,13 +286,6 @@ def batched_gamma_evaluator(web: WebChart):
                             lam)
         except DegenerateWebPoint:      # DomainError among them
             pass
-    if maps is not None:
-        # Within the reach no value of f_1..f_{n+1} overflows, and nothing
-        # else in them can fail at a point, so the program over f_{n+2}
-        # alone raises what the program over all n + 2 functions would
-        tail = expr.compile_program(web.functions[n + 1:n + 2]).__wrapped__
-        reach = min(b[2] for b in affine)
-        reach2 = reach * reach
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(X):
@@ -334,8 +294,8 @@ def batched_gamma_evaluator(web: WebChart):
         if single:
             X = X[None]
         B = X.shape[0]
+        co = coefficients(run, X)
         if maps is None:
-            co = coefficients(run, X)
             grads, hesses = co[:, :, 1:1 + n], co.take(slot, 2) * fac
             A, AinvT, lam, W, dWf, V, VT, L = _frame(grads, hesses)
             bounds = _frame_bounds(A, AinvT, lam)
@@ -343,12 +303,9 @@ def batched_gamma_evaluator(web: WebChart):
                                      VT, dWf)
         else:
             first, second, bounds, A, lam = maps
-            # every |x_a| is at most |X|, and the sum of squares is NaN or
-            # inf where a coordinate is; f_{n+2} is the last function of
-            # either program.  Each row is its own (1, count) @ (count, k)
+            # f_{n+2}'s row; each row is its own (1, count) @ (count, k)
             # product, so its bits do not depend on the batch
-            prog = tail if np.vdot(X, X) < reach2 else run
-            r = (coefficients(prog, X)[:, -1:] @ first)[:, 0]
+            r = (co[:, -1:] @ first)[:, 0]
             av = r[:, :n]
             ar, dar = np.ascontiguousarray(r[:, n:].T).reshape(2, 4, 2 * m, B)
         q = dar / ar

@@ -388,7 +388,7 @@ def test_frame_per_call_excludes_as_hoisted(web, X):
     # webs whose A and lambda do not depend on x_n)
     fast = fastgamma.batched_gamma_evaluator(web)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastgamma, "_affine_bound", lambda node: None)
+        mp.setattr(fastgamma, "_affine", lambda node: False)
         per_call = fastgamma.batched_gamma_evaluator(web)
     assert_same(per_call, lambda X: _unscreened(per_call, X), X)
     assert_same(fast, per_call, X)

@@ -183,11 +183,11 @@ def test_earlier_non_finite_function_wins():
 
 def _refused_when_compiled(functions, text, monkeypatch):
     """Compiling the web's trees raises DomainError `text`, for no point in
-    particular, and so does building its evaluator, before `_affine_bound`
+    particular, and so does building its evaluator, before `_affine`
     walks a tree; from_strings does not run the load-time check of web
     files."""
     web = WebChart.from_strings(2, functions)
-    monkeypatch.setattr(fastgamma, "_affine_bound", None)
+    monkeypatch.setattr(fastgamma, "_affine", None)
     for build in (lambda: expr.compile_program(web.functions),
                   lambda: [expr.eval_coeffs(f, np.array(ORDER_POINTS), 2)
                            for f in web.functions],
@@ -476,7 +476,7 @@ FRAME_WEBS = {**{"perfbench-" + os.path.basename(p)[:-5]: p
 def _per_call(web):
     # the predicate sees nothing affine, so the frame is built per call
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastgamma, "_affine_bound", lambda node: None)
+        mp.setattr(fastgamma, "_affine", lambda node: False)
         return fastgamma.batched_gamma_evaluator(web)
 
 
@@ -525,26 +525,13 @@ def test_hoisted_frame_equals_per_call_frame(name):
             assert got == want, X
 
 
-# (slope, offset, reach) of trees affine by form: a reach of 2^1000 / slope
-# where the offset is 0, 0 where no reach holds (a slope or an offset past
-# the float range)
-LIMIT = 2.0 ** 1000
-AFFINE = {
-    "x1": (1.0, 0.0, LIMIT),
-    "-(x1+x2)": (2.0, 0.0, LIMIT / 2),
-    "2*x1/3": (2.0 / 3, 0.0, LIMIT / 2),     # 2*x1 bounds the reach
-    "exp(0)*x1": (1.0, 0.0, LIMIT),
-    "x1 - 3 + x2/2": (1.5, 3.0, (LIMIT - 3.0) / 1.5),
-    "-(2^3)*(x1 - x2)": (16.0, 0.0, LIMIT / 16),
-    "0*x1": (0.0, 0.0, LIMIT),
-    "(1e300*x1)*1e10": (np.inf, 0.0, 0.0),
-    "2^3*x1": (8.0, 0.0, LIMIT / 8),
-    # no variable: slope 0, the folded magnitude, an unbounded reach
-    "-(2^3)": (0.0, 8.0, np.inf),
-}
+# trees affine by form, among them one with no variable and one whose
+# slope is past the float range
+AFFINE = ["x1", "-(x1+x2)", "2*x1/3", "exp(0)*x1", "x1 - 3 + x2/2",
+          "-(2^3)*(x1 - x2)", "0*x1", "(1e300*x1)*1e10", "2^3*x1", "-(2^3)"]
 
 # trees with a constant that does not fold, or a divisor that folds to 0:
-# the compiler refuses them, so no evaluator asks for their bound
+# the compiler refuses them, so no evaluator asks whether they are affine
 UNDEFINED = "constant subexpression %s is not a finite real number"
 REFUSED = {
     "x1/0": "division by zero in x1/0",
@@ -556,15 +543,14 @@ REFUSED = {
 }
 
 
-@pytest.mark.parametrize("source", list(AFFINE)
+@pytest.mark.parametrize("source", AFFINE
                          + ["x1/0", "x1 + 1/0", "x1*(1/0)", "log(-1)"])
 def test_affine_by_form(source, monkeypatch):
     if source in REFUSED:
         _refused_when_compiled([source, "x2", "-(x1+x2)", "x1+2*x2"],
                                REFUSED[source], monkeypatch)
     else:
-        assert fastgamma._affine_bound(
-            expr.parse_expression(source, 2)) == AFFINE[source]
+        assert fastgamma._affine(expr.parse_expression(source, 2)) is True
 
 
 @pytest.mark.parametrize("source", ["x1*x2", "x1^1", "x1*x2 - x1*x2",
@@ -576,8 +562,7 @@ def test_not_affine_by_form(source, monkeypatch):
         _refused_when_compiled([source, "x2", "-(x1+x2)", "x1+2*x2"],
                                REFUSED[source], monkeypatch)
     else:
-        assert fastgamma._affine_bound(
-            expr.parse_expression(source, 2)) is None
+        assert fastgamma._affine(expr.parse_expression(source, 2)) is False
 
 
 def test_failing_frame_is_not_hoisted():
@@ -585,7 +570,7 @@ def test_failing_frame_is_not_hoisted():
     # singularity check inverts it again to name the singular coframe
     functions, start, _, text = GEODESIC_FAILURES[0]
     web = WebChart.from_strings(2, functions)
-    assert None not in map(fastgamma._affine_bound, web.functions[:3])
+    assert all(map(fastgamma._affine, web.functions[:3]))
     fast = fastgamma.batched_gamma_evaluator(web)
     X = np.array([float(x) for x in start.split(",")])
     assert _inverses_per_call(fast, X) == 2
@@ -603,7 +588,7 @@ def test_frame_that_raises_is_not_hoisted():
     # overflows; every call raises too, where the value of f1 overflows
     web = WebChart.from_strings(2, ["x1*1e308*10", "x2", "-(x1+x2)",
                                     "x1+2*x2"])
-    assert fastgamma._affine_bound(web.functions[0]) == (np.inf, 0.0, 0.0)
+    assert fastgamma._affine(web.functions[0])
     fast = fastgamma.batched_gamma_evaluator(web)
     text = "non-finite value of x1*1e+308*10"
     X = np.array(ORDER_POINTS)
@@ -611,11 +596,9 @@ def test_frame_that_raises_is_not_hoisted():
         assert _failure(lambda: fast(batch))[0] == text
 
 
-# Where the frame is built once, a call whose coordinates stay within the
-# reach of f_1..f_{n+1} (below it none of their values overflows) runs the
-# program over f_{n+2} alone; past it, or on a NaN or an inf, over all
-# n + 2 functions, so the errors of f_1..f_{n+1} come first, as they do
-# where the frame is built per call.
+# Every call runs the one program over all n + 2 functions, whether the
+# frame is built once or per call, so the errors of f_1..f_{n+1} come
+# first on both.
 
 def _frame_web(name):
     source = FRAME_WEBS[name]
@@ -656,14 +639,15 @@ def _trees_per_call(web, X):
 
 @pytest.mark.parametrize("name", list(FRAME_WEBS))
 def test_hoisted_call_runs_f_n_plus_2_alone(name):
+    # f_{n+2} is read from the program over all n + 2 trees, on a fixed
+    # frame as on a curved one
     web = _frame_web(name)
-    trees = [web.dim + 2] if name in CURVED_FRAME_WEBS else [1]
     for X in (web.center, random_points(web, 2, seed=29)):
-        assert _trees_per_call(web, X) == trees
+        assert _trees_per_call(web, X) == [web.dim + 2]
 
 
-# |x| about 1e150 is within the reach of every web here, 1e155 and beyond
-# are not: their squares overflow
+# from |x| about 1e155 the squares of the coordinates overflow, and with
+# them values of f_1..f_{n+1} on some webs here
 FAR = [1e150, 1e155, 1e200, 1e308]
 
 
@@ -694,19 +678,16 @@ def test_hoisted_frame_equals_per_call_frame_past_the_guard(name):
 
 
 # f_1 is x1 up to 1e-200 x2, but its program computes 1e200 x1 on the
-# way, which overflows from |x1| about 1.8e108; its reach is 2^1000 / 1e200,
-# about 1.07e101
+# way, which overflows from |x1| about 1.8e108
 STEEP_WEB = ["(1e200*x1 + x2)/1e200", "x2", "-(x1+x2)", "x1+2*x2+x1*x2"]
 
 
-@pytest.mark.parametrize("x1, trees", [(1e100, 1), (1.1e101, 4), (1e108, 4),
-                                       (1e109, 4)])
-def test_guard_stops_at_the_reach(x1, trees):
+@pytest.mark.parametrize("x1", [1e100, 1.1e101, 1e108, 1e109])
+def test_steep_frame_equals_per_call_frame(x1):
     web = WebChart.from_strings(2, STEEP_WEB)
     fast, per_call = fastgamma.batched_gamma_evaluator(web), _per_call(web)
     assert _inverses_per_call(fast, web.center) == 0
     X = np.array([[0.1, 0.2], [x1, 0.1]])
-    assert _trees_per_call(web, X) == [trees]
     got, want = _outcome(fast, X), _outcome(per_call, X)
     assert got == want
     if x1 > 1e108:
@@ -716,8 +697,8 @@ def test_guard_stops_at_the_reach(x1, trees):
 
 
 def test_only_the_head_overflows():
-    # at (1e308, 1e308) only f_3 overflows; f_4 is finite, so the program
-    # over f_4 alone would return
+    # at (1e308, 1e308) only f_3 overflows; f_4 is finite, and its row
+    # alone would return
     web = WebChart.from_strings(
         2, ["x1", "x2", "-(x1+x2)", "atan(x1)+2*atan(x2)"])
     fast = fastgamma.batched_gamma_evaluator(web)
@@ -746,9 +727,9 @@ def _sheared(name):
          for f in web.functions[:n]]
     assert not np.array_equal(A, np.eye(n))
     fast = fastgamma.batched_gamma_evaluator(web)
-    # the frame is fixed: no inverse, and f_{n+2} is expanded alone
+    # the frame is fixed: no inverse, and one program over n + 2 trees
     assert _inverses_per_call(fast, web.center) == 0
-    assert _trees_per_call(web, web.center) == [1]
+    assert _trees_per_call(web, web.center) == [n + 2]
     return web, fast
 
 

@@ -5,13 +5,13 @@
 Loads `src/geoweb` of each root under its own package name in this one
 process (the package imports itself only relatively), and the parent a
 second time as the control.  It first checks that both sides give the
-same bits: `batched_gamma_evaluator` on seeded batches of 2 and 64 rows,
-and each RK4 run of the benchmark's `geodesic` workload at seed 1 (the
-start tangent, every state and velocity, the leaf drift and the
+same bits: `batched_gamma_evaluator` on seeded batches of 2, 64 and 512
+rows, and each RK4 run of the benchmark's `geodesic` workload at seed 1
+(the start tangent, every state and velocity, the leaf drift and the
 `geodesic` report).  Where any differs it prints what and exits 1.
 
-It then times interleaved rounds of every target: one evaluator call at 2
-and at 64 rows, `integrate_geodesic` on each run, and `cli.main` on each
+It then times interleaved rounds of every target: one evaluator call at 2,
+64 and 512 rows, `integrate_geodesic` on each run, and `cli.main` on each
 invocation.  Within a round the side that goes first alternates, and so
 it does in the parent-against-parent control.  For each target it prints
 the best-of times of the parent and the change, the median of the
@@ -37,9 +37,9 @@ import same_bytes
 
 ROUNDS = 11
 SEED = 1
-BATCHES = (2, 64)
+BATCHES = (2, 64, 512)
 # evaluator calls per timed loop, by batch rows
-CALLS = {2: 200, 64: 50}
+CALLS = {2: 200, 64: 50, 512: 10}
 MODULES = ("cli", "fastgamma", "geodesics", "webfile")
 
 sys.dont_write_bytecode = True      # leave both trees as they are
