@@ -1,23 +1,24 @@
 """Batched value-level pipeline for canonical Christoffels (gauge t = 0).
 
 Geodesic integration evaluates the connection two RK4 stage points a call,
-thousands of times.  Such a call takes 29 / 44 / 40 us on the benchmark
+thousands of times.  Such a call takes 32 / 47 / 44 us on the benchmark
 webs xy4 / mixed3 / web4 (best of 11 rounds of 200 calls by
-`tools/ab.py`, 2-core x86-64),
-and the tensor-shaped jet route takes 26 to 35 times as long for one
-point (order 2; medians of 11 interleaved rounds in one process on the
-same kind of machine).  The web functions are compiled once into the
+`tools/ab.py`, numpy 2.4.6 on a 2-core Intel Xeon x86-64 host), and the
+tensor-shaped jet route takes 26 to 35 times as long for one point
+(order 2; medians of 11 interleaved rounds in one process on the same
+kind of machine).  The web functions are compiled once into the
 `expr.compile_program` program that also gives each per-point `Jet`, so a
 batch column, and each row of a call, is bit for bit its point alone.
 
-`_frame` inverts A = (d_a f_i) by the LAPACK gufunc behind
-`np.linalg.inv` and takes from A^-1 by batched matrix products lambda and
-its derivative, the frame V = A^-T diag(1/lambda), inverse of the coframe
-W = diag(lambda) A^T, and L = D log lambda.  A call takes from the frame
-by matrix products the basis invariants and their derivatives, for the
-skew formula of `web` that the jet route calls too.  Then it evaluates on
-values the closed form that `connection.canonical_christoffels` evaluates
-on jets (derived in the `connection` docstring), with
+`_frame` inverts A = (d_a f_i) by `np.linalg.inv`, NaN for the whole
+batch where a row is exactly singular, and takes from A^-1 by batched
+matrix products lambda and its derivative, the frame
+V = A^-T diag(1/lambda), inverse of the coframe W = diag(lambda) A^T,
+and L = D log lambda.  A call takes from the frame by matrix products
+the basis invariants and their derivatives, for the skew formula of
+`web` that the jet route calls too.  Then it evaluates on values the
+closed form that `connection.canonical_christoffels` evaluates on jets
+(derived in the `connection` docstring), with
 E_j^c lambda_j = (A^-1)_jc and theta = s:
 
     Gamma^c_ab = sum_j (A^-1)_jc (d_a d_b f_j + d_a f_j K_jb + K_ja d_b f_j)
@@ -66,7 +67,6 @@ those of the jet route.
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import expr, jets
 from .errors import DegenerateWebPoint
@@ -159,10 +159,12 @@ def _frame(grads, hesses):
     A^-T diag(1/lambda) and V^T, and L[b, j, i] = D_i log lambda_j."""
     B, n = len(grads), grads.shape[-1]
     A = grads[:, :n].transpose(0, 2, 1)
-    # the LAPACK gufunc np.linalg.inv calls, without its type checks; a
-    # singular row comes out NaN, which the screen sends to
-    # `coframe_inverse`
-    Ainv = _umath_linalg.inv(A, signature="d->d")
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        # for the whole stack: NaN fails the screen, and `coframe_inverse`
+        # names the singular rows
+        Ainv = np.full_like(A, np.nan)
     lam = -(Ainv @ grads[:, n, :, None])[:, :, 0]
     # rhs[b,a,c] = -d_a d_c f_{n+1} - sum_i lam_i d_a d_c f_i
     Hn = hesses[:, :n].reshape(B, n, n * n)

@@ -1,5 +1,6 @@
-"""Test oracles on the canonical connection: projective gauge moves and
-the residuals of the totally-geodesic and affine-function equations.
+"""Test oracles on the canonical connection: projective gauge moves, the
+residuals of the totally-geodesic and affine-function equations, and
+Gamma solved from the web's defining equations alone.
 
 No command runs these; the tests hold the pipeline to them.  A 1-form
 omega is totally geodesic for a connection when its symmetrized covariant
@@ -11,7 +12,7 @@ delta^c_a rho_b + delta^c_b rho_a.
 
 import numpy as np
 
-from geoweb import expr
+from geoweb import expr, jets
 from geoweb.connection import (CanonicalStructure, ConnectionField,
                                canonical_structure)
 from geoweb.errors import GeowebError
@@ -162,3 +163,50 @@ def foliation_residual(web: WebChart, k: int, conn: ConnectionField):
     df = expr.eval_field(web.functions[k - 1], conn.point, 2).derivatives()
     theta, residual = totally_geodesic_residual(conn, df)
     return theta, residual, residual_scale(df)
+
+
+def defining_system(web: WebChart, X):
+    """Gamma from the paper's defining equations, at the points X (B, n).
+
+    For k != n+1, Hess f_k = df_k (x) alpha_k + alpha_k (x) df_k for some
+    1-form alpha_k, and Hess f_{n+1} = 0, where Hess f = d^2 f - Gamma^c
+    d_c f: the leaves are totally geodesic and f_{n+1} is affine (gauge
+    t = 0).  The unknowns are Gamma^c_ab (a <= b) and the alpha_k; over
+    f_1..f_{n+2} there are as many as equations, n^2 (n+1)/2 + n (n+1).
+    Reads only the order-2 Taylor coefficients of `expr.compile_program`.
+
+    Returns gamma (B, n, n, n), solved from the square system of
+    f_1..f_{n+2} per row by `np.linalg.solve`, and the relative residual
+    |M u - h| / |h| (B,) of the least-squares solution u over all d
+    foliations (0 where d = n + 2).
+    """
+    n, d = web.dim, web.d
+    co = expr.compile_program(web.functions)(np.asarray(X, float), 2)
+    co = co.transpose(2, 0, 1)                       # (B, d, count)
+    B, g = len(co), co[:, :, 1:1 + n]
+    a, b = np.triu_indices(n)
+    unit, ex = np.eye(n, dtype=int), jets.exponents(n, 2)
+    cols = [ex.index(tuple(unit[p] + unit[q])) for p, q in zip(a, b)]
+    h = co[:, :, cols] * np.where(a == b, 2.0, 1.0)  # (B, d, pairs)
+    P = len(a)
+    # columns: Gamma^c_ab at c P + pair, then alpha_k of each k != n+1
+    slots = [k for k in range(d) if k != n]
+    M = np.zeros((B, d, P, n * P + n * len(slots)))
+    for p in range(P):
+        M[:, :, p, np.arange(n) * P + p] = g
+    for i, k in enumerate(slots):
+        base = n * P + n * i
+        M[:, k, np.arange(P), base + b] += g[:, k, a]
+        M[:, k, np.arange(P), base + a] += g[:, k, b]
+    M, h = M.reshape(B, d * P, -1), h.reshape(B, d * P)
+    N = (n + 2) * P                                  # the square system
+    u = np.linalg.solve(M[:, :N, :N], h[:, :N, None])[:, :n * P, 0]
+    gamma = np.empty((B, n, n, n))
+    gamma[:, :, a, b] = gamma[:, :, b, a] = u.reshape(B, n, P)
+    residual = np.zeros(B)
+    if d > n + 2:
+        for r in range(B):
+            fit = np.linalg.lstsq(M[r], h[r], rcond=None)[0]
+            residual[r] = np.linalg.norm(M[r] @ fit - h[r]) / max(
+                np.linalg.norm(h[r]), np.finfo(float).tiny)
+    return gamma, residual

@@ -23,18 +23,15 @@ defining foliations are totally geodesic for the jet route's connection),
 module's Christoffels stay on the leaves they start tangent to).
 """
 
+import ast
 import glob
-import importlib.util
 import json
 import os
-import sys
-import warnings
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
-from geoweb import cli, expr, fastgamma, geodesics, webfile
+from geoweb import cli, expr, fastgamma, webfile
 from geoweb.connection import canonical_structure
 from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
                            DomainError)
@@ -42,8 +39,9 @@ from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
 from geoweb.web import WebChart, normalize_coframe
 
-from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS, NODES, PULLBACKS,
-                      SERIES_SOURCES, SHEARED, make_web, pull_back)
+from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS, EXP2Y, NODES,
+                      PULLBACKS, SERIES_SOURCES, SHEARED, make_web, pull_back)
+from oracles import defining_system
 
 
 @pytest.mark.parametrize("order", range(5))
@@ -278,8 +276,7 @@ def test_christoffels_obey_transformation_law(n, sources, subst, psi, route):
 
 
 def test_one_inverse_and_no_solve_per_call(monkeypatch):
-    # every LAPACK gufunc of numpy.linalg is counted where np.linalg's
-    # wrappers call it too, so an inverse or a solve by any entry counts;
+    # an inverse, a solve or a least-squares fit by numpy.linalg counts;
     # the closed form needs no einsum either
     calls = {}
 
@@ -289,15 +286,12 @@ def test_one_inverse_and_no_solve_per_call(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    gufuncs = [name for name, value in vars(_umath_linalg).items()
-               if isinstance(value, np.ufunc)]
-    assert {"inv", "solve", "solve1"} <= set(gufuncs)
-    for module, names in ((_umath_linalg, gufuncs),
-                          (np.linalg, ("inv", "solve")), (np, ("einsum",))):
+    for module, names in ((np.linalg, ("inv", "solve", "lstsq", "pinv")),
+                          (np, ("einsum",))):
         for name in names:
             monkeypatch.setattr(module, name, counted(
                 "%s.%s" % (module.__name__, name), getattr(module, name)))
-    one = {"numpy.linalg._umath_linalg.inv": 1}
+    one = {"numpy.linalg.inv": 1}
     # mixed3's f_1..f_4 are affine: its frame is inverted once, when the
     # evaluator is built, and no call inverts or solves
     fast = fastgamma.batched_gamma_evaluator(make_web("mixed3"))
@@ -315,58 +309,56 @@ def test_one_inverse_and_no_solve_per_call(monkeypatch):
         calls.clear()
 
 
-def test_lapack_inverse_is_np_linalg_inv():
-    # the evaluator calls the gufunc behind np.linalg.inv directly; on the
-    # strided stacks it passes, as on contiguous ones, the bits agree
-    rng = np.random.default_rng(17)
-    for n in (2, 3, 4):
-        for B in (0, 1, 2, 7):
-            co = rng.standard_normal((B, n + 2, n)) * rng.choice(
-                [1e-3, 1.0, 1e3], size=(B, 1, 1))
-            for A in (co[:, :n].transpose(0, 2, 1), co[:, :n]):
-                assert np.array_equal(_umath_linalg.inv(A, signature="d->d"),
-                                      np.linalg.inv(A)), (n, B)
+def _private_numpy_paths(source):
+    """The numpy paths that a module imports, or reads an attribute
+    through, with a component that starts with `_`, or under numpy.core:
+    internals that a numpy release may move without deprecation."""
+    tree = ast.parse(source)
+    bound, paths = {}, []           # local name -> the path it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                paths.append(alias.name)
+                local = alias.asname or alias.name.split(".")[0]
+                bound[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                paths.append(node.module + "." + alias.name)
+                bound[alias.asname or alias.name] = paths[-1]
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            paths.append(".".join([bound[node.id]] + attrs))
+    parts = [path.split(".") for path in paths]
+    return [".".join(p) for p in parts if p[0] == "numpy" and (
+        p[1:2] == ["core"] or any(x.startswith("_") for x in p))]
 
 
-ACCEL = "...cab,...a,...b->...c"
+def test_modules_use_public_numpy_only():
+    package = os.path.dirname(fastgamma.__file__)
+    found = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            private = _private_numpy_paths(fh.read())
+        if private:
+            found[os.path.basename(path)] = private
+    assert found == {}
 
 
-def test_integrator_kernel_is_np_einsum_kernel():
-    # the integrator calls the C kernel that np.einsum calls, without its
-    # Python wrapper; on the stacks of a step, and on each stage, the bits
-    # agree
-    assert geodesics.c_einsum is np.einsum.__wrapped__.__globals__[
-        "c_einsum"]
-    rng = np.random.default_rng(23)
-    for n in (2, 3, 4):
-        for shape in ((2,), (2, 5)):
-            G = rng.standard_normal(shape + (n, n, n)) * rng.choice(
-                [1e-3, 1.0, 1e3], size=shape + (1, 1, 1))
-            u = rng.standard_normal(shape + (n,))
-            for args in ((G, u, u), (G[0], u[0], u[0]), (G[1], u[1], u[1])):
-                assert np.array_equal(geodesics.c_einsum(ACCEL, *args),
-                                      np.einsum(ACCEL, *args)), (n, shape)
-
-
-def _fresh_geodesics():
-    # a second copy of the module, run from its source in the package
-    spec = importlib.util.spec_from_file_location(
-        "geoweb._geodesics_copy", geodesics.__file__)
-    module = importlib.util.module_from_spec(spec)
-    with warnings.catch_warnings():
-        # numpy 2 keeps numpy.core as a deprecated alias of numpy._core
-        warnings.simplefilter("ignore", DeprecationWarning)
-        spec.loader.exec_module(module)
-    return module
-
-
-def test_integrator_kernel_falls_back_to_numpy_1_path(monkeypatch):
-    # numpy 1.x has the kernel in numpy.core.multiarray only
-    monkeypatch.setitem(sys.modules, "numpy._core.multiarray", None)
-    assert _fresh_geodesics().c_einsum is geodesics.c_einsum
-    monkeypatch.setitem(sys.modules, "numpy.core.multiarray", None)
-    with pytest.raises(ImportError):
-        _fresh_geodesics()
+@pytest.mark.parametrize("source, private", [
+    ("from numpy.linalg import _umath_linalg", True),
+    ("from numpy._core.multiarray import c_einsum", True),
+    ("from numpy.core.multiarray import c_einsum", True),
+    ("import numpy.core.multiarray", True),
+    ("import numpy as np\nnp.linalg._umath_linalg.inv", True),
+    ("import numpy\ndef f():\n    return numpy.core", True),
+    ("from numpy import linalg as la\nla._umath_linalg", True),
+    ("import numpy as np\nfrom numpy.linalg import inv\nnp.linalg.inv", False)])
+def test_private_numpy_paths_are_found(source, private):
+    assert bool(_private_numpy_paths(source)) is private
 
 
 def test_one_inverse_per_jet_route_structure(monkeypatch):
@@ -491,10 +483,9 @@ def _outcome(fast, X):
 
 def _inverses_per_call(fast, X):
     calls = []
-    real = _umath_linalg.inv
+    real = np.linalg.inv
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_umath_linalg, "inv",
-                   lambda *a, **k: calls.append(1) or real(*a, **k))
+        mp.setattr(np.linalg, "inv", lambda a: calls.append(1) or real(a))
         try:
             fast(X)
         except DegenerateWebPoint:
@@ -761,3 +752,32 @@ def test_sheared_fixed_frame_agrees_with_per_call_frame(name):
         got, want = (G.reshape(-1, web.dim ** 3) for G in (got[1], want[1]))
         assert (np.abs(got - want).max(axis=1)
                 <= SHEARED_RTOL * np.abs(want).max(axis=1)).all(), X
+
+
+# Gamma from the paper's defining equations (`oracles.defining_system`):
+# one square linear system a point, which shares no code with either route
+
+@pytest.mark.parametrize("name", [*FRAME_WEBS, *SHEARED, "exp2y"])
+def test_routes_solve_the_defining_equations(name):
+    web = _frame_web(name) if name in FRAME_WEBS else make_web(name)
+    X = random_points(web, 20, seed=1)
+    want = defining_system(web, X)[0].reshape(len(X), -1)
+    scale = np.maximum(1.0, np.abs(want).max(axis=1))
+    for got in (fastgamma.batched_gamma_evaluator(web)(X),
+                canonical_structure(web, X, 2).conn.gamma_values()):
+        err = np.abs(got.reshape(len(X), -1) - want).max(axis=1)
+        assert (err <= 1e-13 * scale).all(), (err / scale).max()
+
+
+# over all d foliations the system is overdetermined; its least-squares
+# residual vanishes on the webs `check` calls geodesic, and on no other
+@pytest.mark.parametrize("name, geodesic", [
+    ("lin5", True), ("exp2y", True), ("pert5", False), ("sin6", False),
+    ("cubic6", False), ("exp2y_bent", False), ("nodes", False)])
+def test_least_squares_residual_agrees_with_check(name, geodesic):
+    web = (webfile.load_webfile(os.path.join(os.path.dirname(EXP2Y),
+                                             name + ".json"))
+           if name == "exp2y_bent" else make_web(name))
+    assert web.d > web.dim + 2
+    residual = defining_system(web, random_points(web, 20, seed=1))[1].max()
+    assert residual <= 1e-12 if geodesic else residual >= 1e-3

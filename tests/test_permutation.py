@@ -1,17 +1,28 @@
 """Metamorphic test: the `check` and `linearize` verdicts belong to the web,
 so listing its foliations in another order must not change them.
 
-Only verdicts and exit codes are compared.  The values are not: their
-scale belongs to the gauge-0 representative, which depends on the order.
+Verdicts and exit codes are compared on every web file.  So are the
+values of the flatness obstruction (Cotton for n = 2, Weyl for n >= 3)
+under orders that keep the set f_1..f_{n+2}: the projective structure,
+and so the obstruction, belongs to that subweb.  Riemann and the
+verdict's scale max(1, |R|) belong to the gauge-0 representative, which
+depends on the order, so they are not compared.
 """
 
 import glob
 import json
 import os
 
+import numpy as np
 import pytest
 
 from geoweb import cli
+from geoweb.connection import canonical_structure
+from geoweb.curvature import projective_pack
+from geoweb.sampling import random_points
+from geoweb.web import reorder_chart
+
+from conftest import make_web
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WEB_FILES = sorted(glob.glob(os.path.join(HERE, "webs", "*.json"))
@@ -55,6 +66,29 @@ def test_verdict_does_not_depend_on_foliation_order(tmp_path, capsys,
     for name, order in PERMUTATIONS.items():
         permuted = write_permuted(data, order(d), tmp_path / (name + ".json"))
         assert verdict(capsys, command, permuted, 30) == base, name
+
+
+# linearizable webs are left out: there the obstruction is round-off
+# (at most 4e-16 on xy4)
+@pytest.mark.parametrize("name", ["curved4", "mixed3", "web4", "exp2y",
+                                  "nodes", "pulled2", "pulled3"])
+def test_obstruction_values_do_not_depend_on_slot_order(name):
+    web = make_web(name)
+    n = web.dim
+    X = random_points(web, 20, seed=1)
+
+    def obstruction(order):
+        chart = reorder_chart(web, [i + 1 for i in order]
+                              + list(range(n + 3, web.d + 1)))
+        pack = projective_pack(
+            canonical_structure(chart, X, 4 if n == 2 else 3).conn)
+        return (pack.cotton if n == 2 else pack.weyl).reshape(len(X), -1)
+
+    base = obstruction(range(n + 2))
+    size = np.abs(base).max(axis=1)
+    for key, order in PERMUTATIONS.items():
+        err = np.abs(obstruction(order(n + 2)) - base).max(axis=1)
+        assert (err <= 1e-12 * size).all(), (key, (err / size).max())
 
 
 # u, u + 1e-7·v, v, u + 2·v: lines in (u, v), so a linearizable 4-web whose
