@@ -28,8 +28,7 @@ from . import __version__, webfile
 from .errors import (DegenerateWebPoint, ExpressionError, GeowebError,
                      StepTooLarge, WebFileError)
 from .report import Report
-from .web import (basis_invariants, pointed_order, projective_class,
-                  reorder_chart)
+from .web import pointed_order, projective_class, reorder_chart
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -231,8 +230,8 @@ def _cmd_connection(args) -> int:
     work = reorder_chart(web, index)
     struct = connection.canonical_structure(work, point)
     rows = []
-    for k in range(web.dim + 2, work.d + 1):
-        a = basis_invariants(struct.cof, work, k).value
+    for k, (a, _) in enumerate(struct.foliations, web.dim + 2):
+        a = a.value
         for section, values in (("a", a), ("a_class", projective_class(a))):
             rows.extend([section, index[k - 1], i + 1, "", float(v)]
                         for i, v in enumerate(values))

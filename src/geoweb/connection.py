@@ -65,15 +65,28 @@ def skew_matrix(cof: NormalizedCoframe, a: Jet) -> Jet:
     return skew_upper(skew_invariant(cof, a, *upper)[pair])
 
 
-def theta_system(cof: NormalizedCoframe, a: Jet,
+def extra_foliations(cof: NormalizedCoframe, web: WebChart) -> list:
+    """The one reader of the foliations n+2..d: a list, in foliation order,
+    of (a, s) jet pairs on the coframe `cof`, a the basis invariants
+    (order cof.order) and s the `skew_matrix` of a (one order less).  The
+    checks run foliation by foliation, vanishing a then coincidence."""
+    out = []
+    for k in range(web.dim + 2, web.d + 1):
+        a = basis_invariants(cof, web, k)
+        out.append((a, skew_matrix(cof, a)))
+    return out
+
+
+def theta_system(cof: NormalizedCoframe, s: Jet,
                  t: Optional[list] = None) -> Jet:
     """theta_i = sum_j theta[i][j] omega_j: the (n, n) jet theta[i][j] =
-    t[j] + s[i][j] from the skew matrix of `a` and the symmetric gauge t
-    (None for t = 0)."""
+    t[j] + s[i][j] from the skew matrix s of foliation n+2 (as
+    `extra_foliations` gives it) and the symmetric gauge t (None for
+    t = 0)."""
     r = cof.order - 1
     t = (Jet.constant(np.zeros(cof.dim), cof.dim, r) if t is None
          else stack([ti.truncate(r) for ti in t]))
-    return t + skew_matrix(cof, a)
+    return t + s
 
 
 class ConnectionField:
@@ -107,12 +120,12 @@ def canonical_christoffels(cof: NormalizedCoframe,
     by the closed form of the module docstring."""
     n = cof.dim
     r = cof.order - 1
-    lam = cof.lam[:n].truncate(r)
+    lam = cof.lam.truncate(r)
     # L[j][i] = D_i log lam_j, Q = (L - theta) / 2 and K[j][a] = Q[j][i] W_ia
-    L = (directional_derivative(cof.lam[:n], cof.frame).transpose()
+    L = (directional_derivative(cof.lam, cof.frame).transpose()
          / lam[:, None])
     Q = (L - theta) * 0.5
-    Wt = cof.omega[:n].truncate(r)
+    Wt = cof.omega.truncate(r)
     K = ordered_sum(Q[:, i, None] * Wt[i] for i in range(n))
     k, p, q = grid(n, 3)
     fg = where(q == k, Q[k, p], 0.0)
@@ -128,32 +141,38 @@ def canonical_christoffels(cof: NormalizedCoframe,
 
 
 class CanonicalStructure:
-    """Everything built at one point or batch: coframe, theta, connection."""
+    """Everything built at one point or batch: coframe, theta, connection,
+    and the (a, s) pairs of foliations n+2..d that `extra_foliations`
+    reads on that coframe."""
 
     def __init__(self, cof: NormalizedCoframe, theta: Jet,
-                 conn: ConnectionField):
+                 conn: ConnectionField, foliations: list):
         self.cof = cof
         self.theta = theta      # (n, n), as theta_system returns it
         self.conn = conn
+        self.foliations = foliations    # foliations[k - n - 2] = (a, s)
 
 
 def canonical_structure(web: WebChart, point, order: int = 3,
                         t=None) -> CanonicalStructure:
-    """Canonical connection of the (n+2)-subweb f_1..f_{n+2}.
+    """Canonical connection of the (n+2)-subweb f_1..f_{n+2}, with the
+    invariants of every foliation past n+1.
 
     `point` is one point (n,) or a batch of points (B, n); every jet of the
     result then has coefficients (count,) or (count, B), and a batch
     column equals the structure at its point bit for bit.  `order` is the
     jet order of the web functions; the connection comes out
     with jets of order `order - 2`.  `t` is the symmetric gauge: None for
-    t = 0, else n expression texts.
+    t = 0, else n expression texts.  Each web function is expanded once,
+    and a point where any foliation n+2..d is out of general position
+    raises the error `check` excludes it with.
     """
     point = np.asarray(point, dtype=float)
     cof = normalize_coframe(web, point, order)
-    a = basis_invariants(cof, web, web.dim + 2)
+    foliations = extra_foliations(cof, web)
     if t is not None:
         t = [expr.eval_field(expr.parse_expression(ti, web.dim), point,
                              order - 2) for ti in t]
-    theta = theta_system(cof, a, t)
+    theta = theta_system(cof, foliations[0][1], t)
     conn = canonical_christoffels(cof, theta)
-    return CanonicalStructure(cof, theta, conn)
+    return CanonicalStructure(cof, theta, conn, foliations)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .connection import ConnectionField, canonical_structure
 from .errors import OrderExhausted
-from .invariants import (SampleReport, aggregate_rows, extra_foliations,
-                         sample_rows, skew_discrepancy)
+from .invariants import (SampleReport, aggregate_rows, sample_rows,
+                         skew_discrepancy)
 from .jets import Jet, grid, ordered_sum, skew_upper
 from .web import WebChart
 
@@ -112,9 +112,11 @@ def linearizability_verdict(web: WebChart, points) -> SampleReport:
     norm stays below 1e-7 times the curvature scale at every admissible
     point; 'not_linearizable' when geodesicity fails or the obstruction
     exceeds 1e-3 times the scale.  On a web with d > n+2 foliations the
-    geodesicity discrepancy comes from the same structures: one pass, one
-    exclusion list.  The connection is expanded to order 4 at n = 2, whose
-    obstruction needs one more derivative, and to order 3 otherwise.
+    geodesicity discrepancy comes from the skew matrices the structures
+    already hold (`CanonicalStructure.foliations`): one pass, one
+    expansion of each function, one exclusion list.  The connection is
+    expanded to order 4 at n = 2, whose obstruction needs one more
+    derivative, and to order 3 otherwise.
     """
     n = web.dim
     order = 4 if n == 2 else 3
@@ -122,10 +124,8 @@ def linearizability_verdict(web: WebChart, points) -> SampleReport:
 
     def measure(X):
         st = canonical_structure(web, X, order)
-        # the skew matrices read only values, which the coframe at order 1
-        # gives bit for bit
-        disc = (skew_discrepancy([s for _, s in extra_foliations(
-            st.cof.truncate(1), web)]) if extra else ())
+        disc = (skew_discrepancy([s.value for _, s in st.foliations])
+                if extra else ())
         pack = projective_pack(st.conn)
         return (pack.obstruction_norm(), pack.scale()) + disc
 

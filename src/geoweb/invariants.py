@@ -16,11 +16,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .connection import skew_matrix
+from .connection import extra_foliations
 from .errors import DegenerateWebPoint
 from .jets import n_coeffs
-from .web import (NormalizedCoframe, WebChart, basis_invariants,
-                  normalize_coframe, projective_class)
+from .web import WebChart, normalize_coframe, projective_class
 
 PASS_FACTOR = 1e-8
 FAIL_FACTOR = 1e-3
@@ -166,7 +165,7 @@ def invariant_table(web: WebChart, points):
         found = extra_foliations(normalize_coframe(web, X, 2), web)
         return ([c for a, _ in found
                  for c in np.moveaxis(projective_class(a.value), -1, 0)]
-                + [smat[..., i, j] for _, smat in found for i, j in pairs])
+                + [s.value[..., i, j] for _, s in found for i, j in pairs])
 
     rows = [[idx] + [float(x) for x in points[idx]]
             + (["degenerate"] + [""] * len(columns) if res is None
@@ -174,19 +173,6 @@ def invariant_table(web: WebChart, points):
             for idx, (res, detail) in enumerate(map_sample(
                 measure, points, 2, ["invariant"] * len(columns)))]
     return columns, rows
-
-
-def extra_foliations(cof: NormalizedCoframe, web: WebChart):
-    """Basis invariants and skew matrices of the foliations n+2..d at the
-    points (B, n) of the coframe `cof`: a list of (a, s) pairs in foliation
-    order, a the basis-invariant jet and s[b, i, j] = s_ij at point b.
-    Only values are read, so a coframe of order 1 is enough.  The checks
-    run foliation by foliation."""
-    out = []
-    for k in range(web.dim + 2, web.d + 1):
-        a = basis_invariants(cof, web, k)
-        out.append((a, skew_matrix(cof, a).value))
-    return out
 
 
 def skew_discrepancy(smats):
@@ -213,7 +199,7 @@ def geodesicity_test(web: WebChart, points) -> SampleReport:
     def measure(X):
         if vacuous:
             return np.zeros(X.shape[:-1]), np.ones(X.shape[:-1])
-        return skew_discrepancy([smat for _, smat in extra_foliations(
+        return skew_discrepancy([s.value for _, s in extra_foliations(
             normalize_coframe(web, X, 2), web)])
 
     rows, = sample_rows(measure, points, ("discrepancy",), 2)

@@ -90,6 +90,8 @@ def pointed_order(web: WebChart) -> list:
 class NormalizedCoframe:
     """Gauge-fixed coframe data at one base point (n,) or a batch (B, n).
 
+    Holds the n rows i = 1..n; the gauge fixes lambda_{n+1} = 1, so
+    omega_{n+1} = df_{n+1} = -(omega_1 + ... + omega_n) is not stored.
     `order` is the jet order of omega/frame/lambda (one less than the
     order the web functions were expanded to); `hess`, the Hessians of
     f_1..f_n that `connection.canonical_christoffels` needs besides them,
@@ -100,22 +102,14 @@ class NormalizedCoframe:
                  frame: Jet, hess: Jet):
         self.point = point
         self.order = order
-        self.lam = lam          # (n+1,), lam[n] == 1
-        self.omega = omega      # (n+1, n), omega[i][a] dx_a components
+        self.lam = lam          # (n,)
+        self.omega = omega      # (n, n), omega[i][a] dx_a components
         self.frame = frame      # (n, n), frame[i][a] d/dx_a components
         self.hess = hess        # (n, n, n), hess[i][a][b] = d_a d_b f_i
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
-
-    def truncate(self, order: int) -> "NormalizedCoframe":
-        """The same coframe with jets of order `order` (1 <= order <=
-        self.order); enough where only values of the invariants are read."""
-        return NormalizedCoframe(self.point, order, self.lam.truncate(order),
-                                 self.omega.truncate(order),
-                                 self.frame.truncate(order),
-                                 self.hess.truncate(order - 1))
 
 
 def check_vanishing(values, point, name):
@@ -207,9 +201,9 @@ def normalize_coframe(web: WebChart, point, order: int = 3) -> NormalizedCoframe
     sol = jet_linear_solve(A, rhs.transpose(),
                            coframe_inverse(A.value, point))
     check_vanishing(sol[:, 0].value, point, lambda i: "lambda_%d" % (i + 1))
-    lam = stack([*sol[:, 0], 1.0])     # lam[n] = 1
-    omega = lam[:, None] * grads
-    frame = sol[:, 1:] / lam[:n, None]
+    lam = sol[:, 0]
+    omega = lam[:, None] * grads[:n]
+    frame = sol[:, 1:] / lam[:, None]
     return NormalizedCoframe(point, order - 1, lam, omega, frame,
                              grads[:n].derivatives())
 

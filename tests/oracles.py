@@ -165,20 +165,20 @@ def foliation_residual(web: WebChart, k: int, conn: ConnectionField):
     return theta, residual, residual_scale(df)
 
 
-def defining_system(web: WebChart, X):
-    """Gamma from the paper's defining equations, at the points X (B, n).
+def defining_equations(web: WebChart, X):
+    """The paper's defining equations of Gamma at the points X (B, n), as
+    M u = h per row.
 
     For k != n+1, Hess f_k = df_k (x) alpha_k + alpha_k (x) df_k for some
     1-form alpha_k, and Hess f_{n+1} = 0, where Hess f = d^2 f - Gamma^c
     d_c f: the leaves are totally geodesic and f_{n+1} is affine (gauge
-    t = 0).  The unknowns are Gamma^c_ab (a <= b) and the alpha_k; over
-    f_1..f_{n+2} there are as many as equations, n^2 (n+1)/2 + n (n+1).
-    Reads only the order-2 Taylor coefficients of `expr.compile_program`.
-
-    Returns gamma (B, n, n, n), solved from the square system of
-    f_1..f_{n+2} per row by `np.linalg.solve`, and the relative residual
-    |M u - h| / |h| (B,) of the least-squares solution u over all d
-    foliations (0 where d = n + 2).
+    t = 0).  The unknowns u are Gamma^c_ab (a <= b), at c P + pair with
+    P = n (n+1) / 2, then the alpha_k of each k != n+1.  Rows run over the
+    foliations in slot order, P each; over f_1..f_{n+2}, the first
+    (n+2) P rows and columns of M, there are as many unknowns as
+    equations, n^2 (n+1)/2 + n (n+1).  Reads only the order-2 Taylor
+    coefficients of `expr.compile_program`.  Returns (M, h, N), N = (n+2) P
+    the size of that square system.
     """
     n, d = web.dim, web.d
     co = expr.compile_program(web.functions)(np.asarray(X, float), 2)
@@ -189,7 +189,6 @@ def defining_system(web: WebChart, X):
     cols = [ex.index(tuple(unit[p] + unit[q])) for p, q in zip(a, b)]
     h = co[:, :, cols] * np.where(a == b, 2.0, 1.0)  # (B, d, pairs)
     P = len(a)
-    # columns: Gamma^c_ab at c P + pair, then alpha_k of each k != n+1
     slots = [k for k in range(d) if k != n]
     M = np.zeros((B, d, P, n * P + n * len(slots)))
     for p in range(P):
@@ -198,13 +197,34 @@ def defining_system(web: WebChart, X):
         base = n * P + n * i
         M[:, k, np.arange(P), base + b] += g[:, k, a]
         M[:, k, np.arange(P), base + a] += g[:, k, b]
-    M, h = M.reshape(B, d * P, -1), h.reshape(B, d * P)
-    N = (n + 2) * P                                  # the square system
+    return M.reshape(B, d * P, -1), h.reshape(B, d * P), (n + 2) * P
+
+
+def defining_condition(web: WebChart, X):
+    """The 2-norm condition number (B,) of the square defining system of
+    f_1..f_{n+2} at the points X (B, n): one number for how far each point
+    is from leaving general position, whatever the slot order."""
+    M, _, N = defining_equations(web, X)
+    return np.linalg.cond(M[:, :N, :N])
+
+
+def defining_system(web: WebChart, X):
+    """Gamma from `defining_equations` at the points X (B, n).
+
+    Returns gamma (B, n, n, n), solved from the square system of
+    f_1..f_{n+2} per row by `np.linalg.solve`, and the relative residual
+    |M u - h| / |h| (B,) of the least-squares solution u over all d
+    foliations (0 where d = n + 2).
+    """
+    n = web.dim
+    M, h, N = defining_equations(web, X)
+    B, P = len(M), N // (n + 2)
+    a, b = np.triu_indices(n)
     u = np.linalg.solve(M[:, :N, :N], h[:, :N, None])[:, :n * P, 0]
     gamma = np.empty((B, n, n, n))
     gamma[:, :, a, b] = gamma[:, :, b, a] = u.reshape(B, n, P)
     residual = np.zeros(B)
-    if d > n + 2:
+    if web.d > n + 2:
         for r in range(B):
             fit = np.linalg.lstsq(M[r], h[r], rcond=None)[0]
             residual[r] = np.linalg.norm(M[r] @ fit - h[r]) / max(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import geoweb
-from geoweb import cli, connection
+from geoweb import cli, connection, expr
 from geoweb.report import Report, _csv_quote, format_number
 from geoweb.web import basis_invariants, normalize_coframe
 from geoweb.webfile import load_webfile
@@ -490,6 +490,52 @@ def test_pointed_connection_rows_name_the_file_foliation(tmp_path):
         for i in range(2):
             assert got.pop((foliation, str(i + 1))) == a[i]
     assert not got
+
+
+@pytest.mark.parametrize("name", ["lin5", "sin6"])
+@pytest.mark.parametrize("command, rest", [
+    ("linearize", ["--random", "200"]), ("connection", ["--at", "0.1,0.2"])],
+    ids=["linearize", "connection"])
+def test_commands_expand_each_function_once_per_batch(monkeypatch, capsys,
+                                                      name, command, rest):
+    # the structure reads every foliation past n+1 on its own coframe, so a
+    # batch of points costs one expansion of each of the d functions
+    calls = []
+    real = expr.eval_field
+
+    def counting(tree, point, order):
+        calls.append((id(tree), np.asarray(point).tobytes()))
+        return real(tree, point, order)
+
+    monkeypatch.setattr(expr, "eval_field", counting)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "webs", name + ".json")
+    cli.main([command, path, *rest])
+    capsys.readouterr()
+    batches = {point for _, point in calls}
+    assert len(set(calls)) == len(calls) == load_webfile(path).d * len(
+        batches), (len(calls), len(batches))
+
+
+def test_connection_refuses_coincident_invariants_as_check_does(tmp_path,
+                                                                capsys):
+    # a_1 = a_2 = -1 for foliation 5 at the origin; check excludes the
+    # point with the same text connection fails with
+    path = tmp_path / "coincide5.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "functions": ["x1", "x2", "-(x1+x2)", "x1+2*x2+x1*x2",
+                      "x1+x2+0.1*x1*x2"],
+        "domain": {"center": [0.0, 0.0], "radius": 0.5}}))
+    out = tmp_path / "check.csv"
+    assert cli.main(["check", str(path), "--grid", "1",
+                     "--out", str(out)]) == 3
+    (row,) = read_report(out)[2]
+    assert row[3] == "degenerate"
+    assert row[-1] == "basis invariants a_1 and a_2 coincide (-1) at [0. 0.]"
+    assert cli.main(["connection", str(path), "--at", "0,0"]) == 1
+    assert capsys.readouterr() == ("", "geoweb: computation failed: %s\n"
+                                   % row[-1])
 
 
 def test_linearize_excludes_points_once_for_both_tests(tmp_path, capsys):

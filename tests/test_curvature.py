@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from geoweb import connection, curvature
+from geoweb.connection import extra_foliations
 from geoweb.errors import DegenerateWebPoint, OrderExhausted
 from geoweb.expr import eval_field, parse_expression
-from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
-from geoweb.web import basis_invariants, normalize_coframe
+from geoweb.web import normalize_coframe
 from geoweb.webfile import load_webfile
 
 import oracles
@@ -148,41 +148,15 @@ def test_non_geodesic_web_records_subtest():
     assert rep.notes == ["geodesicity: not_geodesic"]
 
 
-@pytest.mark.parametrize("name", ["lin5", "sin6", "cubic6", "nodes"])
-def test_extra_skew_matrices_need_only_the_order_one_coframe(name):
-    # linearizability_verdict builds the skew matrices of foliations
-    # n+3..d on the coframe cut to order 1; their values must be those of
-    # the deep coframe the connection is built on, bit for bit
-    web = (make_web(name) if name == "nodes" else load_webfile(os.path.join(
-        os.path.dirname(__file__), os.pardir, "perfbench", "webs",
-        name + ".json")))
-    n = web.dim
-    X = random_points(web, 100, seed=5)
-    while True:
-        try:
-            st = connection.canonical_structure(web, X, 4 if n == 2 else 3)
-            break
-        except DegenerateWebPoint as e:
-            X = X[~e.rows]
-    assert len(X) >= 90 and web.d > n + 2
-    low = st.cof.truncate(1)
-    assert low.order == 1 and low.hess.order == 0
-    for k in range(n + 3, web.d + 1):
-        deep = connection.skew_matrix(st.cof,
-                                      basis_invariants(st.cof, web, k))
-        cut = connection.skew_matrix(low, basis_invariants(low, web, k))
-        assert deep.order > cut.order == 0
-        assert np.array_equal(deep.value, cut.value), (name, k)
-
-
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("name", ["lin5", "sin6", "cubic6", "pert5", "exp2y",
-                                  "exp2y_bent"])
+                                  "exp2y_bent", "nodes"])
 def test_cut_coframe_reads_the_extra_foliations_as_check_does(name, order):
-    # linearizability_verdict reads foliations n+2..d on its connection's
-    # coframe cut to order 1, check and invariants on the coframe built at
-    # order 2: the a coefficients and the skew matrices, sign bits
-    # included, must be the same bytes
+    # linearizability_verdict and connection read foliations n+2..d from
+    # the structure, on the coframe of the connection's order; check and
+    # invariants read them on the coframe built at order 2.  The values of
+    # the a coefficients and of the skew matrices, sign bits included,
+    # must be the same bytes
     web = (load_webfile(os.path.join(os.path.dirname(EXP2Y), name + ".json"))
            if name == "exp2y_bent" else make_web(name))
     assert web.d > web.dim + 2
@@ -190,16 +164,17 @@ def test_cut_coframe_reads_the_extra_foliations_as_check_does(name, order):
     while True:
         try:
             st = connection.canonical_structure(web, X, order)
-            cut = extra_foliations(st.cof.truncate(1), web)
             break
         except DegenerateWebPoint as e:
             X = X[~e.rows]
     assert len(X) >= 15
     built = extra_foliations(normalize_coframe(web, X, 2), web)
-    assert len(cut) == len(built) == web.d - web.dim - 1
-    for (a_cut, s_cut), (a, s) in zip(cut, built):
-        assert a_cut.order == a.order == 1
-        assert a_cut.coeffs.shape == a.coeffs.shape
-        assert a_cut.coeffs.tobytes() == a.coeffs.tobytes(), name
-        assert s_cut.shape == s.shape == (len(X), web.dim, web.dim)
-        assert s_cut.tobytes() == s.tobytes(), name
+    assert len(st.foliations) == len(built) == web.d - web.dim - 1
+    for (a_st, s_st), (a, s) in zip(st.foliations, built):
+        assert a_st.order == order - 1 > a.order == 1
+        assert s_st.order == order - 2 > s.order == 0
+        assert a_st.value.shape == a.value.shape == (len(X), web.dim)
+        assert a_st.value.tobytes() == a.value.tobytes(), name
+        assert s_st.value.shape == s.value.shape == (len(X), web.dim,
+                                                     web.dim)
+        assert s_st.value.tobytes() == s.value.tobytes(), name

@@ -27,21 +27,21 @@ import ast
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from geoweb import cli, expr, fastgamma, webfile
-from geoweb.connection import canonical_structure
+from geoweb.connection import canonical_structure, extra_foliations
 from geoweb.errors import (CoincidentInvariants, DegenerateWebPoint,
                            DomainError)
-from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
 from geoweb.web import WebChart, normalize_coframe
 
 from conftest import (CORPUS_SOURCES, CURVED_FRAME_WEBS, EXP2Y, NODES,
                       PULLBACKS, SERIES_SOURCES, SHEARED, make_web, pull_back)
-from oracles import defining_system
+from oracles import defining_condition, defining_system
 
 
 @pytest.mark.parametrize("order", range(5))
@@ -781,3 +781,39 @@ def test_least_squares_residual_agrees_with_check(name, geodesic):
     assert web.d > web.dim + 2
     residual = defining_system(web, random_points(web, 20, seed=1))[1].max()
     assert residual <= 1e-12 if geodesic else residual >= 1e-3
+
+
+# the square system's condition number grows as 1/eps as xy4 is driven by
+# eps toward each defect one rule catches, and reads large wherever a rule
+# fires.  On the kappa web coincidence fires before kappa does
+XY4 = ["x1", "x2", "-(x1+x2)", "x1+2*x2+x1*x2"]
+
+
+@pytest.mark.parametrize("slot, text, rules", [
+    (1, "x1+{}*x2", ["basis invariants a_1 and a_2 coincide",
+                     "coframe normalization is singular"]),
+    (2, "-(x1+{}*x2)", ["lambda_2 vanishes"]),
+    (3, "x1+{}*x2+0.1*x1^2", ["basis invariant a_2 of foliation 4 vanishes"]),
+    (3, "x1+(1.02+{})*x2+0.1*x1^2",
+     ["basis invariants a_1 and a_2 coincide"])],
+    ids=["kappa", "lambda", "a", "coincidence"])
+def test_defining_condition_measures_general_position(slot, text, rules):
+    point = np.array([0.1, 0.2])
+    assert defining_condition(WebChart.from_strings(2, XY4), [point]) < 100
+    eps = 10.0 ** -np.arange(3, 14)
+    cond, fired = np.empty(len(eps)), []
+    for m, e in enumerate(eps):
+        sources = list(XY4)
+        sources[slot] = text.format(repr(float(e)))
+        web = WebChart.from_strings(2, sources)
+        cond[m], = defining_condition(web, [point])
+        try:
+            canonical_structure(web, point, 2)
+        except DegenerateWebPoint as err:
+            fired.append((m, re.split(r" at | \(", str(err))[0]))
+    scaled = cond * eps
+    assert 1 < scaled.min() and scaled.max() < 1.05 * scaled.min(), scaled
+    assert list(dict.fromkeys(rule for _, rule in fired)) == rules
+    hit = [m for m, _ in fired]
+    assert set(np.flatnonzero(eps <= 1e-11)) <= set(hit)
+    assert cond[hit].min() >= 1e10, cond[hit]

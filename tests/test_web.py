@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from geoweb import expr, jets, web as web_module
-from geoweb.connection import canonical_structure
+from geoweb.connection import canonical_structure, extra_foliations
 from geoweb.errors import DegenerateWebPoint, OrderExhausted
-from geoweb.invariants import extra_foliations
 from geoweb.sampling import random_points
 from geoweb.web import (WebChart, basis_invariants, normalize_coframe,
                         projective_class, reorder_chart)
@@ -23,17 +22,26 @@ XY_SLOT3 = ["x1", "x2", "-(x1+x2+x1*x2)", "x1+2*x2"]
 def test_lambda_values():
     web = WebChart.from_strings(2, XY_SLOT3)
     cof = normalize_coframe(web, (0.2, 0.3), order=3)
-    # sum lambda_i df_i + df_3 = 0 with df_3 = -(1+x2, 1+x1)
+    # sum lambda_i df_i + df_3 = 0 with df_3 = -(1+x2, 1+x1): the coframe
+    # holds lambda_1, lambda_2, and the gauge fixes lambda_3 = 1
+    assert cof.lam.shape == (2,)
     assert cof.lam[0].value == pytest.approx(1.3, rel=1e-14)
     assert cof.lam[1].value == pytest.approx(1.2, rel=1e-14)
-    assert cof.lam[2].value == 1.0
+    grads = [expr.eval_field(f, cof.point, 1).derivatives().value
+             for f in web.functions[:3]]
+    lam = [cof.lam[0].value, cof.lam[1].value, 1.0]
+    assert np.abs(sum(l * g for l, g in zip(lam, grads))).max() < 1e-14
 
 
 def test_omega_sum_vanishes_as_jets():
     web = WebChart.from_strings(2, XY_SLOT3)
     cof = normalize_coframe(web, (0.1, -0.2), order=3)
+    assert cof.omega.shape == (web.dim, web.dim)
+    # omega_3 = df_3, the gauge lambda_3 = 1
+    omega3 = expr.eval_field(web.functions[web.dim], cof.point,
+                             cof.order + 1).derivatives()
     for a in range(web.dim):
-        total = sum(cof.omega[i][a] for i in range(web.dim + 1))
+        total = sum(cof.omega[i][a] for i in range(web.dim)) + omega3[a]
         assert np.allclose(total.coeffs, 0.0, atol=1e-13)
 
 
